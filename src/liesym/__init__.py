@@ -19,6 +19,7 @@ from .errors import (
     OrderCapExceeded,
     OrderError,
     ParseError,
+    SimplificationIncomplete,
     UnknownSymbol,
 )
 from .expr import (

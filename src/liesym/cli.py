@@ -13,14 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import buckpi, claws, detsys, invariants, varcalc
-from .errors import LiesymError, NotASymmetry, ParseError
-from .expr import Context, Expr, Jet, Var
-from .jet import (
-    VectorField,
-    characteristic_of,
-    lie_bracket,
-    prolong,
-)
+from .errors import LiesymError, NotASymmetry
+from .expr import Context, Expr, Jet, Var, is_zero, jet_order
+from .jet import VectorField, lie_bracket, prolong
 from .parse import (
     Problem,
     format_expr,
@@ -42,29 +37,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="accepted for reproducibility of dev harnesses; unused")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **file_kw):
+    def cmd(name):
         c = sub.add_parser(name)
-        c.add_argument("--file", required=file_kw.get("file", True),
-                       help="problem file")
+        c.add_argument("--file", required=True, help="problem file")
         return c
 
     c = cmd("prolong")
     c.add_argument("--vf", required=True)
     c.add_argument("--order", type=int, required=True)
 
-    c = cmd("determine")
-    c.add_argument("--system", required=True)
-    c.add_argument("--xi-names", default=None,
-                   help="comma-separated names for the xi coefficients")
-    c.add_argument("--phi-names", default=None)
-    c.add_argument("--order-cap", type=int, default=None)
-
-    c = cmd("solve")
-    c.add_argument("--system", required=True)
+    for name in ("determine", "solve"):
+        c = cmd(name)
+        c.add_argument("--system", required=True)
+        c.add_argument("--xi-names", default=None,
+                       help="comma-separated names for the xi coefficients")
+        c.add_argument("--phi-names", default=None)
+        c.add_argument("--order-cap", type=int, default=None)
     c.add_argument("--degree", type=int, default=3)
-    c.add_argument("--xi-names", default=None)
-    c.add_argument("--phi-names", default=None)
-    c.add_argument("--order-cap", type=int, default=None)
 
     c = cmd("check-symmetry")
     c.add_argument("--vf", required=True)
@@ -168,159 +157,164 @@ def _parse_sample(text: str, ctx: Context) -> dict[Expr, Fraction]:
     return out
 
 
+def _prolong(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    pv = prolong(v, args.order)
+    coeffs = {
+        format_expr(j, prob.ctx): format_expr(pv.coeffs[j], prob.ctx)
+        for j in sorted(pv.coeffs, key=lambda j: (j.dep, len(j.idx), j.idx))
+    }
+    return {**_vf_json(v), "coeffs": coeffs}, 0
+
+
+def _determine_or_solve(args, prob: Problem) -> tuple[dict, int]:
+    sys_ = _pick(prob.systems, args.system, "system")
+    xi_names = args.xi_names.split(",") if args.xi_names else None
+    phi_names = args.phi_names.split(",") if args.phi_names else None
+    ds = detsys.determining_equations(sys_, xi_names, phi_names, args.order_cap)
+    if args.command == "determine":
+        return {
+            "equations": [format_expr(e, ds.ctx) for e in ds.equations],
+            "splitting_vars": [format_expr(j, ds.ctx) for j in ds.splitting_vars],
+        }, 0
+    basis = detsys.solve_determining(ds, detsys.Ansatz(args.degree))
+    return {"dimension": len(basis), "fields": [_vf_json(v) for v in basis]}, 0
+
+
+def _check_symmetry(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    sys_ = _pick(prob.systems, args.system, "system")
+    ok = detsys.check_symmetry(v, sys_, args.order_cap)
+    return {"symmetry": ok}, 0 if ok else 1
+
+
+def _bracket(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    w = _pick(prob.vfields, args.vf2, "vector field")
+    return _vf_json(lie_bracket(v, w)), 0
+
+
+def _euler_lagrange(args, prob: Problem) -> tuple[dict, int]:
+    lag = Lagrangian(prob.ctx, _pick(prob.lagrangians, args.lagrangian, "lagrangian"))
+    eqs = varcalc.euler_lagrange(lag)
+    return {"equations": {prob.ctx.dep[a]: format_expr(e, prob.ctx)
+                          for a, e in enumerate(eqs)}}, 0
+
+
+def _varsym_defect(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    lag = Lagrangian(prob.ctx, _pick(prob.lagrangians, args.lagrangian, "lagrangian"))
+    d = varcalc.variational_symmetry_defect(v, lag)
+    return {"defect": format_expr(d, prob.ctx), "zero": is_zero(d)}, 0
+
+
+def _noether(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    lag = Lagrangian(prob.ctx, _pick(prob.lagrangians, args.lagrangian, "lagrangian"))
+    b = _pick(prob.currents, args.b, "current") if args.b else None
+    try:
+        cur = varcalc.noether_current_first_order(v, lag, b)
+    except NotASymmetry as exc:
+        return {"error": str(exc)}, 1
+    return {"current": [format_expr(e, prob.ctx) for e in cur.f]}, 0
+
+
+def _check_claw(args, prob: Problem) -> tuple[dict, int]:
+    cur = ConservedCurrent(prob.ctx, _pick(prob.currents, args.current, "current"))
+    sys_ = _pick(prob.systems, args.system, "system")
+    ok = claws.is_conservation_law(cur, sys_, args.order_cap)
+    return {"conservation_law": ok}, 0 if ok else 1
+
+
+def _check_char_form(args, prob: Problem) -> tuple[dict, int]:
+    cur = ConservedCurrent(prob.ctx, _pick(prob.currents, args.current, "current"))
+    q = _pick(prob.currents, args.char, "current")
+    sys_ = _pick(prob.systems, args.system, "system")
+    ok = claws.verify_characteristic_form(cur, q, sys_)
+    return {"characteristic_form": ok}, 0 if ok else 1
+
+
+def _null_div(args, prob: Problem) -> tuple[dict, int]:
+    cur = ConservedCurrent(prob.ctx, _pick(prob.currents, args.current, "current"))
+    ok = claws.is_null_divergence(cur)
+    return {"null_divergence": ok}, 0 if ok else 1
+
+
+def _check_invariant(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    eta = parse_expr(args.expr, prob.ctx)
+    n = args.order if args.order is not None else jet_order(eta)
+    ok = invariants.differential_invariant_check(v, n, eta)
+    return {"invariant": ok, "order": n}, 0 if ok else 1
+
+
+def _next_invariant(args, prob: Problem) -> tuple[dict, int]:
+    eta = parse_expr(args.eta, prob.ctx)
+    zeta = parse_expr(args.zeta, prob.ctx)
+    out = invariants.next_invariant(eta, zeta)
+    return {"invariant": format_expr(out, prob.ctx)}, 0
+
+
+def _char_system(args, prob: Problem) -> tuple[dict, int]:
+    v = _pick(prob.vfields, args.vf, "vector field")
+    return {"system": invariants.characteristic_system(v)}, 0
+
+
+def _pi(args, prob: Problem | None) -> tuple[dict, int]:
+    if args.csv:
+        with open(args.csv, encoding="utf-8") as fh:
+            model = parse_dimension_csv(fh.read())
+    elif args.dimmatrix and prob:
+        model = _pick(prob.dim_models, args.dimmatrix, "dimension matrix")
+    else:
+        raise LiesymError("pi needs --csv or --file with --dimmatrix")
+    basis = buckpi.pi_basis(model)
+    kernel = [[str(basis.b[j, k]) for j in range(basis.b.rows)]
+              for k in range(basis.b.cols)]
+    return {
+        "rank": basis.s,
+        "kernel": kernel,
+        "pi": buckpi.power_products(basis, model.derived_names),
+    }, 0
+
+
+def _rank_probe(args, prob: Problem) -> tuple[dict, int]:
+    sys_ = _pick(prob.systems, args.system, "system")
+    samples = [_parse_sample(s, prob.ctx) for s in args.sample]
+    ok = detsys.rank_probe(sys_, samples)
+    return {"maximal_rank": ok}, 0 if ok else 1
+
+
+# Each handler maps (arguments, loaded problem or None) to (result, status).
+_HANDLERS = {
+    "prolong": _prolong,
+    "determine": _determine_or_solve,
+    "solve": _determine_or_solve,
+    "check-symmetry": _check_symmetry,
+    "bracket": _bracket,
+    "euler-lagrange": _euler_lagrange,
+    "varsym-defect": _varsym_defect,
+    "noether": _noether,
+    "check-claw": _check_claw,
+    "check-char-form": _check_char_form,
+    "null-div": _null_div,
+    "check-invariant": _check_invariant,
+    "next-invariant": _next_invariant,
+    "char-system": _char_system,
+    "pi": _pi,
+    "rank-probe": _rank_probe,
+}
+
+
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     """Returns (report, exit status)."""
-    cmd = args.command
     inputs = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("command", "plain", "seed") and v is not None
     }
-    prob = _load(args.file) if getattr(args, "file", None) else None
-    ctx = prob.ctx if prob else None
-
-    if cmd == "prolong":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        pv = prolong(v, args.order)
-        coeffs = {
-            format_expr(j, ctx): format_expr(pv.coeffs[j], ctx)
-            for j in sorted(pv.coeffs, key=lambda j: (j.dep, len(j.idx), j.idx))
-        }
-        return {"command": cmd, "inputs": inputs,
-                "result": {**_vf_json(v), "coeffs": coeffs}}, 0
-
-    if cmd in ("determine", "solve"):
-        sys_ = _pick(prob.systems, args.system, "system")
-        xi_names = args.xi_names.split(",") if args.xi_names else None
-        phi_names = args.phi_names.split(",") if args.phi_names else None
-        ds = detsys.determining_equations(sys_, xi_names, phi_names,
-                                          args.order_cap)
-        if cmd == "determine":
-            ectx = ds.ctx
-            return {"command": cmd, "inputs": inputs, "result": {
-                "equations": [format_expr(e, ectx) for e in ds.equations],
-                "splitting_vars": [format_expr(j, ectx)
-                                   for j in ds.splitting_vars],
-            }}, 0
-        basis = detsys.solve_determining(ds, detsys.Ansatz(args.degree))
-        return {"command": cmd, "inputs": inputs, "result": {
-            "dimension": len(basis),
-            "fields": [_vf_json(v) for v in basis],
-        }}, 0
-
-    if cmd == "check-symmetry":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        sys_ = _pick(prob.systems, args.system, "system")
-        ok = detsys.check_symmetry(v, sys_, args.order_cap)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"symmetry": ok}}, 0 if ok else 1
-
-    if cmd == "bracket":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        w = _pick(prob.vfields, args.vf2, "vector field")
-        return {"command": cmd, "inputs": inputs,
-                "result": _vf_json(lie_bracket(v, w))}, 0
-
-    if cmd == "euler-lagrange":
-        lag = Lagrangian(ctx, _pick(prob.lagrangians, args.lagrangian,
-                                    "lagrangian"))
-        eqs = varcalc.euler_lagrange(lag)
-        return {"command": cmd, "inputs": inputs, "result": {
-            "equations": {ctx.dep[a]: format_expr(e, ctx)
-                          for a, e in enumerate(eqs)},
-        }}, 0
-
-    if cmd == "varsym-defect":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        lag = Lagrangian(ctx, _pick(prob.lagrangians, args.lagrangian,
-                                    "lagrangian"))
-        d = varcalc.variational_symmetry_defect(v, lag)
-        from .expr import is_zero
-        return {"command": cmd, "inputs": inputs, "result": {
-            "defect": format_expr(d, ctx), "zero": is_zero(d)}}, 0
-
-    if cmd == "noether":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        lag = Lagrangian(ctx, _pick(prob.lagrangians, args.lagrangian,
-                                    "lagrangian"))
-        b = _pick(prob.currents, args.b, "current") if args.b else None
-        try:
-            cur = varcalc.noether_current_first_order(v, lag, b)
-        except NotASymmetry as exc:
-            return {"command": cmd, "inputs": inputs,
-                    "result": {"error": str(exc)}}, 1
-        return {"command": cmd, "inputs": inputs, "result": {
-            "current": [format_expr(e, ctx) for e in cur.f]}}, 0
-
-    if cmd == "check-claw":
-        cur = ConservedCurrent(ctx, _pick(prob.currents, args.current,
-                                          "current"))
-        sys_ = _pick(prob.systems, args.system, "system")
-        ok = claws.is_conservation_law(cur, sys_, args.order_cap)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"conservation_law": ok}}, 0 if ok else 1
-
-    if cmd == "check-char-form":
-        cur = ConservedCurrent(ctx, _pick(prob.currents, args.current,
-                                          "current"))
-        q = _pick(prob.currents, args.char, "current")
-        sys_ = _pick(prob.systems, args.system, "system")
-        ok = claws.verify_characteristic_form(cur, q, sys_)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"characteristic_form": ok}}, 0 if ok else 1
-
-    if cmd == "null-div":
-        cur = ConservedCurrent(ctx, _pick(prob.currents, args.current,
-                                          "current"))
-        ok = claws.is_null_divergence(cur)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"null_divergence": ok}}, 0 if ok else 1
-
-    if cmd == "check-invariant":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        eta = parse_expr(args.expr, ctx)
-        from .expr import jet_order
-        n = args.order if args.order is not None else jet_order(eta)
-        ok = invariants.differential_invariant_check(v, n, eta)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"invariant": ok, "order": n}}, 0 if ok else 1
-
-    if cmd == "next-invariant":
-        eta = parse_expr(args.eta, ctx)
-        zeta = parse_expr(args.zeta, ctx)
-        out = invariants.next_invariant(eta, zeta)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"invariant": format_expr(out, ctx)}}, 0
-
-    if cmd == "char-system":
-        v = _pick(prob.vfields, args.vf, "vector field")
-        return {"command": cmd, "inputs": inputs,
-                "result": {"system": invariants.characteristic_system(v)}}, 0
-
-    if cmd == "pi":
-        if args.csv:
-            with open(args.csv, encoding="utf-8") as fh:
-                model = parse_dimension_csv(fh.read())
-        elif args.dimmatrix and prob:
-            model = _pick(prob.dim_models, args.dimmatrix, "dimension matrix")
-        else:
-            raise LiesymError("pi needs --csv or --file with --dimmatrix")
-        basis = buckpi.pi_basis(model)
-        kernel = [[str(basis.b[j, k]) for j in range(basis.b.rows)]
-                  for k in range(basis.b.cols)]
-        return {"command": cmd, "inputs": inputs, "result": {
-            "rank": basis.s,
-            "kernel": kernel,
-            "pi": buckpi.power_products(basis, model.derived_names),
-        }}, 0
-
-    if cmd == "rank-probe":
-        sys_ = _pick(prob.systems, args.system, "system")
-        samples = [_parse_sample(s, ctx) for s in args.sample]
-        ok = detsys.rank_probe(sys_, samples)
-        return {"command": cmd, "inputs": inputs,
-                "result": {"maximal_rank": ok}}, 0 if ok else 1
-
-    raise LiesymError(f"unhandled command {cmd!r}")
+    prob = _load(args.file) if args.file else None
+    result, status = _HANDLERS[args.command](args, prob)
+    return {"command": args.command, "inputs": inputs, "result": result}, status
 
 
 def _emit_plain(report: dict, out) -> None:
@@ -347,11 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, status = _run(args)
-    except (ParseError, OSError) as exc:
+    except (LiesymError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LiesymError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
     if args.plain:
         _emit_plain(report, sys.stdout)

@@ -49,6 +49,11 @@ class EvaluationError(LiesymError):
     """Raised when an expression cannot be evaluated to an exact rational."""
 
 
+class SimplificationIncomplete(LiesymError):
+    """Raised when expansion reaches no fixed point within its round limit,
+    so a zero test cannot be confirmed either way."""
+
+
 class ParseError(LiesymError):
     """Syntax or resolution error with source position information."""
 

@@ -14,13 +14,23 @@ demand, and additionally merges powers of a common sum base whose exponents
 differ by integers (the step that makes rational-function cancellations such as
 ``u_xx*(1+u_x^2)^(-1/2) - (1+u_x^2+...)*(1+u_x^2)^(-3/2)`` collapse exactly).
 
+Contract: compound nodes must be built with :func:`add`, :func:`mul`,
+:func:`pow_`, :func:`div` and :func:`func` (or the operators, which call them);
+a tree so built is canonical, and no operation here re-canonicalizes its
+input.  The node dataclasses are exported for ``isinstance`` checks and
+atoms; a tree assembled from the raw compound dataclasses must first go
+through :func:`normalize`.
+
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
-provably zero).
+provably zero).  An :func:`expand` that reaches no fixed point within its round
+limit raises :class:`~liesym.errors.SimplificationIncomplete`, so
+:func:`is_zero` never answers an unconfirmed False.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -29,6 +39,7 @@ from .errors import (
     DegenerateExpression,
     EvaluationError,
     NotPolynomial,
+    SimplificationIncomplete,
     UnknownSymbol,
 )
 
@@ -158,8 +169,6 @@ class Add(Expr):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
-
-ATOM_TYPES = (Const, Var, Jet, Param, UFunc)
 
 
 def _coerce(x) -> Expr:
@@ -342,10 +351,9 @@ def add(*args) -> Expr:
 def mul(*args) -> Expr:
     coeff = Fraction(1)
     bases: dict[Expr, Fraction] = {}
-    order: list[Expr] = []
-    work = [_coerce(a) for a in args]
+    work = [_coerce(a) for a in reversed(args)]
     while work:
-        a = work.pop(0)
+        a = work.pop()
         if isinstance(a, Const):
             coeff *= a.value
             if coeff == 0:
@@ -353,32 +361,25 @@ def mul(*args) -> Expr:
             continue
         if isinstance(a, Mul):
             coeff *= a.coeff
-            if coeff == 0:
-                return ZERO
-            work = list(a.factors) + work
+            work.extend(reversed(a.factors))
             continue
         b, e = _base_exp(a)
-        if b in bases:
-            bases[b] += e
-        else:
-            bases[b] = e
-            order.append(b)
+        bases[b] = bases.get(b, 0) + e
     factors: list[Expr] = []
-    for b in order:
-        e = bases[b]
+    products: list[Expr] = []
+    for b, e in bases.items():
         if e == 0:
             continue
         f = pow_(b, e)
         if isinstance(f, Const):
             coeff *= f.value
-            if coeff == 0:
-                return ZERO
-        elif isinstance(f, (Mul, Pow)) and not isinstance(f, Pow):
-            work.append(f)  # pragma: no cover - pow_ never returns raw Mul here
+        elif isinstance(f, Mul):
+            # a product base whose fractional powers summed to an integer
+            products.append(f)
         else:
             factors.append(f)
-    if coeff == 0:
-        return ZERO
+    if products:
+        return mul(Const(coeff), *factors, *products)
     factors.sort(key=_factor_key)
     return _term(coeff, tuple(factors))
 
@@ -392,15 +393,22 @@ def sub(a, b) -> Expr:
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
+    """The exact integer k-th root of n >= 0, or None if n is no k-th power."""
     if n < 0:
         return None
-    if n in (0, 1):
+    if n < 2:
         return n
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** k == n:
-            return c
-    return None
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton iteration from above converges to floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
 
 
 def pow_(base, exponent) -> Expr:
@@ -456,24 +464,33 @@ def func(name: str, arg) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# structural map and normalization
 # ---------------------------------------------------------------------------
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild through the canonicalizing constructors (idempotent)."""
-    if isinstance(e, ATOM_TYPES):
-        if isinstance(e, UFunc):
-            return UFunc(e.name, tuple(normalize(a) for a in e.args), e.deriv)
-        return e
+def _rebuild(e: Expr, f, *args) -> Expr:
+    """Apply ``f(child, *args)`` to every child of ``e`` and rebuild the node
+    through the constructors; atoms without children come back unchanged."""
+    # map, unlike a comprehension, adds no Python frame per tree level
+    fixed = [itertools.repeat(a) for a in args]
     if isinstance(e, Add):
-        return add(*(normalize(t) for t in e.terms))
+        return add(*map(f, e.terms, *fixed))
     if isinstance(e, Mul):
-        return mul(Const(e.coeff), *(normalize(f) for f in e.factors))
+        return mul(Const(e.coeff), *map(f, e.factors, *fixed))
     if isinstance(e, Pow):
-        return pow_(normalize(e.base), e.exp)
+        return pow_(f(e.base, *args), e.exp)
     if isinstance(e, Func):
-        return func(e.fname, normalize(e.arg))
-    raise TypeError(type(e))
+        return func(e.fname, f(e.arg, *args))
+    if isinstance(e, UFunc):
+        return UFunc(e.name, tuple(map(f, e.args, *fixed)), e.deriv)
+    return e
+
+
+def normalize(e: Expr) -> Expr:
+    """Canonicalize a tree built from the raw node dataclasses (idempotent).
+
+    Trees built by the constructors are canonical already and come back equal.
+    """
+    return _rebuild(e, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +595,7 @@ def _subst(e: Expr, b: Mapping[Expr, Expr]) -> Expr:
     hit = b.get(e)
     if hit is not None:
         return _coerce(hit)
-    if isinstance(e, (Const, Var, Jet, Param)):
-        return e
-    if isinstance(e, UFunc):
-        return UFunc(e.name, tuple(_subst(a, b) for a in e.args), e.deriv)
-    if isinstance(e, Add):
-        return add(*(_subst(t, b) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(Const(e.coeff), *(_subst(f, b) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(_subst(e.base, b), e.exp)
-    if isinstance(e, Func):
-        return func(e.fname, _subst(e.arg, b))
-    raise TypeError(type(e))
+    return _rebuild(e, _subst, b)
 
 
 def substitute_functions(e: Expr, table: Mapping[str, tuple[tuple[Expr, ...], Expr]]) -> Expr:
@@ -599,7 +604,9 @@ def substitute_functions(e: Expr, table: Mapping[str, tuple[tuple[Expr, ...], Ex
     ``table`` maps a function name to ``(args, body)``; a derivative node is
     replaced by the matching iterated partial derivative of ``body``.
     """
-    if isinstance(e, UFunc) and e.name in table:
+    if isinstance(e, UFunc):
+        if e.name not in table:
+            return e
         args, body = table[e.name]
         if len(args) != len(e.args):
             raise UnknownSymbol(f"arity mismatch for unknown function {e.name!r}")
@@ -607,17 +614,7 @@ def substitute_functions(e: Expr, table: Mapping[str, tuple[tuple[Expr, ...], Ex
         for pos in e.deriv:
             out = diff(out, args[pos])
         return out
-    if isinstance(e, (Const, Var, Jet, Param, UFunc)):
-        return e
-    if isinstance(e, Add):
-        return add(*(substitute_functions(t, table) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(Const(e.coeff), *(substitute_functions(f, table) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(substitute_functions(e.base, table), e.exp)
-    if isinstance(e, Func):
-        return func(e.fname, substitute_functions(e.arg, table))
-    raise TypeError(type(e))
+    return _rebuild(e, substitute_functions, table)
 
 
 # ---------------------------------------------------------------------------
@@ -642,14 +639,6 @@ def _distribute(factors: list[Expr], coeff: Fraction) -> Expr:
 
 
 def _expand_once(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var, Jet, Param)):
-        return e
-    if isinstance(e, UFunc):
-        return UFunc(e.name, tuple(_expand_once(a) for a in e.args), e.deriv)
-    if isinstance(e, Func):
-        return func(e.fname, _expand_once(e.arg))
-    if isinstance(e, Add):
-        return add(*(_expand_once(t) for t in e.terms))
     if isinstance(e, Pow):
         base = _expand_once(e.base)
         if (
@@ -687,7 +676,7 @@ def _expand_once(e: Expr) -> Expr:
         if any(isinstance(f, Add) for f in expanded):
             return _distribute(expanded, coeff)
         return mul(Const(coeff), *expanded)
-    raise TypeError(type(e))
+    return _rebuild(e, _expand_once)
 
 
 def _merge_sum_powers(e: Expr) -> Expr:
@@ -756,25 +745,29 @@ def _merge_sum_powers(e: Expr) -> Expr:
 
 def expand(e: Expr, max_rounds: int = 12) -> Expr:
     """Fully distribute products and integer powers of sums, then merge
-    integer-shifted powers of common sum bases, iterating to a fixed point."""
-    cur = normalize(e)
+    integer-shifted powers of common sum bases, iterating to a fixed point.
+
+    Raises :class:`SimplificationIncomplete` when ``max_rounds`` rounds pass
+    without one that reproduces its input.
+    """
+    cur = e
     for _ in range(max_rounds):
         nxt = _merge_sum_powers(_expand_once(cur))
         if nxt == cur:
             return cur
         cur = nxt
-    return cur
+    raise SimplificationIncomplete(
+        f"expand reached no fixed point within {max_rounds} rounds"
+    )
 
 
 def is_zero(e: Expr) -> bool:
     """True iff the expression is provably the constant zero.
 
     Func applications are treated as opaque atoms, so identities like
-    ``sin^2 + cos^2 = 1`` are (by design) not recognized.
+    ``sin^2 + cos^2 = 1`` are (by design) not recognized.  Raises
+    :class:`SimplificationIncomplete` rather than answer an unconfirmed False.
     """
-    e = normalize(e)
-    if e == ZERO:
-        return True
     return expand(e) == ZERO
 
 

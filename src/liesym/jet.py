@@ -24,7 +24,6 @@ from .expr import (
     jets_of,
     mul,
     neg,
-    normalize,
     sub,
 )
 
@@ -71,8 +70,8 @@ class VectorField:
     phi: tuple[Expr, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(normalize(e) for e in self.xi))
-        object.__setattr__(self, "phi", tuple(normalize(e) for e in self.phi))
+        object.__setattr__(self, "xi", tuple(self.xi))
+        object.__setattr__(self, "phi", tuple(self.phi))
         if len(self.xi) != self.ctx.p or len(self.phi) != self.ctx.q:
             raise ArityError("coefficient counts do not match the context")
         for e in self.xi + self.phi:
@@ -114,7 +113,7 @@ class Characteristic:
     q: tuple[Expr, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(normalize(e) for e in self.q))
+        object.__setattr__(self, "q", tuple(self.q))
         if len(self.q) != self.ctx.q:
             raise ArityError("characteristic length does not match the context")
         for e in self.q:
@@ -160,23 +159,14 @@ def prolong(v: VectorField, n: int) -> ProlongedVectorField:
     """Closed-formula prolongation.
 
     The order-J coefficient is D_J(Q_a) + sum_i xi^i u^a_{J,i} with Q the
-    characteristic; D_J values are built incrementally along sorted prefixes.
+    characteristic; the D_J(Q_a) are those of :func:`evolutionary_prolong`.
     """
     ctx = v.ctx
-    qchar = characteristic_of(v).q
-    coeffs: dict[Jet, Expr] = {}
-    for a in range(ctx.q):
-        dq: dict[tuple[int, ...], Expr] = {(): qchar[a]}
-        for k in range(1, n + 1):
-            for idx in multi_indices(ctx.p, k):
-                dq[idx] = total_derivative(dq[idx[:-1]], idx[-1])
-                tail = add(
-                    *(
-                        mul(v.xi[i], Jet(a + 1, tuple(sorted(idx + (i + 1,)))))
-                        for i in range(ctx.p)
-                    )
-                )
-                coeffs[Jet(a + 1, idx)] = add(dq[idx], tail)
+    dq = evolutionary_prolong(characteristic_of(v), n).coeffs
+    coeffs = {
+        j: add(d, *(mul(v.xi[i], Jet(j.dep, j.idx + (i + 1,))) for i in range(ctx.p)))
+        for j, d in dq.items()
+    }
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs, base=v)
 
 

@@ -23,7 +23,6 @@ from .expr import (
     jet_order,
     mul,
     neg,
-    normalize,
     sub,
 )
 from .jet import (
@@ -42,9 +41,6 @@ class Lagrangian:
     ctx: Context
     L: Expr
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", normalize(self.L))
-
     @property
     def order(self) -> int:
         return jet_order(self.L)
@@ -56,7 +52,7 @@ class ConservedCurrent:
     f: tuple[Expr, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "f", tuple(normalize(e) for e in self.f))
+        object.__setattr__(self, "f", tuple(self.f))
         if len(self.f) != self.ctx.p:
             raise ArityError(
                 f"current has {len(self.f)} components, expected {self.ctx.p}"

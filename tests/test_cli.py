@@ -203,6 +203,14 @@ class TestExitCodes:
                        "--vf", "v", "--system", "s"])
         assert status == 2
 
+    @pytest.mark.parametrize("depth,status", [(100, 0), (3000, 2)])
+    def test_nested_parentheses(self, capsys, tmp_path, depth, status):
+        p = tmp_path / "deep.prob"
+        p.write_text(f"indep x t\ndep u\nsystem s: u_t = {'(' * depth}u_xx{')' * depth}")
+        assert main(["determine", "--file", str(p), "--system", "s"]) == status
+        if status == 2:
+            assert "nested too deeply" in capsys.readouterr().err
+
     def test_noether_not_symmetry(self, capsys, curve_file):
         p = curve_file
         status = main(["noether", "--file", p,

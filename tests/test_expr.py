@@ -21,6 +21,10 @@ class TestNormalize:
 
     def test_product_power_merge(self):
         assert ls.sub(ls.mul(ux, ux), ls.pow_(ux, 2)) == ls.Const(Fraction(0))
+        # fractional powers of a product base that sum to an integer
+        h = ls.pow_(ls.mul(2, x), Fraction(1, 2))
+        assert ls.mul(h, h) == ls.mul(2, x)
+        assert ls.mul(h, x, h) == ls.mul(2, ls.pow_(x, 2))
 
     def test_commutativity(self):
         a = ls.add(1, ls.pow_(ux, 2))
@@ -31,8 +35,7 @@ class TestNormalize:
         atoms = [x, u, ux, Param("c")]
         for _ in range(200):
             e = rand_expr(rng, atoms)
-            n = ls.normalize(e)
-            assert ls.normalize(n) == n
+            assert ls.normalize(e) == e
 
     def test_zero_power_negative_exponent_rejected(self):
         with pytest.raises(ls.DegenerateExpression):
@@ -45,6 +48,12 @@ class TestNormalize:
         assert ls.pow_(ls.Const(Fraction(8, 27)), Fraction(2, 3)) == ls.Const(Fraction(4, 9))
         # no exact rational root: stays symbolic
         assert isinstance(ls.pow_(ls.Const(2), Fraction(1, 2)), Pow)
+        # roots too large or too close for a float are still found exactly
+        assert ls.pow_(ls.Const(10**400), Fraction(1, 2)) == ls.Const(10**200)
+        n = 3**40 + 1
+        assert ls.is_zero(ls.sub(ls.pow_(ls.Const(n * n), Fraction(1, 2)), n))
+        assert ls.pow_(ls.Const(n**3), Fraction(2, 3)) == ls.Const(n**2)
+        assert isinstance(ls.pow_(ls.Const(n**3 + 1), Fraction(1, 3)), Pow)
 
     def test_mul_zero_short_circuit(self):
         assert ls.mul(0, ux, ls.func("exp", x)) == ls.Const(0)
@@ -198,6 +207,7 @@ class TestEvaluate:
         assert ls.evaluate(e, {x: Fraction(1)}) == 2
         with pytest.raises(ls.EvaluationError):
             ls.evaluate(e, {x: Fraction(2)})
+        assert ls.evaluate(e, {x: Fraction(10**400 - 3)}) == 10**200
 
 
 class TestExpand:
@@ -220,3 +230,6 @@ class TestExpand:
                 for f in (t.factors if isinstance(t, ls.Mul) else (t,))
                 if isinstance(f, Pow) and isinstance(f.base, ls.Add)}
         assert exps == {Fraction(-3, 2)}
+        # one round rewrites e but cannot confirm the result
+        with pytest.raises(ls.SimplificationIncomplete):
+            ls.expand(e, max_rounds=1)
