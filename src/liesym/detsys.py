@@ -3,6 +3,8 @@ determining equations, and their solution under a polynomial ansatz."""
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -13,6 +15,7 @@ from .errors import (
     NotPolynomial,
     NotSolvedForm,
     OrderCapExceeded,
+    UnknownSymbol,
 )
 from .expr import (
     Add,
@@ -21,14 +24,15 @@ from .expr import (
     Expr,
     Jet,
     ONE,
+    _base_exp,
     _split,
-    Param,
     UFunc,
     Var,
     ZERO,
     add,
     atoms_of,
     collect,
+    contains,
     diff,
     evaluate,
     expand,
@@ -38,7 +42,6 @@ from .expr import (
     mul,
     sub,
     substitute,
-    substitute_functions,
 )
 from .jet import (
     VectorField,
@@ -237,62 +240,127 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     """Kernel basis of the linear system the ansatz coefficients satisfy,
     instantiated as vector fields.  Deterministic: parameters are ordered by
     declaration, the kernel is RREF-canonical, and each basis vector is scaled
-    so its first nonzero coordinate is 1."""
-    ctx = ds.ctx
-    names = list(ds.xi_names) + list(ds.phi_names)
-    params: list[Param] = []
-    table: dict[str, tuple[tuple[Expr, ...], Expr]] = {}
-    polys: dict[str, Expr] = {}
-    for name in names:
-        args = ctx.unknown_arg_atoms(name)
-        terms = []
-        for vec, mono in _monomials(args, ansatz.degree):
-            pname = f"c_{name}_" + "_".join(map(str, vec))
-            p = Param(pname)
-            params.append(p)
-            terms.append(mul(p, mono))
-        poly = add(*terms)
-        table[name] = (args, poly)
-        polys[name] = poly
+    so its first nonzero coordinate is 1.
 
+    Each unknown F is the sum over its monomials m_k of c_k*m_k, so a
+    derivative D(F) is a fixed linear map from the c_k to base monomials.
+    Rows are assembled from those maps, tabulated once per derivative, one row
+    per (equation, base monomial).  Raises :class:`NotPolynomial` when a term
+    that survives instantiation is not polynomial in the base variables or
+    not linear homogeneous in the c_k.
+    """
+    ctx = ds.ctx
     base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
         Jet(a + 1, ()) for a in range(ctx.q)
     )
-    param_index = {p: k for k, p in enumerate(params)}
-    rows: list[list[Fraction]] = []
-    for eq in ds.equations:
-        inst = substitute_functions(eq, table)
-        for coeff in collect(inst, base_atoms).values():
-            row = [Fraction(0)] * len(params)
-            ex = expand(coeff)
-            terms = ex.terms if isinstance(ex, Add) else (ex,)
-            for t in terms:
-                c, fs = _split(t)
-                if len(fs) != 1 or fs[0] not in param_index:
-                    raise NotPolynomial(
-                        "determining equation is not linear homogeneous in the "
-                        "ansatz parameters"
-                    )
-                row[param_index[fs[0]]] += c
-            if any(x != 0 for x in row):
-                rows.append(row)
+    base_slot = {a: i for i, a in enumerate(base_atoms)}
+    width = len(base_atoms)
+    # name -> (first column, argument atoms, [(exponent vector, monomial)])
+    unknowns: dict[str, tuple[int, tuple[Expr, ...], list]] = {}
+    ncols = 0
+    for name in tuple(ds.xi_names) + tuple(ds.phi_names):
+        args = ctx.unknown_arg_atoms(name)
+        monos = _monomials(args, ansatz.degree)
+        unknowns[name] = (ncols, args, monos)
+        ncols += len(monos)
 
-    if rows:
-        m = ratla.RatMatrix.from_rows(rows)
-        kernel = ratla.kernel_basis(m)
-    else:
-        kernel = [
-            [Fraction(1 if i == k else 0) for i in range(len(params))]
-            for k in range(len(params))
-        ]
+    tables: dict[tuple[str, tuple[int, ...]], list] = {}
+
+    def table(u: UFunc) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(column, integer coefficient, base exponents) of the derivative
+        of each ansatz monomial of u's function that u's derivative does not
+        annihilate; a falling factorial per argument gives the coefficient."""
+        key = (u.name, u.deriv)
+        got = tables.get(key)
+        if got is None:
+            first, args, monos = unknowns[u.name]
+            if len(args) != len(u.args):
+                raise UnknownSymbol(f"arity mismatch for unknown function {u.name!r}")
+            counts = [u.deriv.count(j) for j in range(len(args))]
+            got = []
+            for k, (vec, _) in enumerate(monos):
+                if all(e >= d for e, d in zip(vec, counts)):
+                    exps = [0] * width
+                    for a, e, d in zip(args, vec, counts):
+                        exps[base_slot[a]] += e - d
+                    got.append((first + k, math.prod(map(math.perm, vec, counts)),
+                                tuple(exps)))
+            tables[key] = got
+        return got
+
+    def mentions_unknown(f: Expr) -> bool:
+        return any(isinstance(a, UFunc) and a.name in unknowns
+                   for a in atoms_of(f))
+
+    rows: list[dict[int, Fraction]] = []
+    for eq in ds.equations:
+        ex = expand(eq)
+        # (base exponents, other factors) -> {column: coefficient}
+        acc: dict[tuple, dict[int, Fraction]] = {}
+        nonlinear = False
+        for t in (ex.terms if isinstance(ex, Add) else (ex,)):
+            c, fs = _split(t)
+            if c == 0:
+                continue
+            exps = [0] * width
+            found: list[tuple[UFunc, Fraction]] = []
+            rest: list[Expr] = []
+            for f in fs:
+                b, e = _base_exp(f)
+                slot = base_slot.get(b)
+                if slot is not None:
+                    exps[slot] += e
+                elif isinstance(b, UFunc) and b.name in unknowns:
+                    found.append((b, e))
+                else:
+                    rest.append(f)
+            if len(found) != 1 or found[0][1] != 1 or any(map(mentions_unknown, rest)):
+                # nonlinear or inhomogeneous: harmless only when the ansatz
+                # annihilates one of its unknown factors
+                if not any(e > 0 and not table(u) for u, e in found):
+                    nonlinear = True
+                continue
+            rest_t = tuple(rest)
+            for col, a, mexps in table(found[0][0]):
+                key = (tuple(map(operator.add, exps, mexps)), rest_t)
+                row = acc.setdefault(key, {})
+                row[col] = row.get(col, 0) + c * a
+        for (exps, rest_t), row in acc.items():
+            row = {k: v for k, v in row.items() if v}
+            if not row:
+                continue
+            for b, e in zip(base_atoms, exps):
+                if e < 0 or e.denominator != 1:
+                    raise NotPolynomial(
+                        f"variable {b!r} occurs with non-polynomial exponent {e}"
+                    )
+            for f in rest_t:
+                if any(contains(f, v) for v in base_atoms):
+                    raise NotPolynomial(
+                        f"variable occurs inside non-polynomial factor {f!r}"
+                    )
+            nonlinear = nonlinear or bool(rest_t)
+            rows.append(row)
+        if nonlinear:
+            raise NotPolynomial(
+                "determining equation is not linear homogeneous in the "
+                "ansatz parameters"
+            )
+
+    kernel = ratla.kernel_basis(ratla.RatMatrix.from_sparse(rows, ncols))
+
+    def instantiate(name: str, vec: list[Fraction]) -> Expr:
+        first, _, monos = unknowns[name]
+        return add(*(mul(Const(vec[first + k]), mono)
+                     for k, (_, mono) in enumerate(monos) if vec[first + k]))
+
     out = []
     for vec in kernel:
         lead = next((x for x in vec if x != 0), None)
         if lead is not None and lead != 1:
             vec = [x / lead for x in vec]
-        bind = {p: Const(Fraction(vec[k])) for k, p in enumerate(params)}
-        xi = tuple(substitute(polys[n], bind) for n in ds.xi_names)
-        phi = tuple(substitute(polys[n], bind) for n in ds.phi_names)
+        xi = tuple(instantiate(n, vec) for n in ds.xi_names)
+        phi = tuple(instantiate(n, vec) for n in ds.phi_names)
         out.append(VectorField(ctx, xi, phi))
     return out
 

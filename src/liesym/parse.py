@@ -82,6 +82,18 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+def _int(t: Token, digits: str | None = None) -> int:
+    """The value of the digit string ``digits`` of token ``t`` (default: its
+    whole text), raising :class:`ParseError` at the token when it has more
+    digits than the interpreter converts to an integer."""
+    digits = t.text if digits is None else digits
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long",
+                         t.line, t.column) from None
+
+
 class _Stream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -162,13 +174,13 @@ class _ExprParser:
         t = self.s.peek()
         if t.kind == "num":
             self.s.next()
-            return Fraction(int(t.text))
+            return Fraction(_int(t))
         if self.s.accept("op", "("):
             sign = -1 if self.s.accept("op", "-") else 1
-            num = int(self.s.expect("num").text)
+            num = _int(self.s.expect("num"))
             den = 1
             if self.s.accept("op", "/"):
-                den = int(self.s.expect("num").text)
+                den = _int(self.s.expect("num"))
                 if den == 0:
                     self.s.error("zero denominator in exponent")
             self.s.expect("op", ")")
@@ -180,7 +192,7 @@ class _ExprParser:
         t = s.peek()
         if t.kind == "num":
             s.next()
-            return Const(Fraction(int(t.text)))
+            return Const(Fraction(_int(t)))
         if s.accept("op", "("):
             e = self.sum()
             s.expect("op", ")")
@@ -543,9 +555,9 @@ class _ProblemParser:
 
     def rational(self, s: _Stream) -> Fraction:
         sign = -1 if s.accept("op", "-") else 1
-        num = int(s.expect("num").text)
+        num = _int(s.expect("num"))
         if s.accept("op", "/"):
-            den = int(s.expect("num").text)
+            den = _int(s.expect("num"))
             if den == 0:
                 s.error("zero denominator")
             return Fraction(sign * num, den)
@@ -554,12 +566,12 @@ class _ProblemParser:
     def dimmatrix_item(self, s: _Stream):
         name = self.item_name(s)
         s.expect("op", ":")
-        r = int(s.expect("num").text)
+        r = _int(s.expect("num"))
         sep = s.expect("name")
         if sep.text == "x":
-            m = int(s.expect("num").text)
+            m = _int(s.expect("num"))
         elif sep.text.startswith("x") and sep.text[1:].isdigit():
-            m = int(sep.text[1:])
+            m = _int(sep, sep.text[1:])
         else:
             raise ParseError("expected dimensions like '3x5'",
                              sep.line, sep.column)

@@ -1,4 +1,5 @@
 """Command-line interface: report shape, determinism, exit codes."""
+import hashlib
 import json
 
 import pytest
@@ -211,6 +212,25 @@ class TestExitCodes:
         if status == 2:
             assert "nested too deeply" in capsys.readouterr().err
 
+    def test_overlong_integer_literal(self, capsys, tmp_path):
+        p = tmp_path / "long.prob"
+        p.write_text("indep x t\ndep u\nsystem s: u_t = " + "7" * 5000 + "*u_xx")
+        assert main(["determine", "--file", str(p), "--system", "s"]) == 2
+        assert "3:17: integer literal of 5000 digits is too long" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("decl,rhs,message", [
+        ("", "u_xx/x", "non-polynomial exponent -1"),
+        ("", "exp(u)*u_xx", "inside non-polynomial factor"),
+        ("param nu\n", "nu*u_xx", "not linear homogeneous"),
+    ])
+    def test_solve_not_polynomial(self, capsys, tmp_path, decl, rhs, message):
+        p = tmp_path / "np.prob"
+        p.write_text(f"indep x t\ndep u\n{decl}system s: u_t = {rhs}")
+        assert main(["solve", "--file", str(p), "--system", "s",
+                     "--degree", "2"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_noether_not_symmetry(self, capsys, curve_file):
         p = curve_file
         status = main(["noether", "--file", p,
@@ -235,6 +255,32 @@ class TestDeterminism:
             "--seed", "99", "determine", "--file", heat_file,
             "--system", "heat"])
         assert out1 == out2
+
+
+class TestSolveGolden:
+    """Degree-5 ``solve`` results, pinned by the SHA-256 of the compact JSON
+    of ``result``, and the algebra dimension."""
+
+    @pytest.mark.parametrize("system,dimension,digest", [
+        ("heat: u_t = u_xx", 12,
+         "f0762bc68c3622bef492688a7ac149f613e7825ee123fe3307ae23e9fdff46bb"),
+        ("burgers: u_t = u_xx + u*u_x", 5,
+         "36a2227fe09bc65c483ed63c55e53b8943f6ee017b6a70dd9060db83b46439c8"),
+        ("kdv: u_t = -u_xxx - 6*u*u_x", 4,
+         "732af9ebbeb85fdb1ae2e9d071206fe3c797fe199ebdf3a476d2d9e15af1210b"),
+        ("wave: u_tt = u_xx", 24,
+         "d52715ad9c7dd30dd60e0fe6e3c9f5ff12266d889bdf247419d2a05b31ad0ab9"),
+    ])
+    def test_degree_5(self, capsys, tmp_path, system, dimension, digest):
+        name = system.split(":")[0]
+        p = tmp_path / f"{name}.prob"
+        p.write_text(f"indep x t\ndep u\nsystem {system}\n")
+        status, report = run_json(capsys, [
+            "solve", "--file", str(p), "--system", name, "--degree", "5"])
+        assert status == 0
+        assert report["result"]["dimension"] == dimension
+        compact = json.dumps(report["result"], separators=(",", ":"))
+        assert hashlib.sha256(compact.encode()).hexdigest() == digest
 
 
 class TestPlain:

@@ -199,6 +199,29 @@ class TestSolveDetermining:
         assert ls.check_symmetry(v, sys_)
 
 
+class TestSolveDeterminingErrors:
+    @staticmethod
+    def determining(decl, rhs):
+        prob = ls.parse_problem(f"indep x t\ndep u\n{decl}system s: u_t = {rhs}")
+        return ls.determining_equations(prob.systems["s"])
+
+    @pytest.mark.parametrize("decl,rhs,message", [
+        ("", "u_xx/x", "non-polynomial exponent -1"),
+        ("", "exp(u)*u_xx", "inside non-polynomial factor"),
+        ("param nu\n", "nu*u_xx", "not linear homogeneous"),
+    ])
+    def test_not_polynomial(self, decl, rhs, message):
+        with pytest.raises(ls.NotPolynomial, match=message):
+            ls.solve_determining(self.determining(decl, rhs), Ansatz(2))
+
+    def test_term_vanishing_under_ansatz(self):
+        # every term carrying nu also carries a derivative of a coefficient,
+        # which a degree-0 ansatz annihilates, so no such term survives
+        basis = ls.solve_determining(self.determining("param nu\n", "nu*u_xx"),
+                                     Ansatz(0))
+        assert len(basis) == 3
+
+
 class TestLieClosure:
     def test_heat_basis(self, heat_system):
         assert ls.verify_lie_closure(heat_basis(heat_system.ctx), heat_system)

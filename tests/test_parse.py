@@ -50,6 +50,18 @@ class TestParseExpr:
             parse_expr("x + ", ctx)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("text,column", [
+        ("x + " + "7" * 5000, 5),
+        ("x^(1/" + "7" * 5000 + ")", 6),
+        ("x^" + "7" * 5000, 3),
+    ], ids=["constant", "exponent-denominator", "exponent"])
+    def test_overlong_integer_literal(self, ctx, text, column):
+        # more digits than int() converts: an error at the literal
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, ctx)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert exc.value.message == "integer literal of 5000 digits is too long"
+
     def test_nonconstant_exponent_rejected(self, ctx):
         with pytest.raises(ParseError):
             parse_expr("x^u", ctx)
@@ -139,6 +151,11 @@ class TestParseProblem:
         # the lead must rank strictly above every jet on the right
         with pytest.raises(ParseError):
             parse_problem("indep x t\ndep u\nsystem bad: u_xx = u_t")
+
+    def test_overlong_dimension(self):
+        with pytest.raises(ParseError) as exc:
+            parse_problem("indep x\ndep u\ndimmatrix m: 1x" + "7" * 5000 + " rows 1")
+        assert (exc.value.line, exc.value.column) == (3, 15)
 
     def test_comment_and_blank_lines(self):
         prob = parse_problem("# nothing\n\nindep x\ndep u\n# done\n")

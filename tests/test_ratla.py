@@ -15,6 +15,56 @@ TAYLOR = RatMatrix.from_rows([
 ])
 
 
+def dense_rref(rows, ncols):
+    """Dense Gauss-Jordan elimination: the reference the sparse RREF must
+    reproduce exactly (the reduced row echelon form is unique)."""
+    a = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def dense_kernel(a, pivots, ncols):
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -a[i][f]
+        basis.append(v)
+    return basis
+
+
+def rand_sparse_rows(rng, rows, cols, density):
+    """Random rows at the given density, with a zero row, an exact duplicate
+    and a scaled duplicate planted when there are enough rows."""
+    a = [[Fraction(0)] * cols for _ in range(rows)]
+    for _ in range(max(1, round(density * rows * cols))):
+        x = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        a[rng.randrange(rows)][rng.randrange(cols)] = x
+    if rows >= 4:
+        a[rng.randrange(rows)] = [Fraction(0)] * cols
+        a[rng.randrange(rows)] = list(a[rng.randrange(rows)])
+        k = Fraction(rng.choice([-2, 3]), rng.choice([1, 5]))
+        a[rng.randrange(rows)] = [k * x for x in a[rng.randrange(rows)]]
+    return a
+
+
 def rand_matrix(rng, rows, cols):
     return RatMatrix.from_rows(
         [[rand_rational(rng) for _ in range(cols)] for _ in range(rows)]
@@ -79,6 +129,24 @@ class TestKernel:
             assert len(basis) == m.cols - rank(m)
             for b in basis:
                 assert all(v == 0 for v in m.matvec(b))
+
+
+class TestSparseAgainstDense:
+    @pytest.mark.parametrize("rows,cols", [(60, 25), (25, 60), (40, 40), (1, 30), (30, 1)])
+    @pytest.mark.parametrize("density", [0.01, 0.03, 0.05])
+    def test_matches_reference(self, rng, rows, cols, density):
+        for _ in range(3):
+            a = rand_sparse_rows(rng, rows, cols, density)
+            m = RatMatrix.from_rows(a)
+            ref, ref_piv = dense_rref(a, cols)
+            r, piv = rref(m)
+            assert piv == tuple(ref_piv)
+            assert r == RatMatrix.from_rows(ref)
+            basis = kernel_basis(m)
+            assert basis == dense_kernel(ref, ref_piv, cols)
+            assert rank(m) + len(basis) == cols
+            for v in basis:
+                assert all(x == 0 for x in m.matvec(v))
 
 
 class TestSolve:
