@@ -49,6 +49,7 @@ from .expr import (
     mul,
     neg,
     normalize,
+    partials,
     pow_,
     sub,
     substitute,

@@ -24,6 +24,7 @@ from .expr import (
     Expr,
     Jet,
     ONE,
+    Param,
     _base_exp,
     _split,
     UFunc,
@@ -33,13 +34,13 @@ from .expr import (
     atoms_of,
     collect,
     contains,
-    diff,
     evaluate,
     expand,
     is_zero,
     jet_order,
     jets_of,
     mul,
+    partials,
     sub,
     substitute,
 )
@@ -298,6 +299,7 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
         # (base exponents, other factors) -> {column: coefficient}
         acc: dict[tuple, dict[int, Fraction]] = {}
         nonlinear = False
+        params: set[str] = set()     # system parameters in surviving terms
         for t in (ex.terms if isinstance(ex, Add) else (ex,)):
             c, fs = _split(t)
             if c == 0:
@@ -339,13 +341,19 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                     raise NotPolynomial(
                         f"variable occurs inside non-polynomial factor {f!r}"
                     )
-            nonlinear = nonlinear or bool(rest_t)
+            if rest_t:
+                nonlinear = True
+                params.update(a.name for f in rest_t for a in atoms_of(f)
+                              if isinstance(a, Param))
             rows.append(row)
         if nonlinear:
-            raise NotPolynomial(
-                "determining equation is not linear homogeneous in the "
-                "ansatz parameters"
-            )
+            why = ("determining equation is not linear homogeneous in the "
+                   "ansatz parameters")
+            if params:
+                word = "parameter" if len(params) == 1 else "parameters"
+                why += (f" (system {word} in the coefficients: "
+                        f"{', '.join(sorted(params))})")
+            raise NotPolynomial(why)
 
     kernel = ratla.kernel_basis(ratla.RatMatrix.from_sparse(rows, ncols))
 
@@ -389,7 +397,7 @@ def rank_probe(sys: DiffSystem, samples: Sequence[Mapping[Expr, Fraction]]) -> b
                 variables.append(a)
     variables.sort(key=lambda a: (0, a.index, ()) if isinstance(a, Var)
                    else (1, a.dep, a.idx))
-    grads = [[diff(r, v) for v in variables] for r in residuals]
+    grads = [[g.get(v, ZERO) for v in variables] for g in map(partials, residuals)]
     for sample in samples:
         env = dict(sample)
         def val(e: Expr) -> Fraction:

@@ -19,11 +19,10 @@ from .expr import (
     Var,
     ZERO,
     add,
-    diff,
     jet_order,
-    jets_of,
     mul,
     neg,
+    partials,
     sub,
 )
 
@@ -36,14 +35,16 @@ def multi_indices(p: int, k: int) -> list[tuple[int, ...]]:
 def total_derivative(e: Expr, i: int) -> Expr:
     """D_i e: differentiate treating dependent variables as functions of x.
 
-    Chain rule runs over the explicit x^i slot and every jet coordinate
-    present in the expression (including order-0 jets inside unknown-function
-    arguments), so unknown functions pick up their u-slot terms automatically.
+    D_i e = de/dx^i + sum_J u_{J,i} de/du_J, with every partial derivative
+    taken from one :func:`partials` pass over ``e``.  The sum runs over every
+    jet coordinate present in the expression (including order-0 jets inside
+    unknown-function arguments), so unknown functions pick up their u-slot
+    terms automatically.
     """
-    parts = [diff(e, Var(i))]
-    for j in sorted(jets_of(e), key=lambda j: (j.dep, j.idx)):
-        d = diff(e, j)
-        if d != ZERO:
+    grads = partials(e)
+    parts = [grads.get(Var(i), ZERO)]
+    for j, d in grads.items():
+        if isinstance(j, Jet):
             parts.append(mul(Jet(j.dep, j.idx + (i,)), d))
     return add(*parts)
 
@@ -84,9 +85,10 @@ class VectorField:
         """Action on an order-0 expression (no prolongation)."""
         if jet_order(f) > 0:
             raise OrderError("expression must have jet order 0")
-        parts = [mul(x, diff(f, Var(i + 1))) for i, x in enumerate(self.xi)]
+        grads = partials(f)
+        parts = [mul(x, grads.get(Var(i + 1), ZERO)) for i, x in enumerate(self.xi)]
         parts += [
-            mul(p, diff(f, Jet(a + 1, ()))) for a, p in enumerate(self.phi)
+            mul(p, grads.get(Jet(a + 1, ()), ZERO)) for a, p in enumerate(self.phi)
         ]
         return add(*parts)
 
@@ -216,11 +218,12 @@ def apply_prolonged(pv: ProlongedVectorField, e: Expr) -> Expr:
         raise OrderError(
             f"expression has jet order {jet_order(e)} > prolongation order {pv.order}"
         )
-    parts = [mul(x, diff(e, Var(i + 1))) for i, x in enumerate(pv.xi)]
-    parts += [mul(p, diff(e, Jet(a + 1, ()))) for a, p in enumerate(pv.phi)]
-    for j in jets_of(e):
-        if j.order >= 1:
-            parts.append(mul(pv.coeffs[j], diff(e, j)))
+    grads = partials(e)
+    parts = [mul(x, grads.get(Var(i + 1), ZERO)) for i, x in enumerate(pv.xi)]
+    parts += [mul(p, grads.get(Jet(a + 1, ()), ZERO)) for a, p in enumerate(pv.phi)]
+    for j, d in grads.items():
+        if isinstance(j, Jet) and j.order >= 1:
+            parts.append(mul(pv.coeffs[j], d))
     return add(*parts)
 
 

@@ -18,11 +18,11 @@ from .expr import (
     Jet,
     ZERO,
     add,
-    diff,
     is_zero,
     jet_order,
     mul,
     neg,
+    partials,
     sub,
 )
 from .jet import (
@@ -63,12 +63,13 @@ def euler_operator(lag: Lagrangian, alpha: int) -> Expr:
     """E_a(L) = sum_J (-D)_J dL/du^a_J, truncated at the order of L."""
     p = lag.ctx.p
     n = lag.order
+    grads = partials(lag.L)
     parts = []
     for k in range(n + 1):
         sign = (-1) ** k
         for idx in multi_indices(p, k):
-            d = diff(lag.L, Jet(alpha, idx))
-            if d != ZERO:
+            d = grads.get(Jet(alpha, idx))
+            if d is not None:
                 parts.append(mul(sign, total_derivative_multi(d, idx)))
     return add(*parts)
 
@@ -108,11 +109,12 @@ def noether_current_first_order(v: VectorField, lag: Lagrangian,
         raise NotASymmetry(
             "the defect of v is not the total divergence of the given B"
         )
+    grads = partials(lag.L)
     f = []
     for i in range(ctx.p):
         parts = [mul(v.xi[i], lag.L), neg(b[i])]
         for a in range(ctx.q):
-            dl = diff(lag.L, Jet(a + 1, (i + 1,)))
+            dl = grads.get(Jet(a + 1, (i + 1,)), ZERO)
             parts.append(mul(v.phi[a], dl))
             for j in range(ctx.p):
                 parts.append(neg(mul(v.xi[j], Jet(a + 1, (j + 1,)), dl)))

@@ -223,6 +223,9 @@ class TestExitCodes:
         ("", "u_xx/x", "non-polynomial exponent -1"),
         ("", "exp(u)*u_xx", "inside non-polynomial factor"),
         ("param nu\n", "nu*u_xx", "not linear homogeneous"),
+        ("param nu\n", "nu*u_xx", "system parameter in the coefficients: nu"),
+        ("param nu\n", "u_xx + nu*u", "system parameter in the coefficients: nu"),
+        ("param a b\n", "a*b*u_xx", "system parameters in the coefficients: a, b"),
     ])
     def test_solve_not_polynomial(self, capsys, tmp_path, decl, rhs, message):
         p = tmp_path / "np.prob"

@@ -209,6 +209,9 @@ class TestSolveDeterminingErrors:
         ("", "u_xx/x", "non-polynomial exponent -1"),
         ("", "exp(u)*u_xx", "inside non-polynomial factor"),
         ("param nu\n", "nu*u_xx", "not linear homogeneous"),
+        ("param nu\n", "nu*u_xx", "system parameter in the coefficients: nu"),
+        ("param nu\n", "u_xx + nu*u", "system parameter in the coefficients: nu"),
+        ("param a b\n", "a*b*u_xx", "system parameters in the coefficients: a, b"),
     ])
     def test_not_polynomial(self, decl, rhs, message):
         with pytest.raises(ls.NotPolynomial, match=message):

@@ -1,11 +1,13 @@
 """Core expression engine: canonicalization, differentiation, substitution,
 zero testing, collection, exact evaluation."""
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import liesym as ls
-from liesym import Const, Jet, Param, Pow, UFunc, Var
+from liesym import Add, Const, Func, Jet, Mul, Param, Pow, UFunc, Var
+from liesym.expr import ONE, ZERO, subterms
 
 from conftest import rand_expr, rand_poly, rand_rational
 
@@ -13,6 +15,45 @@ x = Var(1)
 u = Jet(1, ())
 ux = Jet(1, (1,))
 uxx = Jet(1, (1, 1))
+
+
+def ref_diff(e, v):
+    """Single-variable differentiation, one tree walk per variable: the
+    reference that every partial derivative :func:`ls.partials` returns must
+    equal node for node."""
+    if e == v:
+        return ONE
+    if isinstance(e, (Const, Var, Jet, Param)):
+        return ZERO
+    if isinstance(e, UFunc):
+        parts = [
+            UFunc(e.name, e.args, e.deriv + (k,))
+            for k, a in enumerate(e.args)
+            if a == v
+        ]
+        return ls.add(*parts) if parts else ZERO
+    if isinstance(e, Add):
+        return ls.add(*(ref_diff(t, v) for t in e.terms))
+    if isinstance(e, Mul):
+        parts = []
+        for i, f in enumerate(e.factors):
+            rest = e.factors[:i] + e.factors[i + 1:]
+            parts.append(ls.mul(Const(e.coeff), ref_diff(f, v), *rest))
+        return ls.add(*parts)
+    if isinstance(e, Pow):
+        return ls.mul(Const(e.exp), ls.pow_(e.base, e.exp - 1), ref_diff(e.base, v))
+    if isinstance(e, Func):
+        d = ref_diff(e.arg, v)
+        if e.fname == "exp":
+            outer = ls.func("exp", e.arg)
+        elif e.fname == "log":
+            outer = ls.pow_(e.arg, Fraction(-1))
+        elif e.fname == "sin":
+            outer = ls.func("cos", e.arg)
+        else:
+            outer = ls.neg(ls.func("sin", e.arg))
+        return ls.mul(outer, d)
+    raise TypeError(type(e))
 
 
 class TestNormalize:
@@ -96,6 +137,98 @@ class TestDiff:
     def test_undeclared_symbol(self):
         with pytest.raises(ls.UnknownSymbol):
             ls.diff(x, ls.func("sin", x))
+
+    def test_compound_unknown_argument_has_no_chain_rule(self):
+        g = UFunc("G", (u, ls.add(x, ux)))
+        assert ls.diff(g, u) == UFunc("G", g.args, (0,))
+        assert ls.diff(g, x) == ZERO
+        assert ls.diff(g, ux) == ZERO
+        assert ls.partials(g) == {u: UFunc("G", g.args, (0,))}
+
+
+class TestPartials:
+    c = Param("c")
+    # unknown functions with a repeated argument atom and a compound argument
+    F = UFunc("F", (x, x))
+    G = UFunc("G", (u, ls.add(x, ux)), (1,))
+    ATOMS = [x, u, ux, c, F, UFunc("F", (x, x), (1,)), G]
+
+    def trees(self, rng, n):
+        return [rand_expr(rng, self.ATOMS, depth=4) for _ in range(n)]
+
+    def test_trees_cover_every_rule(self, rng):
+        seen = set()
+        for e in self.trees(rng, 300):
+            for s in subterms(e):
+                if isinstance(s, Mul) and s.coeff.denominator != 1:
+                    seen.add("rational coeff")
+                elif isinstance(s, Pow):
+                    seen.add("negative exp" if s.exp < 0 else "positive exp")
+                    if s.exp.denominator != 1:
+                        seen.add("fractional exp")
+                elif isinstance(s, Func):
+                    seen.add(s.fname)
+                elif isinstance(s, (Add, Param)):
+                    seen.add(type(s).__name__)
+                elif isinstance(s, UFunc):
+                    seen.add(s.name)
+        assert seen == {"rational coeff", "negative exp", "positive exp",
+                        "fractional exp", "exp", "log", "sin", "cos",
+                        "Add", "Param", "F", "G"}
+
+    def test_matches_reference(self, rng):
+        for e in self.trees(rng, 300):
+            wrt = {a for a in ls.atoms_of(e) if isinstance(a, (Var, Jet, Param))}
+            wrt |= {x, u, ux, self.c, uxx}
+            try:
+                ref = {v: ref_diff(e, v) for v in wrt}
+            except ls.DegenerateExpression:
+                # a log(0) subterm: every differentiation of e raises
+                for v in wrt:
+                    with pytest.raises(ls.DegenerateExpression):
+                        ls.diff(e, v)
+                with pytest.raises(ls.DegenerateExpression):
+                    ls.partials(e)
+                continue
+            for v, d in ref.items():
+                assert ls.diff(e, v) == d
+            assert ls.partials(e) == {v: d for v, d in ref.items() if d != ZERO}
+
+    def test_repeated_argument(self):
+        # one term per matching argument slot
+        assert ls.partials(ls.mul(3, self.F)) == {
+            x: ls.add(ls.mul(3, UFunc("F", (x, x), (0,))),
+                      ls.mul(3, UFunc("F", (x, x), (1,))))}
+
+    def test_cancelling_partial_is_dropped(self):
+        # d/du of u*x - x*(1 + u) cancels inside the sum rule
+        e = ls.add(ls.mul(u, x), ls.mul(-1, x, ls.add(1, u)))
+        assert ref_diff(e, u) == ZERO
+        assert ls.partials(e) == {x: Const(-1)}
+        assert ls.partials(Const(5)) == {}
+
+
+class TestAddHash:
+    def test_equal_sums_hash_equal(self):
+        s1 = ls.add(x, u, ls.mul(2, ux))
+        s2 = ls.add(ls.mul(2, ux), ls.add(u, x))
+        s3 = ls.sub(ls.add(x, u, ux, ux, ux), ux)
+        for s in (s2, s3):
+            assert s == s1 and s is not s1
+            assert hash(s) == hash(s1)
+        for s in (s1, s2, s3):
+            assert isinstance(s, Add)
+            assert hash(s) == hash((s.terms,))
+            assert s._hash == hash((s.terms,))       # filled on first use
+            assert hash(ls.mul(2, ls.pow_(s, 3))) == hash(ls.mul(ls.pow_(s1, 3), 2))
+
+    def test_repr_and_pickle_omit_cache(self):
+        s = ls.add(x, u)
+        hash(s)
+        assert repr(s) == "Add(terms=(Var(index=1), Jet(dep=1, idx=())))"
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back._hash is None
+        assert hash(back) == hash(s)
 
 
 class TestSubstitute:

@@ -4,14 +4,25 @@ from fractions import Fraction
 import pytest
 
 import liesym as ls
-from liesym import Jet, Var
+from liesym import Jet, Param, UFunc, Var
 
-from conftest import rand_point_vf, rand_poly, rand_rational
+from conftest import rand_expr, rand_point_vf, rand_poly, rand_rational
 
 x = Var(1)
 u = Jet(1, ())
 ux = Jet(1, (1,))
 uxx = Jet(1, (1, 1))
+
+
+def ref_total_derivative(e, i):
+    """D_i e with one single-variable diff per jet in e: the reference the
+    one-pass total derivative must equal node for node."""
+    parts = [ls.diff(e, Var(i))]
+    for j in sorted(ls.jets_of(e), key=lambda j: (j.dep, j.idx)):
+        d = ls.diff(e, j)
+        if d != ls.Const(0):
+            parts.append(ls.mul(Jet(j.dep, j.idx + (i,)), d))
+    return ls.add(*parts)
 
 
 class TestTotalDerivative:
@@ -54,6 +65,23 @@ class TestTotalDerivative:
 
     def test_multi_on_u(self):
         assert ls.total_derivative_multi(u, (1, 1)) == uxx
+
+    def test_matches_per_jet_reference(self, rng):
+        t, v = Var(2), Jet(2, ())
+        args = (x, t, u, v)
+        atoms = [x, t, u, v, ux, Jet(1, (1, 2)), Jet(2, (2,)), Param("c"),
+                 UFunc("phi", args), UFunc("phi", args, (2, 3)),
+                 UFunc("G", (u, ls.add(x, Jet(2, (1,)))))]
+        for _ in range(200):
+            e = rand_expr(rng, atoms, depth=4)
+            for i in (1, 2):
+                try:
+                    ref = ref_total_derivative(e, i)
+                except ls.DegenerateExpression:
+                    with pytest.raises(ls.DegenerateExpression):
+                        ls.total_derivative(e, i)
+                    continue
+                assert ls.total_derivative(e, i) == ref
 
 
 class TestTotalDivergence:
