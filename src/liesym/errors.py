@@ -6,7 +6,8 @@ class LiesymError(Exception):
 
 
 class DegenerateExpression(LiesymError):
-    """Raised when an operation would divide by the constant zero."""
+    """Raised when an operation would divide by the constant zero or take
+    the logarithm of zero."""
 
 
 class UnknownSymbol(LiesymError):

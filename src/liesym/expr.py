@@ -21,6 +21,18 @@ input.  The node dataclasses are exported for ``isinstance`` checks and
 atoms; a tree assembled from the raw compound dataclasses must first go
 through :func:`normalize`.
 
+Canonical order: the terms of a sum and the factors of a product are sorted.
+Nodes of different kinds order as constant < independent variable < jet
+coordinate < parameter < unknown function < elementary function < power <
+product < sum.  Within a kind, constants order by value, variables by index,
+jet coordinates by dependent variable, then order, then multi-index,
+parameters by name, unknown functions by name, then derivative multiset, then
+arguments, elementary functions by name, then argument, powers by base, then
+exponent, products by factors, then coefficient, and sums by terms.  Child
+sequences compare lexicographically, a proper prefix first.  Product factors
+order by base, then exponent (1 for a factor that is no power).  A comparison
+descends only into the first pair of children that differ and builds no key.
+
 :func:`partials` differentiates by every atom in one walk of the tree;
 :func:`diff` is the single-atom view of it.  Sums cache their structural hash
 on first use, because :func:`add` and :func:`mul` key dicts on factor tuples
@@ -34,6 +46,7 @@ limit raises :class:`~liesym.errors.SimplificationIncomplete`, so
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -290,37 +303,74 @@ class Context:
 # canonical ordering
 # ---------------------------------------------------------------------------
 
-def sort_key(e: Expr):
-    if isinstance(e, Const):
-        return (0, e.value)
-    if isinstance(e, Var):
-        return (1, e.index)
-    if isinstance(e, Jet):
-        return (2, e.dep, len(e.idx), e.idx)
-    if isinstance(e, Param):
-        return (3, e.name)
-    if isinstance(e, UFunc):
-        return (4, e.name, e.deriv, tuple(sort_key(a) for a in e.args))
-    if isinstance(e, Func):
-        return (5, e.fname, sort_key(e.arg))
-    if isinstance(e, Pow):
-        return (6, sort_key(e.base), e.exp)
-    if isinstance(e, Mul):
-        return (7, tuple(sort_key(f) for f in e.factors), e.coeff)
-    if isinstance(e, Add):
-        return (8, tuple(sort_key(t) for t in e.terms))
-    raise TypeError(type(e))
+# Node kinds in canonical order; within a kind, nodes compare field by field
+# as the module docstring lists.
+_RANK = {Const: 0, Var: 1, Jet: 2, Param: 3, UFunc: 4, Func: 5, Pow: 6,
+         Mul: 7, Add: 8}
+
+_Q1 = Fraction(1)
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def _cmp_seq(xs: tuple[Expr, ...], ys: tuple[Expr, ...]) -> int:
+    """Lexicographic order of child sequences, a proper prefix first; only
+    the first pair of children that differ is compared recursively."""
+    for x, y in zip(xs, ys):
+        if x is not y and x != y:
+            return _cmp(x, y)
+    return _sign(len(xs), len(ys))
+
+
+def _cmp(a: Expr, b: Expr) -> int:
+    """Three-way comparison in canonical order: -1, 0 or 1."""
+    if a is b:
+        return 0
+    ta, tb = type(a), type(b)
+    if ta is not tb:
+        return _sign(_RANK[ta], _RANK[tb])
+    if ta is Add:
+        return _cmp_seq(a.terms, b.terms)
+    if ta is Mul:
+        return _cmp_seq(a.factors, b.factors) or _sign(a.coeff, b.coeff)
+    if ta is Pow:
+        x, y = a.base, b.base
+        return (0 if x is y or x == y else _cmp(x, y)) or _sign(a.exp, b.exp)
+    if ta is Jet:
+        return (_sign(a.dep, b.dep) or _sign(len(a.idx), len(b.idx))
+                or _sign(a.idx, b.idx))
+    if ta is Var:
+        return _sign(a.index, b.index)
+    if ta is Const:
+        return _sign(a.value, b.value)
+    if ta is Func:
+        x, y = a.arg, b.arg
+        return _sign(a.fname, b.fname) or (0 if x is y or x == y else _cmp(x, y))
+    if ta is Param:
+        return _sign(a.name, b.name)
+    if ta is UFunc:
+        return (_sign(a.name, b.name) or _sign(a.deriv, b.deriv)
+                or _cmp_seq(a.args, b.args))
+    raise TypeError(ta)
+
+
+def _cmp_factor(f: Expr, g: Expr) -> int:
+    """Order of product factors: by base, then by exponent."""
+    bf, ef = (f.base, f.exp) if type(f) is Pow else (f, _Q1)
+    bg, eg = (g.base, g.exp) if type(g) is Pow else (g, _Q1)
+    return (0 if bf is bg or bf == bg else _cmp(bf, bg)) or _sign(ef, eg)
+
+
+_term_order = functools.cmp_to_key(_cmp)
+_factor_order = functools.cmp_to_key(_cmp_factor)
 
 
 def _base_exp(f: Expr) -> tuple[Expr, Fraction]:
     if isinstance(f, Pow):
         return f.base, f.exp
-    return f, Fraction(1)
-
-
-def _factor_key(f: Expr):
-    b, e = _base_exp(f)
-    return (sort_key(b), e)
+    return f, _Q1
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +380,16 @@ def _factor_key(f: Expr):
 def _split(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
     """Split into (rational coefficient, unit factor tuple)."""
     if isinstance(e, Const):
-        return e.value, ()
+        # a Const built directly from an int still yields a Fraction
+        v = e.value
+        return (v if type(v) is Fraction else Fraction(v)), ()
     if isinstance(e, Mul):
         return e.coeff, e.factors
-    return Fraction(1), (e,)
+    return _Q1, (e,)
 
 
 def _term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
-    if coeff == 0 or not factors:
+    if not coeff or not factors:
         return Const(coeff)
     if len(factors) == 1:
         if coeff == 1:
@@ -355,41 +407,42 @@ def add(*args) -> Expr:
         terms = a.terms if isinstance(a, Add) else (a,)
         for t in terms:
             c, fs = _split(t)
-            if c == 0:
-                continue
-            acc[fs] = acc.get(fs, Fraction(0)) + c
-    out = [_term(c, fs) for fs, c in acc.items() if c != 0]
+            prev = acc.get(fs)
+            acc[fs] = c if prev is None else prev + c
+    out = [_term(c, fs) for fs, c in acc.items() if c]
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=sort_key)
+    out.sort(key=_term_order)
     return Add(tuple(out))
 
 
 def mul(*args) -> Expr:
-    coeff = Fraction(1)
+    coeff = _Q1
     bases: dict[Expr, Fraction] = {}
     work = [_coerce(a) for a in reversed(args)]
     while work:
         a = work.pop()
         if isinstance(a, Const):
-            coeff *= a.value
-            if coeff == 0:
+            v = a.value
+            if not v:
                 return ZERO
+            coeff = v if coeff is _Q1 and type(v) is Fraction else coeff * v
             continue
         if isinstance(a, Mul):
-            coeff *= a.coeff
+            coeff = a.coeff if coeff is _Q1 else coeff * a.coeff
             work.extend(reversed(a.factors))
             continue
         b, e = _base_exp(a)
-        bases[b] = bases.get(b, 0) + e
+        prev = bases.get(b)
+        bases[b] = e if prev is None else prev + e
     factors: list[Expr] = []
     products: list[Expr] = []
     for b, e in bases.items():
-        if e == 0:
+        if not e:
             continue
-        f = pow_(b, e)
+        f = b if e is _Q1 else pow_(b, e)
         if isinstance(f, Const):
             coeff *= f.value
         elif isinstance(f, Mul):
@@ -399,7 +452,8 @@ def mul(*args) -> Expr:
             factors.append(f)
     if products:
         return mul(Const(coeff), *factors, *products)
-    factors.sort(key=_factor_key)
+    if len(factors) > 1:
+        factors.sort(key=_factor_order)
     return _term(coeff, tuple(factors))
 
 
@@ -432,14 +486,14 @@ def _int_nth_root(n: int, k: int) -> int | None:
 
 def pow_(base, exponent) -> Expr:
     base = _coerce(base)
-    e = Fraction(exponent)
-    if e == 0:
+    e = exponent if type(exponent) is Fraction else Fraction(exponent)
+    if not e:
         return ONE
     if e == 1:
         return base
     if isinstance(base, Const):
         v = base.value
-        if v == 0:
+        if not v:
             if e < 0:
                 raise DegenerateExpression("0 raised to a negative power")
             return ZERO
@@ -473,8 +527,11 @@ def func(name: str, arg) -> Expr:
         v = arg.value
         if name == "exp" and v == 0:
             return ONE
-        if name == "log" and v == 1:
-            return ZERO
+        if name == "log":
+            if not v:
+                raise DegenerateExpression("log(0) is undefined")
+            if v == 1:
+                return ZERO
         if name == "sin" and v == 0:
             return ZERO
         if name == "cos" and v == 0:
@@ -605,7 +662,8 @@ def _partials(e: Expr) -> dict[Expr, Expr]:
                 parts.setdefault(a, []).append(UFunc(e.name, e.args, e.deriv + (k,)))
     else:
         # chain rule; the outer derivative is built even for a constant
-        # argument, so a log(0) anywhere in the tree raises DegenerateExpression
+        # argument (func rejects log(0) when the node is built, so no log
+        # node has a zero argument)
         if isinstance(e, Pow):
             outer = (Const(e.exp), pow_(e.base, e.exp - 1))
             grads = _partials(e.base)

@@ -8,13 +8,14 @@ is a single character; ``D(u, x, x, t)`` is always valid.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .buckpi import DimensionalModel
 from .detsys import DiffSystem
-from .errors import ParseError, UnknownSymbol
+from .errors import LiesymError, ParseError, UnknownSymbol
 from .expr import (
     Add,
     Const,
@@ -291,8 +292,23 @@ def _paren(s: str) -> str:
     return "(" + s + ")"
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``|n| >= 1``, counted without converting it to a
+    string."""
+    n = abs(n)
+    k = int(n.bit_length() * math.log10(2))    # the count is k or k + 1
+    return k + (n >= 10 ** k)
+
+
 def _fmt_const(v: Fraction, prec: int) -> str:
-    s = str(v)
+    try:
+        s = str(v)
+    except ValueError:
+        # more digits than the interpreter converts to a string
+        digits = _digit_count(v.numerator)
+        if v.denominator != 1:
+            digits += _digit_count(v.denominator)
+        raise LiesymError(f"constant of {digits} digits is too long to print") from None
     if prec > _ADD and (v < 0 or v.denominator != 1):
         return _paren(s)
     return s

@@ -91,7 +91,10 @@ def rand_expr(rng, atoms, depth=3):
             base = ls.add(base, 1)
         return ls.pow_(base, exp)
     name = rng.choice(("exp", "log", "sin", "cos"))
-    return ls.func(name, rand_expr(rng, atoms, depth - 1))
+    arg = rand_expr(rng, atoms, depth - 1)
+    if name == "log" and arg == ls.Const(Fraction(0)):
+        arg = ls.add(arg, 1)
+    return ls.func(name, arg)
 
 
 def rand_point_vf(rng, ctx, degree=2):

@@ -219,6 +219,20 @@ class TestExitCodes:
         assert "3:17: integer literal of 5000 digits is too long" in \
             capsys.readouterr().err
 
+    def test_overlong_constant(self, capsys, tmp_path):
+        # 3^10000 parses, but has more digits than Python prints by default
+        p = tmp_path / "big.prob"
+        p.write_text("indep x t\ndep u\nsystem h: u_t = u_xx + 3^(10000)*u")
+        assert main(["determine", "--file", str(p), "--system", "h"]) == 2
+        assert "constant of 4772 digits is too long to print" in \
+            capsys.readouterr().err
+
+    def test_log_zero(self, capsys, tmp_path):
+        p = tmp_path / "log0.prob"
+        p.write_text("indep x\ndep u\nvf v: xi[x] = log(0)")
+        assert main(["prolong", "--file", str(p), "--vf", "v", "--order", "1"]) == 2
+        assert "error: log(0) is undefined" in capsys.readouterr().err
+
     @pytest.mark.parametrize("decl,rhs,message", [
         ("", "u_xx/x", "non-polynomial exponent -1"),
         ("", "exp(u)*u_xx", "inside non-polynomial factor"),

@@ -1,13 +1,16 @@
 """Core expression engine: canonicalization, differentiation, substitution,
 zero testing, collection, exact evaluation."""
+import functools
+import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 import liesym as ls
 from liesym import Add, Const, Func, Jet, Mul, Param, Pow, UFunc, Var
-from liesym.expr import ONE, ZERO, subterms
+from liesym.expr import ONE, ZERO, _cmp, _cmp_factor, subterms
 
 from conftest import rand_expr, rand_poly, rand_rational
 
@@ -56,6 +59,45 @@ def ref_diff(e, v):
     raise TypeError(type(e))
 
 
+# The canonical order as a key function, kept verbatim from the version of
+# liesym.expr that sorted with it: the reference the comparators must match.
+def sort_key(e):
+    if isinstance(e, Const):
+        return (0, e.value)
+    if isinstance(e, Var):
+        return (1, e.index)
+    if isinstance(e, Jet):
+        return (2, e.dep, len(e.idx), e.idx)
+    if isinstance(e, Param):
+        return (3, e.name)
+    if isinstance(e, UFunc):
+        return (4, e.name, e.deriv, tuple(sort_key(a) for a in e.args))
+    if isinstance(e, Func):
+        return (5, e.fname, sort_key(e.arg))
+    if isinstance(e, Pow):
+        return (6, sort_key(e.base), e.exp)
+    if isinstance(e, Mul):
+        return (7, tuple(sort_key(f) for f in e.factors), e.coeff)
+    if isinstance(e, Add):
+        return (8, tuple(sort_key(t) for t in e.terms))
+    raise TypeError(type(e))
+
+
+def factor_key(f):
+    if isinstance(f, Pow):
+        return (sort_key(f.base), f.exp)
+    return (sort_key(f), Fraction(1))
+
+
+def sign(n):
+    return (n > 0) - (n < 0)
+
+
+def key_sign(key, a, b):
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
+
+
 class TestNormalize:
     def test_like_terms(self):
         assert ls.add(x, x) == ls.mul(2, x)
@@ -81,6 +123,15 @@ class TestNormalize:
     def test_zero_power_negative_exponent_rejected(self):
         with pytest.raises(ls.DegenerateExpression):
             ls.pow_(ls.Const(0), -1)
+
+    def test_log_zero_rejected(self):
+        with pytest.raises(ls.DegenerateExpression, match="log"):
+            ls.func("log", 0)
+        # also where a substitution makes the argument zero
+        e = ls.func("log", u)
+        with pytest.raises(ls.DegenerateExpression, match="log"):
+            ls.substitute(e, {u: ZERO})
+        assert ls.substitute(e, {u: ONE}) == ZERO
 
     def test_pow_folding(self):
         assert ls.pow_(x, 0) == ls.Const(1)
@@ -180,16 +231,7 @@ class TestPartials:
         for e in self.trees(rng, 300):
             wrt = {a for a in ls.atoms_of(e) if isinstance(a, (Var, Jet, Param))}
             wrt |= {x, u, ux, self.c, uxx}
-            try:
-                ref = {v: ref_diff(e, v) for v in wrt}
-            except ls.DegenerateExpression:
-                # a log(0) subterm: every differentiation of e raises
-                for v in wrt:
-                    with pytest.raises(ls.DegenerateExpression):
-                        ls.diff(e, v)
-                with pytest.raises(ls.DegenerateExpression):
-                    ls.partials(e)
-                continue
+            ref = {v: ref_diff(e, v) for v in wrt}
             for v, d in ref.items():
                 assert ls.diff(e, v) == d
             assert ls.partials(e) == {v: d for v, d in ref.items() if d != ZERO}
@@ -229,6 +271,109 @@ class TestAddHash:
         back = pickle.loads(pickle.dumps(s))
         assert back == s and back._hash is None
         assert hash(back) == hash(s)
+
+
+def fresh(e):
+    """An equal tree that shares no node with ``e``."""
+    return pickle.loads(pickle.dumps(e))
+
+
+class TestCanonicalOrder:
+    """The comparators give exactly the order of the reference ``sort_key``."""
+
+    F = UFunc("F", (x, u))
+    SAMPLES = [
+        Const(Fraction(-1)), Const(Fraction(1, 2)), Const(Fraction(3)),
+        x, Var(2),
+        u, Jet(2, ()), ux, Jet(1, (2,)), uxx, Jet(1, (1, 2)),
+        Param("a"), Param("b"),
+        UFunc("f", (x,)), F, UFunc("F", (x, u), (0,)), UFunc("F", (x, ux)),
+        ls.func("exp", x), ls.func("exp", u), ls.func("sin", x),
+        ls.func("sin", ls.add(x, u)),
+        ls.pow_(x, 2), ls.pow_(x, -1), ls.pow_(u, Fraction(1, 2)),
+        ls.pow_(ls.add(x, u), 2), ls.pow_(ls.add(x, u, ux), 2),
+        ls.mul(2, x, u), ls.mul(-1, x, u), ls.mul(x, u, ux),
+        ls.mul(3, x, ls.pow_(u, 2)), ls.mul(x, ls.func("exp", u)),
+        ls.add(x, u), ls.add(x, u, ux), ls.add(1, x), ls.add(ls.mul(2, x), u),
+    ]
+
+    def check_pair(self, a, b):
+        assert sign(_cmp(a, b)) == key_sign(sort_key, a, b), (a, b)
+        assert sign(_cmp_factor(a, b)) == key_sign(factor_key, a, b), (a, b)
+
+    def test_every_pair_of_kinds(self):
+        assert {type(e) for e in self.SAMPLES} == \
+            {Const, Var, Jet, Param, UFunc, Func, Pow, Mul, Add}
+        for a, b in itertools.product(self.SAMPLES, repeat=2):
+            self.check_pair(a, b)
+
+    def test_equal_subtrees_that_are_different_objects(self):
+        for a, b in itertools.product(self.SAMPLES, repeat=2):
+            self.check_pair(a, fresh(b))
+        for a in self.SAMPLES:
+            b = fresh(a)
+            assert _cmp(a, b) == 0 and _cmp_factor(a, b) == 0
+        # equal leading children that are distinct objects, then a difference
+        s = ls.add(x, ls.pow_(ls.add(u, ux), 2))
+        t = fresh(ls.add(x, ls.pow_(ls.add(u, ux), 3)))
+        assert s.terms[1].base == t.terms[1].base
+        assert s.terms[1].base is not t.terms[1].base
+        assert _cmp(s, t) == -1 and _cmp(t, s) == 1
+
+    def test_prefix_sorts_first(self):
+        pairs = [(ls.add(x, u), ls.add(x, u, ux)),
+                 (ls.mul(x, u), ls.mul(x, u, ux)),
+                 (UFunc("F", (x,)), UFunc("F", (x, u)))]
+        for short, long in pairs:
+            fields = {Add: "terms", Mul: "factors", UFunc: "args"}[type(short)]
+            a, b = getattr(short, fields), getattr(long, fields)
+            assert b[:len(a)] == a and len(b) > len(a)
+            assert _cmp(short, long) == -1 and _cmp(long, short) == 1
+            self.check_pair(short, long)
+            self.check_pair(long, fresh(short))
+
+    def test_products_differing_only_in_coefficient(self):
+        ms = [ls.mul(c, x, ls.func("cos", u)) for c in (3, Fraction(-1, 2), 2, -4)]
+        assert len({m.factors for m in ms}) == 1
+        for a, b in itertools.product(ms, repeat=2):
+            self.check_pair(a, b)
+        assert sorted(ms, key=functools.cmp_to_key(_cmp)) == \
+            [ls.mul(c, x, ls.func("cos", u)) for c in (-4, Fraction(-1, 2), 2, 3)]
+
+    def trees(self, rng, n):
+        atoms = [x, Var(2), u, ux, uxx, Param("c"), self.F, UFunc("F", (x, u), (1,))]
+        return [rand_expr(rng, atoms, depth=4) for _ in range(n)]
+
+    def test_random_lists_sort_like_reference(self, rng):
+        trees = self.trees(rng, 150)
+        pool = [s for t in trees for s in subterms(t)]
+        pool += [fresh(s) for s in pool[::3]]
+        for items in (trees, pool):
+            for cmp, key in ((_cmp, sort_key), (_cmp_factor, factor_key)):
+                assert sorted(items, key=functools.cmp_to_key(cmp)) == \
+                    sorted(items, key=key)
+
+    def test_random_pairs_agree_in_sign(self, rng):
+        pool = [s for t in self.trees(rng, 150) for s in subterms(t)]
+        by_kind = {}
+        for s in pool:
+            by_kind.setdefault(type(s), []).append(s)
+        pick = random.Random(rng.random())
+        for _ in range(4000):
+            self.check_pair(pick.choice(pool), fresh(pick.choice(pool)))
+            same = by_kind[type(pick.choice(pool))]
+            self.check_pair(pick.choice(same), pick.choice(same))
+
+    def test_constructors_emit_reference_order(self, rng):
+        for t in self.trees(rng, 150):
+            for s in subterms(t):
+                if isinstance(s, Add):
+                    keys = [sort_key(a) for a in s.terms]
+                elif isinstance(s, Mul):
+                    keys = [factor_key(f) for f in s.factors]
+                else:
+                    continue
+                assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 class TestSubstitute:

@@ -1,4 +1,5 @@
 """Seeded algebraic property suites, all checked exactly."""
+import pickle
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import liesym as ls
 from liesym import Jet, Var
 
-from conftest import SEED, rand_expr, rand_point_vf, rand_poly
+from conftest import SEED, rand_expr, rand_point_vf, rand_poly, rand_rational
 
 x = Var(1)
 u = Jet(1, ())
@@ -22,6 +23,44 @@ def test_normalize_idempotent(rng):
     for _ in range(300):
         e = rand_expr(rng, atoms)
         assert ls.normalize(e) == e
+
+
+def rebuilt(e, rng):
+    """An equal tree rebuilt through the constructors from fresh atoms, with
+    the children of every sum and product passed in shuffled order."""
+    if isinstance(e, ls.Add):
+        parts = [rebuilt(t, rng) for t in e.terms]
+        rng.shuffle(parts)
+        return ls.add(*parts)
+    if isinstance(e, ls.Mul):
+        parts = [ls.Const(e.coeff)] + [rebuilt(f, rng) for f in e.factors]
+        rng.shuffle(parts)
+        return ls.mul(*parts)
+    if isinstance(e, ls.Pow):
+        return ls.pow_(rebuilt(e.base, rng), e.exp)
+    return pickle.loads(pickle.dumps(e))
+
+
+def test_zero_test_soundness(rng):
+    # is_zero(e) True must mean e vanishes identically, so it vanishes at
+    # every sample point (Schwartz 1980); a canonical copy always cancels
+    atoms = [x, Var(2), u, Jet(1, (1,)), ls.Param("c")]
+    points = [{a: rand_rational(rng) for a in atoms} for _ in range(6)]
+    confirmed = 0
+    for _ in range(120):
+        p, q = (rand_poly(rng, atoms, degree=3, terms=4) for _ in range(2))
+        sums = (ls.add(p, q), ls.sub(p, q), ls.sub(p, p))
+        products = (ls.mul(p, q),
+                    ls.sub(ls.mul(p, q), ls.mul(q, p)),
+                    ls.sub(ls.mul(ls.add(p, q), ls.sub(p, q)),
+                           ls.sub(ls.mul(p, p), ls.mul(q, q))))
+        for e in sums + products:
+            if ls.is_zero(e):
+                confirmed += 1
+                assert all(ls.evaluate(e, pt) == 0 for pt in points)
+            copy = rebuilt(e, rng)
+            assert copy == e and ls.is_zero(ls.sub(e, copy))
+    assert confirmed >= 3 * 120
 
 
 def test_total_derivatives_commute(rng):
