@@ -40,6 +40,7 @@ from .expr import (
     jet_order,
     jets_of,
     mul,
+    neg,
     partials,
     sub,
     substitute,
@@ -187,6 +188,13 @@ def generic_vector_field(ctx: Context, xi_names: Sequence[str],
     return ext, VectorField(ext, xi, phi)
 
 
+def _printed(exc: NotPolynomial, ctx: Context) -> NotPolynomial:
+    """``exc`` with its expression written in the declared names."""
+    # parse imports this module, so the printer is looked up at call time
+    from .parse import format_expr
+    return exc.printed(lambda e: format_expr(e, ctx))
+
+
 def determining_equations(sys: DiffSystem,
                           xi_names: Sequence[str] | None = None,
                           phi_names: Sequence[str] | None = None,
@@ -208,9 +216,14 @@ def determining_equations(sys: DiffSystem,
     eqs: list[Expr] = []
     seen: set[Expr] = set()
     for d in defects:
-        for coeff in collect(d, split_t).values():
+        try:
+            coeffs = collect(d, split_t)
+        except NotPolynomial as exc:
+            raise _printed(exc, ext) from None
+        for coeff in coeffs.values():
+            # the negation of an expand fixed point is a fixed point too
             c = expand(coeff)
-            if c != ZERO and c not in seen and expand(mul(-1, c)) not in seen:
+            if c != ZERO and c not in seen and neg(c) not in seen:
                 seen.add(c)
                 eqs.append(c)
     return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names),
@@ -333,14 +346,14 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                 continue
             for b, e in zip(base_atoms, exps):
                 if e < 0 or e.denominator != 1:
-                    raise NotPolynomial(
-                        f"variable {b!r} occurs with non-polynomial exponent {e}"
-                    )
+                    raise _printed(NotPolynomial(
+                        f"variable {{}} occurs with non-polynomial exponent {e}", b
+                    ), ctx)
             for f in rest_t:
                 if any(contains(f, v) for v in base_atoms):
-                    raise NotPolynomial(
-                        f"variable occurs inside non-polynomial factor {f!r}"
-                    )
+                    raise _printed(NotPolynomial(
+                        "variable occurs inside non-polynomial factor {}", f
+                    ), ctx)
             if rest_t:
                 nonlinear = True
                 params.update(a.name for f in rest_t for a in atoms_of(f)

@@ -15,7 +15,25 @@ class UnknownSymbol(LiesymError):
 
 
 class NotPolynomial(LiesymError):
-    """Raised when an expression is not polynomial in the requested variables."""
+    """Raised when an expression is not polynomial in the requested variables.
+
+    ``expr``, when given, is the offending expression, and ``template`` marks
+    its place in the message with ``{}``.  The message shows its ``repr``
+    until :meth:`printed` is given a printer that knows the declared names.
+    """
+
+    def __init__(self, template: str, expr=None, text: str | None = None):
+        self.template = template
+        self.expr = expr
+        if expr is not None:
+            template = template.format(repr(expr) if text is None else text)
+        super().__init__(template)
+
+    def printed(self, printer) -> "NotPolynomial":
+        """The same error, its expression written by ``printer(expr)``."""
+        if self.expr is None:
+            return self
+        return NotPolynomial(self.template, self.expr, printer(self.expr))
 
 
 class ArityError(LiesymError):

@@ -33,6 +33,23 @@ sequences compare lexicographically, a proper prefix first.  Product factors
 order by base, then exponent (1 for a factor that is no power).  A comparison
 descends only into the first pair of children that differ and builds no key.
 
+:func:`expand` works in rounds until a round reproduces its input.  A round
+reads the tree bottom-up into a sparse distributed polynomial, a dict from
+monomials to rational coefficients; the private module
+``liesym._distributed`` holds this kernel.  A monomial is a sorted tuple of
+(generator number, exponent) pairs, and integral exponents are ints.  The
+generators are the bases of the factors that are not multiplied out:
+atoms, unknown and elementary functions (their arguments expanded), and the
+bases of all other powers.  Sums add dicts, products multiply them, and an
+integer power of a sum is repeated multiplication, so ``(1+x)^n`` costs
+O(n^2) term products.  The shifted sum powers are then merged on the dict,
+and one canonical tree is built from it with :func:`add` and :func:`mul`.
+A round reaches exactly as far as a walk that distributes over the tree
+node by node would.  Integer powers of sums and the shifts of the merge are
+multiplied out up to exponent 64; beyond that :func:`expand` raises
+:class:`~liesym.errors.SimplificationIncomplete` instead of leaving the
+power unexpanded.
+
 :func:`partials` differentiates by every atom in one walk of the tree;
 :func:`diff` is the single-atom view of it.  Sums cache their structural hash
 on first use, because :func:`add` and :func:`mul` key dicts on factor tuples
@@ -41,8 +58,9 @@ that contain them; the cache takes no part in equality, ``repr`` or pickling.
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
 provably zero).  An :func:`expand` that reaches no fixed point within its round
-limit raises :class:`~liesym.errors.SimplificationIncomplete`, so
-:func:`is_zero` never answers an unconfirmed False.
+limit, or would pass the exponent limit, raises
+:class:`~liesym.errors.SimplificationIncomplete`, so :func:`is_zero` never
+answers an unconfirmed False.
 """
 from __future__ import annotations
 
@@ -465,6 +483,14 @@ def sub(a, b) -> Expr:
     return add(a, neg(_coerce(b)))
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``|n| >= 1``, counted without converting it to a
+    string."""
+    n = abs(n)
+    k = int(n.bit_length() * math.log10(2))    # the count is k or k + 1
+    return k + (n >= 10 ** k)
+
+
 def _int_nth_root(n: int, k: int) -> int | None:
     """The exact integer k-th root of n >= 0, or None if n is no k-th power."""
     if n < 0:
@@ -725,138 +751,28 @@ def substitute_functions(e: Expr, table: Mapping[str, tuple[tuple[Expr, ...], Ex
 # expansion and zero testing
 # ---------------------------------------------------------------------------
 
-_EXPAND_POW_CAP = 64
-
-
-def _distribute(factors: list[Expr], coeff: Fraction) -> Expr:
-    """Multiply out, distributing over every Add factor."""
-    flat: list[list[Expr]] = []
-    for f in factors:
-        if isinstance(f, Add):
-            flat.append(list(f.terms))
-        else:
-            flat.append([f])
-    parts = []
-    for combo in itertools.product(*flat):
-        parts.append(mul(Const(coeff), *combo))
-    return add(*parts)
-
-
-def _expand_once(e: Expr) -> Expr:
-    if isinstance(e, Pow):
-        base = _expand_once(e.base)
-        if (
-            isinstance(base, Add)
-            and e.exp.denominator == 1
-            and 1 < e.exp.numerator <= _EXPAND_POW_CAP
-        ):
-            return _distribute([base] * e.exp.numerator, Fraction(1))
-        return pow_(base, e.exp)
-    if isinstance(e, Mul):
-        factors = []
-        for f in e.factors:
-            g = _expand_once(f)
-            if isinstance(g, Mul):
-                factors.append(Const(g.coeff))
-                factors.extend(g.factors)
-            else:
-                factors.append(g)
-        # re-run integer powers of sums through distribution
-        expanded = []
-        coeff = e.coeff
-        for f in factors:
-            if isinstance(f, Const):
-                coeff *= f.value
-                continue
-            if (
-                isinstance(f, Pow)
-                and isinstance(f.base, Add)
-                and f.exp.denominator == 1
-                and 1 < f.exp.numerator <= _EXPAND_POW_CAP
-            ):
-                expanded.extend([f.base] * f.exp.numerator)
-            else:
-                expanded.append(f)
-        if any(isinstance(f, Add) for f in expanded):
-            return _distribute(expanded, coeff)
-        return mul(Const(coeff), *expanded)
-    return _rebuild(e, _expand_once)
-
-
-def _merge_sum_powers(e: Expr) -> Expr:
-    """Factor powers of a common sum base whose exponents differ by integers.
-
-    ``a*S^(-1/2) + b*S^(-3/2)`` becomes ``(a*S + b)*S^(-3/2)`` with the integer
-    part multiplied out, which lets rational-function cancellations finish.
-    """
-    if not isinstance(e, Add):
-        return e
-    exponents: dict[Expr, set[Fraction]] = {}
-    term_bases: list[set[Expr]] = []
-    for t in e.terms:
-        _, fs = _split(t)
-        bases = set()
-        for f in fs:
-            b, ex = _base_exp(f)
-            if isinstance(b, Add):
-                exponents.setdefault(b, set()).add(ex)
-                bases.add(b)
-        term_bases.append(bases)
-    targets: dict[Expr, Fraction] = {}
-    for b, exps in exponents.items():
-        exps = set(exps)
-        # terms lacking the base count as exponent 0 and get pulled over the
-        # common denominator, provided the shift stays integral
-        if any(b not in bs for bs in term_bases) and \
-                min(exps) < 0 and min(exps).denominator == 1:
-            exps.add(Fraction(0))
-        if len(exps) < 2:
-            continue
-        mn = min(exps)
-        if all((x - mn).denominator == 1 for x in exps):
-            targets[b] = mn
-    if not targets:
-        return e
-    new_terms = []
-    for t in e.terms:
-        c, fs = _split(t)
-        extra: list[Expr] = []
-        kept: list[Expr] = []
-        present: set[Expr] = set()
-        for f in fs:
-            b, ex = _base_exp(f)
-            mn = targets.get(b)
-            if mn is not None:
-                present.add(b)
-                if ex != mn:
-                    k = ex - mn
-                    if k.denominator == 1 and k > 0:
-                        if mn != 0:
-                            kept.append(Pow(b, mn))
-                        extra.extend([b] * k.numerator)
-                        continue
-            kept.append(f)
-        for b, mn in targets.items():
-            if b not in present and mn < 0 and mn.denominator == 1:
-                kept.append(Pow(b, mn))
-                extra.extend([b] * (-mn.numerator))
-        if extra:
-            new_terms.append(_distribute(kept + extra, c))
-        else:
-            new_terms.append(_term(c, tuple(fs)))
-    return add(*new_terms)
+# The kernel of expand builds on the constructors above, so it is imported
+# only once they exist.
+from ._distributed import _Poly  # noqa: E402
 
 
 def expand(e: Expr, max_rounds: int = 12) -> Expr:
-    """Fully distribute products and integer powers of sums, then merge
-    integer-shifted powers of common sum bases, iterating to a fixed point.
+    """Multiply out products and integer powers of sums, then merge
+    integer-shifted powers of common sum bases, in rounds, to a fixed point.
 
-    Raises :class:`SimplificationIncomplete` when ``max_rounds`` rounds pass
-    without one that reproduces its input.
+    A round reads the tree bottom-up into a sparse distributed polynomial
+    over generators (atoms, unknown and elementary functions, and the bases
+    of powers it does not multiply out), merges the shifted sum powers on
+    that polynomial and builds one canonical tree from it.  Raises
+    :class:`SimplificationIncomplete` when ``max_rounds`` rounds pass without
+    one that reproduces its input, and when a power of a sum or a shift
+    between two powers of one sum would be multiplied out with an exponent
+    above 64 (``liesym._distributed._EXPAND_POW_CAP``).
     """
     cur = e
+    k = _Poly()
     for _ in range(max_rounds):
-        nxt = _merge_sum_powers(_expand_once(cur))
+        nxt = k.tree(k.merge_sum_powers(k.expand_once(cur)))
         if nxt == cur:
             return cur
         cur = nxt
@@ -888,7 +804,9 @@ def collect(e: Expr, variables: Iterable[Expr]) -> dict[Expr, Expr]:
 
     The expression must be polynomial in the given atoms; monomial keys are
     power products (``ONE`` for the constant part) and coefficients are free
-    of the variables.  Zero coefficients are dropped.
+    of the variables.  Zero coefficients are dropped.  A
+    :class:`NotPolynomial` carries the offending variable or factor as its
+    ``expr``.
     """
     vars_ = set(variables)
     ex = expand(e)
@@ -905,13 +823,13 @@ def collect(e: Expr, variables: Iterable[Expr]) -> dict[Expr, Expr]:
             if b in vars_:
                 if exp.denominator != 1 or exp < 0:
                     raise NotPolynomial(
-                        f"variable {b!r} occurs with non-polynomial exponent {exp}"
+                        f"variable {{}} occurs with non-polynomial exponent {exp}", b
                     )
                 mono.append(f)
             else:
                 if any(contains(f, v) for v in vars_):
                     raise NotPolynomial(
-                        f"variable occurs inside non-polynomial factor {f!r}"
+                        "variable occurs inside non-polynomial factor {}", f
                     )
                 coefs.append(f)
         key = mul(*mono) if mono else ONE

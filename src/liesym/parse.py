@@ -8,7 +8,6 @@ is a single character; ``D(u, x, x, t)`` is always valid.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .expr import (
     Pow,
     UFunc,
     Var,
+    _digit_count,
     _split,
     add,
     div,
@@ -290,14 +290,6 @@ def format_expr(e: Expr, ctx: Context) -> str:
 
 def _paren(s: str) -> str:
     return "(" + s + ")"
-
-
-def _digit_count(n: int) -> int:
-    """Decimal digits of ``|n| >= 1``, counted without converting it to a
-    string."""
-    n = abs(n)
-    k = int(n.bit_length() * math.log10(2))    # the count is k or k + 1
-    return k + (n >= 10 ** k)
 
 
 def _fmt_const(v: Fraction, prec: int) -> str:

@@ -248,6 +248,35 @@ class TestExitCodes:
                      "--degree", "2"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_not_polynomial_names_the_factor(self, capsys, tmp_path):
+        # the minimal-surface equation of bench/problems/minimal.prob
+        p = tmp_path / "minimal.prob"
+        p.write_text("indep x y\ndep u\nsystem minimal: u_yy = "
+                     "(2*u_x*u_y*u_xy - u_xx*(1 + u_y^2))/(1 + u_x^2)")
+        status = main(["determine", "--file", str(p), "--system", "minimal"])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: variable occurs inside non-polynomial factor "
+            "(1 + u_x^2)^(-2)\n")
+
+    def test_not_polynomial_names_the_variable(self, capsys, tmp_path):
+        p = tmp_path / "np.prob"
+        p.write_text("indep x t\ndep u\nsystem s: u_t = u_xx/x")
+        assert main(["solve", "--file", str(p), "--system", "s",
+                     "--degree", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: variable x occurs with non-polynomial exponent -1\n")
+
+    def test_power_over_expansion_limit(self, capsys, tmp_path):
+        p = tmp_path / "big.prob"
+        p.write_text("indep x t\ndep u\n"
+                     "system s: u_t = u_xx + (1+u)^(100000000000000000000)")
+        assert main(["determine", "--file", str(p), "--system", "s"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: power of a sum with exponent "
+                       "100000000000000000000 exceeds the expansion limit 64\n")
+        assert "Traceback" not in err
+
     def test_noether_not_symmetry(self, capsys, curve_file):
         p = curve_file
         status = main(["noether", "--file", p,

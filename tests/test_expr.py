@@ -2,6 +2,7 @@
 zero testing, collection, exact evaluation."""
 import functools
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +11,18 @@ import pytest
 
 import liesym as ls
 from liesym import Add, Const, Func, Jet, Mul, Param, Pow, UFunc, Var
-from liesym.expr import ONE, ZERO, _cmp, _cmp_factor, subterms
+from liesym.expr import (
+    ONE,
+    ZERO,
+    _Poly,
+    _base_exp,
+    _cmp,
+    _cmp_factor,
+    _rebuild,
+    _split,
+    _term,
+    subterms,
+)
 
 from conftest import rand_expr, rand_poly, rand_rational
 
@@ -91,6 +103,140 @@ def factor_key(f):
 
 def sign(n):
     return (n > 0) - (n < 0)
+
+
+# The tree-walking expand, kept verbatim from the version of liesym.expr
+# before its sparse distributed kernel (names prefixed with ref_): the
+# reference the kernel's output must equal node for node.  It leaves a power
+# of a sum above the cap unexpanded, where the kernel raises.
+REF_EXPAND_POW_CAP = 64
+
+
+def ref_distribute(factors, coeff):
+    """Multiply out, distributing over every Add factor."""
+    flat = []
+    for f in factors:
+        if isinstance(f, Add):
+            flat.append(list(f.terms))
+        else:
+            flat.append([f])
+    parts = []
+    for combo in itertools.product(*flat):
+        parts.append(ls.mul(Const(coeff), *combo))
+    return ls.add(*parts)
+
+
+def ref_expand_once(e):
+    if isinstance(e, Pow):
+        base = ref_expand_once(e.base)
+        if (
+            isinstance(base, Add)
+            and e.exp.denominator == 1
+            and 1 < e.exp.numerator <= REF_EXPAND_POW_CAP
+        ):
+            return ref_distribute([base] * e.exp.numerator, Fraction(1))
+        return ls.pow_(base, e.exp)
+    if isinstance(e, Mul):
+        factors = []
+        for f in e.factors:
+            g = ref_expand_once(f)
+            if isinstance(g, Mul):
+                factors.append(Const(g.coeff))
+                factors.extend(g.factors)
+            else:
+                factors.append(g)
+        # re-run integer powers of sums through distribution
+        expanded = []
+        coeff = e.coeff
+        for f in factors:
+            if isinstance(f, Const):
+                coeff *= f.value
+                continue
+            if (
+                isinstance(f, Pow)
+                and isinstance(f.base, Add)
+                and f.exp.denominator == 1
+                and 1 < f.exp.numerator <= REF_EXPAND_POW_CAP
+            ):
+                expanded.extend([f.base] * f.exp.numerator)
+            else:
+                expanded.append(f)
+        if any(isinstance(f, Add) for f in expanded):
+            return ref_distribute(expanded, coeff)
+        return ls.mul(Const(coeff), *expanded)
+    return _rebuild(e, ref_expand_once)
+
+
+def ref_merge_sum_powers(e):
+    """Factor powers of a common sum base whose exponents differ by integers."""
+    if not isinstance(e, Add):
+        return e
+    exponents = {}
+    term_bases = []
+    for t in e.terms:
+        _, fs = _split(t)
+        bases = set()
+        for f in fs:
+            b, ex = _base_exp(f)
+            if isinstance(b, Add):
+                exponents.setdefault(b, set()).add(ex)
+                bases.add(b)
+        term_bases.append(bases)
+    targets = {}
+    for b, exps in exponents.items():
+        exps = set(exps)
+        # terms lacking the base count as exponent 0 and get pulled over the
+        # common denominator, provided the shift stays integral
+        if any(b not in bs for bs in term_bases) and \
+                min(exps) < 0 and min(exps).denominator == 1:
+            exps.add(Fraction(0))
+        if len(exps) < 2:
+            continue
+        mn = min(exps)
+        if all((x - mn).denominator == 1 for x in exps):
+            targets[b] = mn
+    if not targets:
+        return e
+    new_terms = []
+    for t in e.terms:
+        c, fs = _split(t)
+        extra = []
+        kept = []
+        present = set()
+        for f in fs:
+            b, ex = _base_exp(f)
+            mn = targets.get(b)
+            if mn is not None:
+                present.add(b)
+                if ex != mn:
+                    k = ex - mn
+                    if k.denominator == 1 and k > 0:
+                        if mn != 0:
+                            kept.append(Pow(b, mn))
+                        extra.extend([b] * k.numerator)
+                        continue
+            kept.append(f)
+        for b, mn in targets.items():
+            if b not in present and mn < 0 and mn.denominator == 1:
+                kept.append(Pow(b, mn))
+                extra.extend([b] * (-mn.numerator))
+        if extra:
+            new_terms.append(ref_distribute(kept + extra, c))
+        else:
+            new_terms.append(_term(c, tuple(fs)))
+    return ls.add(*new_terms)
+
+
+def ref_expand(e, max_rounds=12):
+    cur = e
+    for _ in range(max_rounds):
+        nxt = ref_merge_sum_powers(ref_expand_once(cur))
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise ls.SimplificationIncomplete(
+        f"expand reached no fixed point within {max_rounds} rounds"
+    )
 
 
 def key_sign(key, a, b):
@@ -459,6 +605,22 @@ class TestCollect:
         with pytest.raises(ls.NotPolynomial):
             ls.collect(ls.func("sin", ux), [ux])
 
+    def test_not_polynomial_carries_the_expression(self):
+        f = ls.func("sin", ux)
+        with pytest.raises(ls.NotPolynomial) as info:
+            ls.collect(ls.mul(u, f), [ux])
+        assert info.value.expr == f
+        assert str(info.value) == \
+            f"variable occurs inside non-polynomial factor {f!r}"
+        ctx = ls.Context(("x",), ("u",))
+        printed = info.value.printed(lambda e: ls.format_expr(e, ctx))
+        assert isinstance(printed, ls.NotPolynomial) and printed.expr == f
+        assert str(printed) == "variable occurs inside non-polynomial factor sin(u_x)"
+        with pytest.raises(ls.NotPolynomial) as info:
+            ls.collect(ls.pow_(ux, -1), [ux])
+        assert str(info.value.printed(lambda e: ls.format_expr(e, ctx))) == \
+            "variable u_x occurs with non-polynomial exponent -1"
+
     def test_round_trip(self, rng):
         atoms = [x, u, ux]
         for _ in range(50):
@@ -511,3 +673,181 @@ class TestExpand:
         # one round rewrites e but cannot confirm the result
         with pytest.raises(ls.SimplificationIncomplete):
             ls.expand(e, max_rounds=1)
+
+    def test_binomial_power_at_the_limit(self):
+        got = ls.expand(ls.pow_(ls.add(1, x), 64))
+        assert got == ls.add(*(ls.mul(math.comb(64, k), ls.pow_(x, k))
+                               for k in range(65)))
+
+    def test_trinomial_power(self):
+        y = Var(2)
+        got = ls.expand(ls.pow_(ls.add(1, x, y), 12))
+        expect = ls.add(*(
+            ls.mul(math.factorial(12) // (math.factorial(i) * math.factorial(j)
+                                          * math.factorial(12 - i - j)),
+                   ls.pow_(x, i), ls.pow_(y, j))
+            for i in range(13) for j in range(13 - i)))
+        assert got == expect
+        assert len(got.terms) == 91
+
+    def test_power_over_the_limit_raises(self):
+        with pytest.raises(ls.SimplificationIncomplete,
+                           match="exponent 65 exceeds the expansion limit 64"):
+            ls.expand(ls.pow_(ls.add(1, x), 65))
+        # a factor of a product, and an exponent too long to print
+        with pytest.raises(ls.SimplificationIncomplete,
+                           match="exponent 65 exceeds"):
+            ls.is_zero(ls.mul(u, ls.pow_(ls.add(1, x), 65)))
+        with pytest.raises(ls.SimplificationIncomplete,
+                           match="exponent of 4772 digits exceeds"):
+            ls.expand(ls.pow_(ls.add(1, x), 3 ** 10000))
+
+    def test_merge_shift_over_the_limit_raises(self):
+        s = ls.add(1, ls.pow_(ux, 2))
+        e = ls.add(ls.mul(x, ls.pow_(s, Fraction(-1, 2))),
+                   ls.mul(u, ls.pow_(s, Fraction(129, 2))))
+        with pytest.raises(ls.SimplificationIncomplete,
+                           match="shift between powers of a sum of 65 exceeds"):
+            ls.expand(e)
+        # a term without the base is shifted by minus the least exponent
+        with pytest.raises(ls.SimplificationIncomplete,
+                           match="of 65 exceeds"):
+            ls.expand(ls.add(x, ls.pow_(s, -65), ls.pow_(s, -64)))
+        # at the limit the shift is multiplied out
+        e = ls.add(ls.mul(x, ls.pow_(s, Fraction(-1, 2))),
+                   ls.mul(u, ls.pow_(s, Fraction(127, 2))))
+        r = ls.pow_(s, Fraction(-1, 2))
+        assert ls.expand(e) == ls.add(ls.mul(x, r), *(
+            ls.mul(math.comb(64, k), u, ls.pow_(ux, 2 * k), r) for k in range(65)))
+
+
+def outcome(f, e):
+    """``repr`` of the result, or the type of the library error raised."""
+    try:
+        return repr(f(e))
+    except ls.LiesymError as exc:
+        return type(exc)
+
+
+def one_round(e):
+    """One round of expand: the kernel's pass, the merge, one tree."""
+    k = _Poly()
+    return k.tree(k.merge_sum_powers(k.expand_once(e)))
+
+
+def ref_round(e):
+    return ref_merge_sum_powers(ref_expand_once(e))
+
+
+def over_the_limit(e):
+    """Whether ``e`` holds an integer power of a sum above the cap."""
+    return any(isinstance(s, Pow) and isinstance(s.base, Add)
+               and s.exp.denominator == 1 and s.exp > REF_EXPAND_POW_CAP
+               for s in subterms(e))
+
+
+class TestExpandAgainstReference:
+    """The sparse kernel gives the tree-walking expand's result node for
+    node, round by round, and raises where the reference raises."""
+
+    S = ls.add(1, ls.pow_(ux, 2))
+    # besides atoms: powers that fold when multiplied, of a sum, of a
+    # constant and of a product
+    ATOMS = [x, u, ux, Param("c"), UFunc("F", (x, u)),
+             ls.pow_(S, Fraction(1, 2)), ls.pow_(S, Fraction(-1, 2)),
+             ls.pow_(2, Fraction(1, 2)), ls.pow_(ls.mul(x, u), Fraction(1, 2))]
+    EXPS = [Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2),
+            Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
+
+    def hidden(self, rng, e):
+        """``e*(w + 1) - e``: a sum whose expansion is the single term e*w."""
+        return ls.add(ls.mul(e, ls.add(rng.choice(self.ATOMS), 1)), ls.neg(e))
+
+    def trees(self, rng, n):
+        """Random trees; some hold a power of a sum that expands to a single
+        term, some are divided by a random sum or multiplied by a rational
+        power of one."""
+        out = []
+        for _ in range(n):
+            e = rand_expr(rng, self.ATOMS, depth=rng.randint(3, 5))
+            if rng.random() < 0.3:
+                h = self.hidden(rng, rand_expr(rng, self.ATOMS, 1))
+                k = rng.choice([1, 2, 3, Fraction(1, 2), -1])
+                e = ls.mul(e, ls.pow_(h, 2 if h == ZERO else k))
+            pick = rng.random()
+            if pick < 0.5:
+                s = rand_poly(rng, self.ATOMS, degree=2, terms=rng.randint(2, 3))
+                if s == ZERO or (isinstance(s, Const) and pick >= 0.25):
+                    s = ls.add(s, x)
+                e = ls.div(e, s) if pick < 0.25 else \
+                    ls.mul(e, ls.pow_(s, rng.choice(self.EXPS)))
+            out.append(e)
+        return out
+
+    def test_trees_cover_the_kernel(self, rng):
+        seen = set()
+        for e in self.trees(rng, 600):
+            try:
+                ref = ref_expand(e)
+            except ls.LiesymError:
+                continue
+            first = ref_expand_once(e)
+            if ref_merge_sum_powers(first) != first:
+                seen.add("merged")
+            if ref != ref_round(e):
+                seen.add("several rounds")
+            for s in subterms(e):
+                if isinstance(s, Pow) and isinstance(s.base, Add):
+                    seen.add("sum power" if s.exp.denominator == 1 and s.exp > 1
+                             else "sum generator")
+                elif isinstance(s, Pow) and isinstance(s.base, (Const, Mul)):
+                    seen.add("folding base")
+                elif isinstance(s, Func):
+                    seen.add("function")
+        assert seen == {"merged", "several rounds", "sum power",
+                        "sum generator", "folding base", "function"}
+
+    def test_matches_reference(self, rng):
+        for e in self.trees(rng, 600):
+            got, ref = outcome(ls.expand, e), outcome(ref_expand, e)
+            if got is ls.SimplificationIncomplete and isinstance(ref, str):
+                # the reference leaves a power above the cap unexpanded
+                assert over_the_limit(ref_expand(e))
+                continue
+            assert got == ref
+            assert outcome(one_round, e) == outcome(ref_round, e)
+
+    def test_rounds_that_fold(self):
+        a, b, y = Var(3), Var(4), Var(2)
+        h = ls.pow_(ls.add(1, ls.pow_(y, 2)), Fraction(1, 2))
+        r = ls.add(1, x)
+        cases = [
+            # a sum that expands to one term, x*a^2*(1 + y^2), squared in a
+            # product: the sum inside is multiplied out in the same round
+            ls.mul(x, ls.pow_(ls.add(ls.mul(h, ls.add(a, b)),
+                                     ls.mul(-1, b, h)), 2)),
+            # h*h folds to a bare sum in one term of a product of sums
+            ls.mul(ls.add(a, ls.mul(h, b)), ls.add(a, ls.mul(h, b)), x),
+            # a term with a bare sum rewritten by the merge
+            ls.add(ls.mul(ls.add(a, ls.mul(x, h)), ls.add(b, h),
+                          ls.pow_(r, Fraction(-1, 2))),
+                   ls.mul(y, ls.pow_(r, Fraction(-3, 2)))),
+            # constant and product bases that fold, also below a product
+            ls.mul(ls.add(ls.pow_(2, Fraction(1, 2)), x),
+                   ls.add(ls.pow_(2, Fraction(3, 2)), ls.pow_(2, Fraction(1, 2)))),
+            ls.mul(ls.add(ls.mul(ls.pow_(2, Fraction(1, 2)),
+                                 ls.add(x, ls.pow_(2, Fraction(1, 2)))), y),
+                   ls.pow_(2, Fraction(1, 2)), a),
+            ls.pow_(ls.add(ls.pow_(ls.mul(x, y), Fraction(1, 2)), 1), 3),
+        ]
+        for e in cases:
+            assert one_round(e) == ref_round(e)
+            assert ls.expand(e) == ref_expand(e)
+
+    def test_negation_of_a_fixed_point_is_one(self, rng):
+        for e in self.trees(rng, 300):
+            try:
+                c = ls.expand(e)
+            except ls.LiesymError:
+                continue
+            assert ls.expand(ls.neg(c)) == ls.neg(c)
