@@ -5,8 +5,13 @@ monomials to rational coefficients, merges integer-shifted powers of common
 sum bases on that dict, and builds one canonical tree from it with the
 constructors of :mod:`liesym.expr` (S. C. Johnson 1974, "Sparse polynomial
 arithmetic"; Monagan & Pearce 2007 for exponent-vector monomials).  A round
-reaches exactly as far as a walk that distributes over the tree node by
-node would, so the rounds and their fixed point are those of that walk.
+reaches as far as a walk that distributes over the tree node by node would,
+with one difference: where :func:`mul` folds a product into one with a
+repeated factor (a power base whose fractional exponents sum to 1 beside a
+power of its own base, as in ``x^(1/2) * ((x^(1/2))^(1/3))^3``), the walk
+keeps that product for a round and the kernel reads it back as one power at
+once.  Such a round is one step ahead of the walk's; the fixed point is the
+same.
 """
 from __future__ import annotations
 
@@ -26,6 +31,8 @@ from .expr import (
     UFunc,
     Var,
     _digit_count,
+    _factor_order,
+    _term,
     add,
     func,
     mul,
@@ -68,24 +75,25 @@ class _Poly:
     of ``(generator, exponent)`` pairs sorted by generator number.  A
     generator is the base of a factor that is not multiplied out, numbered in
     this object's table.  Integral coefficients and exponents are stored as
-    ints.  Every polynomial that a node yields is in the form the tree built
-    from it has: each monomial converts to one term of that tree, with no
-    folding left for :func:`mul` to do.
+    ints.  Every polynomial that :meth:`expand_once` yields is in the form
+    the tree built from it has: each monomial converts to one term of that
+    tree, with no folding left for :func:`mul` to do.  The merge may leave
+    exponents of foldable generators to :func:`mul` (see :meth:`product`).
     """
 
-    __slots__ = ("gens", "index", "kind", "subtrees", "powers", "factors",
-                 "stirred")
+    __slots__ = ("gens", "index", "kind", "subtrees", "powers", "stirred")
 
     def __init__(self):
         self.gens: list[Expr] = []
         self.index: dict[Expr, int] = {}
         self.kind: list[int] = []
-        # id(node) -> (node, its tree after one round); holding the node
-        # keeps its id unique
+        # id(node) -> (node, its tree after one round), for power bases and
+        # function arguments, which recur across terms and rounds; holding
+        # the node keeps its id unique
         self.subtrees: dict[int, tuple[Expr, Expr]] = {}
-        # (sum generator, k) -> (its terms to the k-th power, stirred)
+        # (sum generator, k) -> (its terms to the k-th power, stirred); the
+        # merge multiplies the same shift into many terms
         self.powers: dict[tuple[int, int], tuple[dict, bool]] = {}
-        self.factors: dict[tuple, Expr] = {}
         # set when a product merges exponents of a generator that may fold
         self.stirred = False
 
@@ -202,7 +210,7 @@ class _Poly:
         for m, c in poly.items():
             if (len(m) == 1 and m[0][1] == 1 and kind[m[0][0]] == _SUM) or \
                     any(kind[g] == _ODD for g, _ in m):
-                folded = self.read(mul(*(self.factor(g, k) for g, k in m)))
+                folded = self.read(self.product(m, _Q1))
                 for m2, c2 in folded.items():
                     p = out.get(m2)
                     out[m2] = c * c2 if p is None else p + c * c2
@@ -286,6 +294,7 @@ class _Poly:
                 for _ in range(n.numerator - 1):
                     out = self.times(out, base)
                 return self.settle(out) if self.stirred else out
+            return self.read(pow_(self.tree(base), n))
         return self.read(pow_(self.subtree(e.base), n))
 
     def merge_sum_powers(self, poly: dict) -> dict:
@@ -355,20 +364,27 @@ class _Poly:
 
     # -- back to trees ------------------------------------------------------
 
-    def factor(self, g: int, k) -> Expr:
-        """A factor :func:`mul` reads as generator ``g`` to the power ``k``."""
-        if k == 1 and self.kind[g] == _PLAIN:
-            return self.gens[g]
-        f = self.factors.get((g, k))
-        if f is None:
-            # a bare Pow: mul takes its base and exponent as they stand
-            f = self.factors[(g, k)] = Pow(self.gens[g], k)
-        return f
+    def product(self, m: tuple, c) -> Expr:
+        """The term :func:`mul` builds from coefficient ``c`` times monomial
+        ``m``."""
+        gens, kind = self.gens, self.kind
+        if any(kind[g] == _ODD for g, _ in m):
+            # mul may fold these; a bare Pow makes it take each base and
+            # exponent as they stand
+            return mul(Const(c), *(gens[g] if k == 1 and kind[g] == _PLAIN
+                                   else Pow(gens[g], k) for g, k in m))
+        # atoms, functions and sums to distinct bases: mul would only raise
+        # each to its exponent and sort
+        fs = [gens[g] if k == 1 else Pow(gens[g], Fraction(k)) for g, k in m]
+        if len(fs) > 1:
+            fs.sort(key=_factor_order)
+        return _term(c if type(c) is Fraction else Fraction(c), tuple(fs))
 
     def tree(self, poly: dict) -> Expr:
-        factor = self.factor
-        return add(*(mul(Const(c), *(factor(g, k) for g, k in m))
-                     for m, c in poly.items()))
+        if len(poly) == 1:
+            ((m, c),) = poly.items()
+            return self.product(m, c)
+        return add(*(self.product(m, c) for m, c in poly.items()))
 
     def subtree(self, e: Expr) -> Expr:
         hit = self.subtrees.get(id(e))

@@ -43,10 +43,11 @@ atoms, unknown and elementary functions (their arguments expanded), and the
 bases of all other powers.  Sums add dicts, products multiply them, and an
 integer power of a sum is repeated multiplication, so ``(1+x)^n`` costs
 O(n^2) term products.  The shifted sum powers are then merged on the dict,
-and one canonical tree is built from it with :func:`add` and :func:`mul`.
-A round reaches exactly as far as a walk that distributes over the tree
-node by node would.  Integer powers of sums and the shifts of the merge are
-multiplied out up to exponent 64; beyond that :func:`expand` raises
+and one canonical tree is built from it: each term as :func:`mul` would
+build it, summed with :func:`add`.  A round reaches as far as a walk that
+distributes over the tree node by node would, and at times a little further
+(see ``liesym._distributed``).  Integer powers of sums and the shifts of the
+merge are multiplied out up to exponent 64; beyond that :func:`expand` raises
 :class:`~liesym.errors.SimplificationIncomplete` instead of leaving the
 power unexpanded.
 

@@ -821,6 +821,7 @@ class TestExpandAgainstReference:
         a, b, y = Var(3), Var(4), Var(2)
         h = ls.pow_(ls.add(1, ls.pow_(y, 2)), Fraction(1, 2))
         r = ls.add(1, x)
+        q = ls.pow_(ls.pow_(x, Fraction(1, 2)), Fraction(1, 3))
         cases = [
             # a sum that expands to one term, x*a^2*(1 + y^2), squared in a
             # product: the sum inside is multiplied out in the same round
@@ -839,10 +840,27 @@ class TestExpandAgainstReference:
                                  ls.add(x, ls.pow_(2, Fraction(1, 2)))), y),
                    ls.pow_(2, Fraction(1, 2)), a),
             ls.pow_(ls.add(ls.pow_(ls.mul(x, y), Fraction(1, 2)), 1), 3),
+            # the merge raises a power base's fractional exponent to 1 next
+            # to a power of that base's own base: mul must keep it a factor
+            # of its own, as the old walk did
+            ls.add(ls.mul(ls.pow_(x, Fraction(1, 2)), ls.pow_(q, 2),
+                          ls.pow_(ls.add(q, 1), Fraction(-1, 2))),
+                   ls.mul(y, ls.pow_(ls.add(q, 1), Fraction(-3, 2)))),
         ]
         for e in cases:
             assert one_round(e) == ref_round(e)
             assert ls.expand(e) == ref_expand(e)
+
+    def test_round_that_reads_a_folded_term_back(self):
+        # q^3 merges to x^(1/2) next to x^(1/2) in a product of sums.  The
+        # old walk kept the term Mul(1, (x^(1/2), x^(1/2))) for one round;
+        # the kernel reads the folded term back as x in the same round.
+        a, b = Var(3), Var(4)
+        q = ls.pow_(ls.pow_(x, Fraction(1, 2)), Fraction(1, 3))
+        e = ls.mul(ls.pow_(x, Fraction(1, 2)), ls.add(q, a), ls.add(q, b),
+                   ls.add(q, 1))
+        assert one_round(e) == ref_round(ref_round(e))
+        assert ls.expand(e) == ref_expand(e)
 
     def test_negation_of_a_fixed_point_is_one(self, rng):
         for e in self.trees(rng, 300):
