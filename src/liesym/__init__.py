@@ -53,7 +53,6 @@ from .expr import (
     pow_,
     sub,
     substitute,
-    substitute_functions,
 )
 from .jet import (
     Characteristic,

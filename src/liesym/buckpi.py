@@ -37,11 +37,8 @@ class PiBasis:
 def pi_basis(model: DimensionalModel) -> PiBasis:
     kernel = ratla.kernel_basis(model.a)
     m = model.a.cols
-    cols = len(kernel)
-    entries = tuple(
-        kernel[k][j] for j in range(m) for k in range(cols)
-    )
-    return PiBasis(RatMatrix(m, cols, entries), s=ratla.rank(model.a))
+    b = RatMatrix.from_rows([[v[j] for v in kernel] for j in range(m)])
+    return PiBasis(b, s=m - len(kernel))  # rank-nullity
 
 
 def _exp_str(e: Fraction) -> str:

@@ -519,7 +519,7 @@ def pow_(base, exponent) -> Expr:
     if e == 1:
         return base
     if isinstance(base, Const):
-        v = base.value
+        v = _split(base)[0]  # a Const built from an int still yields a Fraction
         if not v:
             if e < 0:
                 raise DegenerateExpression("0 raised to a negative power")
@@ -727,25 +727,6 @@ def _subst(e: Expr, b: Mapping[Expr, Expr]) -> Expr:
     if hit is not None:
         return _coerce(hit)
     return _rebuild(e, _subst, b)
-
-
-def substitute_functions(e: Expr, table: Mapping[str, tuple[tuple[Expr, ...], Expr]]) -> Expr:
-    """Replace unknown functions by concrete expressions.
-
-    ``table`` maps a function name to ``(args, body)``; a derivative node is
-    replaced by the matching iterated partial derivative of ``body``.
-    """
-    if isinstance(e, UFunc):
-        if e.name not in table:
-            return e
-        args, body = table[e.name]
-        if len(args) != len(e.args):
-            raise UnknownSymbol(f"arity mismatch for unknown function {e.name!r}")
-        out = body
-        for pos in e.deriv:
-            out = diff(out, args[pos])
-        return out
-    return _rebuild(e, substitute_functions, table)
 
 
 # ---------------------------------------------------------------------------

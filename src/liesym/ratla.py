@@ -1,9 +1,10 @@
 """Exact rational linear algebra: RREF, rank, kernel bases, solving.
 
-``RatMatrix`` stores its entries densely, but every elimination runs on
-sparse rows (``{column: Fraction}`` dicts), so its cost follows the nonzeros
-rather than rows x columns.  The determining matrices of the polynomial-ansatz
-solve are well under 1 % dense.
+``RatMatrix`` stores only its nonzeros, one sorted tuple of
+``(column, Fraction)`` pairs per row, and every elimination runs on those
+rows as ``{column: Fraction}`` dicts, so cost follows the nonzeros rather than
+rows x columns.  The determining matrices of the polynomial-ansatz solve are
+well under 1 % dense.
 """
 from __future__ import annotations
 
@@ -13,23 +14,26 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ArityError
 
-# The zero entry of every matrix built by ``from_sparse``: rows are read back
-# by skipping it by identity, without a Fraction comparison per entry.
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class RatMatrix:
+    """Exact rational matrix in sparse rows.
+
+    ``data`` holds one tuple per row of ``(column, value)`` pairs, sorted by
+    column, with zeros omitted; the constructors keep it in that form, so
+    equal matrices compare and hash equal.
+    """
+
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]  # row-major, length rows*cols
+    data: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ArityError(
-                f"matrix {self.rows}x{self.cols} needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(self.data) != self.rows:
+            raise ArityError(f"matrix of {self.rows} rows given {len(self.data)}")
+        for i, row in enumerate(self.data):
+            if row and not 0 <= row[0][0] <= row[-1][0] < self.cols:
+                raise ArityError(f"row {i} has a column outside a {self.cols}-column matrix")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
@@ -37,53 +41,51 @@ class RatMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ArityError("ragged rows")
-        return RatMatrix(r, c, tuple(Fraction(x) for row in rows for x in row))
+        return RatMatrix.from_sparse(
+            [dict(enumerate(map(Fraction, row))) for row in rows], c
+        )
 
     @staticmethod
     def from_sparse(rows: Sequence[Mapping[int, Fraction]], cols: int) -> "RatMatrix":
         """Matrix whose row i holds ``rows[i][j]`` in column j, zero elsewhere;
-        the values must already be Fractions."""
-        entries = [_ZERO] * (len(rows) * cols)
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                if not 0 <= j < cols:
-                    raise ArityError(f"column {j} outside a {cols}-column matrix")
-                entries[i * cols + j] = x
-        return RatMatrix(len(rows), cols, tuple(entries))
+        the values must already be Fractions, and zero values are dropped."""
+        return RatMatrix(len(rows), cols, tuple(
+            tuple(sorted((j, x) for j, x in row.items() if x)) for row in rows
+        ))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+        return RatMatrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return RatMatrix(n, n, tuple(((i, Fraction(1)),) for i in range(n)))
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return dict(self.data[i]).get(j, Fraction(0))
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        out = [Fraction(0)] * self.cols
+        for j, x in self.data[i]:
+            out[j] = x
+        return tuple(out)
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row:
+                cols[j].append((i, x))
+        return RatMatrix(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def matvec(self, v: Sequence) -> list[Fraction]:
         if len(v) != self.cols:
             raise ArityError(f"vector length {len(v)} does not match {self.cols} columns")
         vv = [Fraction(x) for x in v]
-        return [
-            sum((self[i, j] * vv[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
+        return [sum((x * vv[j] for j, x in row), Fraction(0)) for row in self.data]
 
 
 def _subtract(dst: dict[int, Fraction], f: Fraction,
@@ -125,49 +127,41 @@ def _reduce_rows(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fra
     return pivots
 
 
-def _sparse_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
-    return [
-        {j: x for j, x in enumerate(m.row(i)) if x is not _ZERO and x}
-        for i in range(m.rows)
-    ]
-
-
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form with the list of pivot columns."""
-    reduced = _reduce_rows(_sparse_rows(m))
+    reduced = _reduce_rows(map(dict, m.data))
     order = sorted(reduced)
     rows = [reduced[p] for p in order] + [{}] * (m.rows - len(order))
     return RatMatrix.from_sparse(rows, m.cols), tuple(order)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduce_rows(map(dict, m.data)))
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
     """Basis of the right null space, one vector per free column.
 
     Free coordinates follow the canonical RREF unit pattern, so the output is
-    deterministic and directly comparable in golden tests.
+    deterministic and directly comparable in golden tests.  A pivot row's
+    first pair is its pivot; every later pair lies in a free column.
     """
     r, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
+    basis = {f: [Fraction(0)] * m.cols for f in range(m.cols) if f not in pivot_set}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
-        basis.append(v)
-    return basis
+    for p, row in zip(pivots, r.data):
+        for f, x in row[1:]:
+            basis[f][p] = -x
+    return list(basis.values())
 
 
 def solve(m: RatMatrix, b: Sequence) -> list[Fraction] | None:
     """One solution of M x = b, or None if inconsistent."""
     if len(b) != m.rows:
         raise ArityError(f"rhs length {len(b)} does not match {m.rows} rows")
-    aug = _sparse_rows(m)
+    aug = list(map(dict, m.data))
     for row, bi in zip(aug, b):
         bi = Fraction(bi)
         if bi:

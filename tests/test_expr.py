@@ -296,6 +296,19 @@ class TestNormalize:
     def test_mul_zero_short_circuit(self):
         assert ls.mul(0, ux, ls.func("exp", x)) == ls.Const(0)
 
+    def test_int_const_powers_stay_exact(self):
+        # a Const built directly from an int must not reach a float
+        for e, want in [(ls.pow_(Const(2), -1), Fraction(1, 2)),
+                        (Const(3) ** -2, Fraction(1, 9))]:
+            assert isinstance(e, Const)
+            assert type(e.value) is Fraction and e.value == want
+        q = ls.div(x, Const(3))
+        assert isinstance(q, Mul) and q.factors == (x,)
+        assert type(q.coeff) is Fraction and q.coeff == Fraction(1, 3)
+        assert ls.evaluate(q, {x: Fraction(1)}) == Fraction(1, 3)
+        assert type(ls.evaluate(q, {x: Fraction(1)})) is Fraction
+        assert ls.format_expr(q, ls.Context(("x",), ("u",))) == "(1/3)*x"
+
 
 class TestDiff:
     def test_polynomial(self):

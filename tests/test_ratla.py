@@ -149,6 +149,52 @@ class TestSparseAgainstDense:
                 assert all(x == 0 for x in m.matvec(v))
 
 
+    @pytest.mark.parametrize("rows,cols", [(60, 25), (25, 60), (40, 40), (1, 30), (30, 1)])
+    @pytest.mark.parametrize("density", [0.01, 0.03, 0.05])
+    def test_dense_views(self, rng, rows, cols, density):
+        """The same seeded cases as test_matches_reference: every dense view
+        of the sparse rows agrees with the lists the matrix was built from."""
+        for _ in range(3):
+            a = rand_sparse_rows(rng, rows, cols, density)
+            m = RatMatrix.from_rows(a)
+            assert m.to_rows() == a
+            assert all(m[i, j] == a[i][j] for i in range(rows) for j in range(cols))
+            assert m.transpose().to_rows() == [list(c) for c in zip(*a)]
+            v = [Fraction(j + 1, 2) for j in range(cols)]
+            assert m.matvec(v) == [sum(x * y for x, y in zip(r, v)) for r in a]
+            ref, _ = dense_rref(a, cols)
+            assert rref(m)[0].to_rows() == ref
+
+
+class TestSparseFormat:
+    @pytest.mark.parametrize("zero", [0, "0", Fraction(0), "0/5", 0.0],
+                             ids=["int", "str", "Fraction", "ratio-str", "float"])
+    def test_explicit_zeros_dropped(self, zero):
+        a = RatMatrix.from_rows([[1, zero, "1/2"], [zero, zero, zero]])
+        b = RatMatrix.from_sparse(
+            [{0: Fraction(1), 1: Fraction(0), 2: Fraction(1, 2)}, {1: Fraction(0)}], 3)
+        want = (((0, Fraction(1)), (2, Fraction(1, 2))), ())
+        assert a.data == b.data == want
+        assert a == b and hash(a) == hash(b)
+        assert RatMatrix.from_rows([[zero] * 2] * 2) == RatMatrix.zero(2, 2)
+
+    def test_rows_sorted_by_column(self):
+        m = RatMatrix.from_sparse([{3: Fraction(2), 0: Fraction(-1)}], 4)
+        assert m.data == (((0, Fraction(-1)), (3, Fraction(2))),)
+        assert m.row(0) == (Fraction(-1), 0, 0, Fraction(2))
+
+    @pytest.mark.parametrize("col", [-1, 3, 7])
+    def test_column_outside_matrix(self, col):
+        with pytest.raises(ArityError, match="column"):
+            RatMatrix.from_sparse([{}, {0: Fraction(1), col: Fraction(1)}], 3)
+
+    def test_identity_and_zero_data(self):
+        assert RatMatrix.identity(2).data == (((0, Fraction(1)),), ((1, Fraction(1)),))
+        assert RatMatrix.zero(2, 5).data == ((), ())
+        assert RatMatrix.identity(3) == RatMatrix.from_rows(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 class TestSolve:
     def test_consistent(self):
         m = RatMatrix.from_rows([[1, 2], [3, 4]])
