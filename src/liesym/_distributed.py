@@ -12,6 +12,10 @@ power of its own base, as in ``x^(1/2) * ((x^(1/2))^(1/3))^3``), the walk
 keeps that product for a round and the kernel reads it back as one power at
 once.  Such a round is one step ahead of the walk's; the fixed point is the
 same.
+
+:func:`liesym.expr.collect` and :func:`liesym.detsys.solve_determining` read
+the monomials of ``expand(e)`` from the kernel (:meth:`_Poly.read` of the
+fixed point) and build trees only for what they return.
 """
 from __future__ import annotations
 
@@ -43,6 +47,10 @@ from .expr import (
 # integer shifts between powers of one sum; expand raises beyond it.
 _EXPAND_POW_CAP = 64
 
+# Exact powers of rational constants are computed up to results of this many
+# bits; pow_ and evaluate raise beyond it.
+_CONST_POW_BITS = 1 << 20
+
 # Generator kinds.  A plain generator (atom, unknown function, elementary
 # function) never folds under mul.  A sum may be multiplied out.  Any other
 # base (a constant, a product or a power under a fractional exponent) may
@@ -57,15 +65,14 @@ def _num(q):
     return q.numerator if q.denominator == 1 else q
 
 
-def _cap_error(what: str, k) -> SimplificationIncomplete:
+def _cap_error(what: str, k, limit=f"the expansion limit {_EXPAND_POW_CAP}",
+               error=SimplificationIncomplete):
     try:
         text = str(k)
     except ValueError:
         # more digits than the interpreter converts to a string
-        text = f"of {_digit_count(k)} digits"
-    return SimplificationIncomplete(
-        f"{what} {text} exceeds the expansion limit {_EXPAND_POW_CAP}"
-    )
+        text = f"of {_digit_count(k.numerator)} digits"
+    return error(f"{what} {text} exceeds {limit}")
 
 
 class _Poly:
@@ -113,6 +120,8 @@ class _Poly:
         """(coefficient, monomial) of one canonical term."""
         if type(t) is Mul:
             c, fs = t.coeff, t.factors
+        elif type(t) is Const:
+            return _num(t.value), ()
         else:
             c, fs = _Q1, (t,)
         mono: dict[int, object] = {}
@@ -134,17 +143,9 @@ class _Poly:
 
     def read(self, e: Expr) -> dict:
         """The polynomial whose monomials are the terms of ``e``."""
-        if type(e) is Const:
-            return {(): _num(e.value)} if e.value else {}
-        if type(e) is not Add:
-            c, m = self.term(e)
-            return {m: c}
         out: dict = {}
-        for t in e.terms:
-            if type(t) is Const:
-                c, m = _num(t.value), ()
-            else:
-                c, m = self.term(t)
+        for t in e.terms if type(e) is Add else (e,):
+            c, m = self.term(t)
             p = out.get(m)
             out[m] = c if p is None else p + c
         return {m: c for m, c in out.items() if c}
@@ -219,7 +220,17 @@ class _Poly:
                 out[m] = c if p is None else p + c
         return {m: _num(c) for m, c in out.items() if c}
 
-    # -- one round ----------------------------------------------------------
+    # -- rounds -------------------------------------------------------------
+
+    def fixed_point(self, e: Expr, max_rounds: int = 12) -> Expr:
+        """The round loop of :func:`liesym.expr.expand`."""
+        for _ in range(max_rounds):
+            nxt = self.tree(self.merge_sum_powers(self.expand_once(e)))
+            if nxt == e:
+                return e
+            e = nxt
+        raise SimplificationIncomplete(
+            f"expand reached no fixed point within {max_rounds} rounds")
 
     def expand_once(self, e: Expr) -> dict:
         """Multiply out products and integer powers of sums, bottom-up, with
@@ -379,6 +390,10 @@ class _Poly:
         if len(fs) > 1:
             fs.sort(key=_factor_order)
         return _term(c if type(c) is Fraction else Fraction(c), tuple(fs))
+
+    def first(self, pairs) -> tuple:
+        """Of one monomial's pairs, the one whose factor a product lists first."""
+        return min(pairs, key=lambda p: _factor_order(self.product((p,), 1)))
 
     def tree(self, poly: dict) -> Expr:
         if len(poly) == 1:

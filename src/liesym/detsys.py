@@ -18,18 +18,16 @@ from .errors import (
     UnknownSymbol,
 )
 from .expr import (
-    Add,
     Const,
     Context,
     Expr,
     Jet,
     ONE,
     Param,
-    _base_exp,
-    _split,
     UFunc,
     Var,
     ZERO,
+    _expand_monomials,
     add,
     atoms_of,
     collect,
@@ -88,6 +86,8 @@ class DiffSystem:
 
     def __post_init__(self):
         eqs = tuple((lead, e) for lead, e in self.equations)
+        if not eqs:
+            raise NotSolvedForm("a system needs at least one equation")
         object.__setattr__(self, "equations", eqs)
         leads = [lead for lead, _ in eqs]
         if len(set(leads)) != len(leads):
@@ -302,34 +302,29 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
             tables[key] = got
         return got
 
-    def mentions_unknown(f: Expr) -> bool:
-        return any(isinstance(a, UFunc) and a.name in unknowns
-                   for a in atoms_of(f))
-
     rows: list[dict[int, Fraction]] = []
     for eq in ds.equations:
-        ex = expand(eq)
-        # (base exponents, other factors) -> {column: coefficient}
+        k, poly = _expand_monomials(eq)
+        gens = k.gens
+        # (base exponents, other (generator, exponent) pairs) -> row
         acc: dict[tuple, dict[int, Fraction]] = {}
         nonlinear = False
         params: set[str] = set()     # system parameters in surviving terms
-        for t in (ex.terms if isinstance(ex, Add) else (ex,)):
-            c, fs = _split(t)
-            if c == 0:
-                continue
+        for m, c in poly.items():
             exps = [0] * width
-            found: list[tuple[UFunc, Fraction]] = []
-            rest: list[Expr] = []
-            for f in fs:
-                b, e = _base_exp(f)
+            found, rest = [], []
+            for g, e in m:
+                b = gens[g]
                 slot = base_slot.get(b)
                 if slot is not None:
-                    exps[slot] += e
+                    exps[slot] = e
                 elif isinstance(b, UFunc) and b.name in unknowns:
                     found.append((b, e))
                 else:
-                    rest.append(f)
-            if len(found) != 1 or found[0][1] != 1 or any(map(mentions_unknown, rest)):
+                    rest.append((g, e))
+            if len(found) != 1 or found[0][1] != 1 or any(
+                    isinstance(a, UFunc) and a.name in unknowns
+                    for g, _ in rest for a in atoms_of(gens[g])):
                 # nonlinear or inhomogeneous: harmless only when the ansatz
                 # annihilates one of its unknown factors
                 if not any(e > 0 and not table(u) for u, e in found):
@@ -341,7 +336,7 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                 row = acc.setdefault(key, {})
                 row[col] = row.get(col, 0) + c * a
         for (exps, rest_t), row in acc.items():
-            row = {k: v for k, v in row.items() if v}
+            row = {col: Fraction(v) for col, v in row.items() if v}
             if not row:
                 continue
             for b, e in zip(base_atoms, exps):
@@ -349,14 +344,16 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                     raise _printed(NotPolynomial(
                         f"variable {{}} occurs with non-polynomial exponent {e}", b
                     ), ctx)
-            for f in rest_t:
-                if any(contains(f, v) for v in base_atoms):
-                    raise _printed(NotPolynomial(
-                        "variable occurs inside non-polynomial factor {}", f
-                    ), ctx)
+            bad = [p for p in rest_t
+                   if any(contains(gens[p[0]], v) for v in base_atoms)]
+            if bad:
+                raise _printed(NotPolynomial(
+                    "variable occurs inside non-polynomial factor {}",
+                    k.product((k.first(bad),), 1)
+                ), ctx)
             if rest_t:
                 nonlinear = True
-                params.update(a.name for f in rest_t for a in atoms_of(f)
+                params.update(a.name for g, _ in rest_t for a in atoms_of(gens[g])
                               if isinstance(a, Param))
             rows.append(row)
         if nonlinear:

@@ -49,7 +49,9 @@ distributes over the tree node by node would, and at times a little further
 (see ``liesym._distributed``).  Integer powers of sums and the shifts of the
 merge are multiplied out up to exponent 64; beyond that :func:`expand` raises
 :class:`~liesym.errors.SimplificationIncomplete` instead of leaving the
-power unexpanded.
+power unexpanded.  :func:`collect` and ``liesym.detsys.solve_determining``
+read the fixed point's monomials from the kernel, not its tree.  An exact
+power of a rational constant past 2^20 bits raises as well.
 
 :func:`partials` differentiates by every atom in one walk of the tree;
 :func:`diff` is the single-atom view of it.  Sums cache their structural hash
@@ -386,12 +388,6 @@ _term_order = functools.cmp_to_key(_cmp)
 _factor_order = functools.cmp_to_key(_cmp_factor)
 
 
-def _base_exp(f: Expr) -> tuple[Expr, Fraction]:
-    if isinstance(f, Pow):
-        return f.base, f.exp
-    return f, _Q1
-
-
 # ---------------------------------------------------------------------------
 # smart constructors
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def mul(*args) -> Expr:
             coeff = a.coeff if coeff is _Q1 else coeff * a.coeff
             work.extend(reversed(a.factors))
             continue
-        b, e = _base_exp(a)
+        b, e = (a.base, a.exp) if isinstance(a, Pow) else (a, _Q1)
         prev = bases.get(b)
         bases[b] = e if prev is None else prev + e
     factors: list[Expr] = []
@@ -498,6 +494,8 @@ def _int_nth_root(n: int, k: int) -> int | None:
         return None
     if n < 2:
         return n
+    if n.bit_length() <= k:     # 1 < n < 2^k, so its floor root is 1
+        return None
     if k == 2:
         r = math.isqrt(n)
     else:
@@ -509,6 +507,23 @@ def _int_nth_root(n: int, k: int) -> int | None:
                 break
             r = s
     return r if r ** k == n else None
+
+
+def _rat_power(v: Fraction, e: Fraction, error=SimplificationIncomplete):
+    """``v ** e``, or None when ``v`` has no exact rational root of order
+    ``e.denominator``; ``error`` when the size bound, ``|e.numerator|`` times
+    the root's numerator or denominator bit length, passes _CONST_POW_BITS."""
+    if e.denominator != 1:
+        rn = _int_nth_root(v.numerator, e.denominator)
+        rd = _int_nth_root(v.denominator, e.denominator)
+        if rn is None or rd is None:
+            return None
+        v = Fraction(rn, rd)
+    bits = max(abs(v.numerator), v.denominator).bit_length()
+    if bits > 1 and bits * abs(e.numerator) > _CONST_POW_BITS:    # not 0 or +-1
+        raise _cap_error("power of a constant with exponent", e,
+                         f"the size limit of {_CONST_POW_BITS} bits", error)
+    return v ** e.numerator
 
 
 def pow_(base, exponent) -> Expr:
@@ -526,17 +541,12 @@ def pow_(base, exponent) -> Expr:
             return ZERO
         if v == 1:
             return ONE
-        if e.denominator == 1:
-            return Const(v ** e.numerator)
-        rn = _int_nth_root(v.numerator, e.denominator)
-        rd = _int_nth_root(v.denominator, e.denominator)
-        if rn is not None and rd is not None:
-            return Const(Fraction(rn, rd) ** e.numerator)
-        return Pow(base, e)
+        r = _rat_power(v, e)
+        return Pow(base, e) if r is None else Const(r)
     if isinstance(base, Pow) and e.denominator == 1:
         return pow_(base.base, base.exp * e)
     if isinstance(base, Mul) and e.denominator == 1:
-        parts = [Const(base.coeff ** e.numerator)]
+        parts = [Const(_rat_power(base.coeff, e))]
         parts.extend(pow_(f, e) for f in base.factors)
         return mul(*parts)
     return Pow(base, e)
@@ -735,32 +745,25 @@ def _subst(e: Expr, b: Mapping[Expr, Expr]) -> Expr:
 
 # The kernel of expand builds on the constructors above, so it is imported
 # only once they exist.
-from ._distributed import _Poly  # noqa: E402
+from ._distributed import _CONST_POW_BITS, _Poly, _cap_error  # noqa: E402
 
 
 def expand(e: Expr, max_rounds: int = 12) -> Expr:
     """Multiply out products and integer powers of sums, then merge
-    integer-shifted powers of common sum bases, in rounds, to a fixed point.
-
-    A round reads the tree bottom-up into a sparse distributed polynomial
-    over generators (atoms, unknown and elementary functions, and the bases
-    of powers it does not multiply out), merges the shifted sum powers on
-    that polynomial and builds one canonical tree from it.  Raises
+    integer-shifted powers of common sum bases, in rounds (described in the
+    module docstring), to a fixed point.  Raises
     :class:`SimplificationIncomplete` when ``max_rounds`` rounds pass without
     one that reproduces its input, and when a power of a sum or a shift
     between two powers of one sum would be multiplied out with an exponent
     above 64 (``liesym._distributed._EXPAND_POW_CAP``).
     """
-    cur = e
+    return _Poly().fixed_point(e, max_rounds)
+
+
+def _expand_monomials(e: Expr) -> tuple[_Poly, dict]:
+    """The kernel that expanded ``e`` and the monomials of ``expand(e)``."""
     k = _Poly()
-    for _ in range(max_rounds):
-        nxt = k.tree(k.merge_sum_powers(k.expand_once(cur)))
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise SimplificationIncomplete(
-        f"expand reached no fixed point within {max_rounds} rounds"
-    )
+    return k, k.read(k.fixed_point(e))
 
 
 def is_zero(e: Expr) -> bool:
@@ -791,37 +794,25 @@ def collect(e: Expr, variables: Iterable[Expr]) -> dict[Expr, Expr]:
     ``expr``.
     """
     vars_ = set(variables)
-    ex = expand(e)
-    if ex == ZERO:
-        return {}
-    out: dict[Expr, list[Expr]] = {}
-    terms = ex.terms if isinstance(ex, Add) else (ex,)
-    for t in terms:
-        c, fs = _split(t)
-        mono: list[Expr] = []
-        coefs: list[Expr] = []
-        for f in fs:
-            b, exp = _base_exp(f)
+    k, poly = _expand_monomials(e)
+    out: dict[tuple, dict] = {}
+    for m, c in poly.items():
+        mono, rest, bad = [], [], []
+        for p in m:
+            b = k.gens[p[0]]
             if b in vars_:
-                if exp.denominator != 1 or exp < 0:
-                    raise NotPolynomial(
-                        f"variable {{}} occurs with non-polynomial exponent {exp}", b
-                    )
-                mono.append(f)
+                (bad if p[1] < 0 or p[1].denominator != 1 else mono).append(p)
             else:
-                if any(contains(f, v) for v in vars_):
-                    raise NotPolynomial(
-                        "variable occurs inside non-polynomial factor {}", f
-                    )
-                coefs.append(f)
-        key = mul(*mono) if mono else ONE
-        out.setdefault(key, []).append(_term(c, tuple(coefs)))
-    result = {}
-    for key, parts in out.items():
-        coef = add(*parts)
-        if coef != ZERO:
-            result[key] = coef
-    return result
+                (bad if any(contains(b, v) for v in vars_) else rest).append(p)
+        if bad:
+            g, x = k.first(bad)
+            if k.gens[g] in vars_:
+                raise NotPolynomial(f"variable {{}} occurs with non-polynomial "
+                                    f"exponent {x}", k.gens[g])
+            raise NotPolynomial("variable occurs inside non-polynomial factor {}",
+                                k.product(((g, x),), 1))
+        out.setdefault(tuple(mono), {})[tuple(rest)] = c
+    return {k.product(m, 1): k.tree(rest) for m, rest in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -851,15 +842,12 @@ def evaluate(e: Expr, env: Mapping[Expr, Fraction]) -> Fraction:
         return out
     if isinstance(e, Pow):
         b = evaluate(e.base, env)
-        if e.exp.denominator == 1:
-            if b == 0 and e.exp < 0:
-                raise EvaluationError("division by zero during evaluation")
-            return b ** e.exp.numerator
-        rn = _int_nth_root(b.numerator, e.exp.denominator)
-        rd = _int_nth_root(b.denominator, e.exp.denominator)
-        if rn is None or rd is None:
+        if b == 0 and e.exp < 0:
+            raise EvaluationError("division by zero during evaluation")
+        r = _rat_power(b, e.exp, EvaluationError)
+        if r is None:
             raise EvaluationError(f"{b} has no exact rational root of order {e.exp.denominator}")
-        return Fraction(rn, rd) ** e.exp.numerator
+        return r
     if isinstance(e, Func):
         raise EvaluationError(f"cannot evaluate {e.fname} exactly")
     raise TypeError(type(e))

@@ -128,9 +128,7 @@ class ProlongedVectorField:
     """Lift of a vector field to the order-n jet space.
 
     ``phi`` holds the order-0 coefficients and ``coeffs`` maps every jet
-    coordinate of order 1..n to its coefficient.  ``base`` is None for
-    evolutionary representatives, whose order-0 part already involves first
-    derivatives.
+    coordinate of order 1..n to its coefficient.
     """
 
     ctx: Context
@@ -138,7 +136,10 @@ class ProlongedVectorField:
     xi: tuple[Expr, ...]
     phi: tuple[Expr, ...]
     coeffs: dict[Jet, Expr] = field(default_factory=dict)
-    base: VectorField | None = None
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise OrderError(f"prolongation order {self.order} is negative")
 
     def coeff(self, j: Jet) -> Expr:
         if j.order == 0:
@@ -169,7 +170,7 @@ def prolong(v: VectorField, n: int) -> ProlongedVectorField:
         j: add(d, *(mul(v.xi[i], Jet(j.dep, j.idx + (i + 1,))) for i in range(ctx.p)))
         for j, d in dq.items()
     }
-    return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs, base=v)
+    return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
 
 def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
@@ -196,7 +197,7 @@ def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
                 )
                 level[idx] = val
                 coeffs[Jet(a + 1, idx)] = val
-    return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs, base=v)
+    return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
 
 def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
@@ -210,7 +211,7 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
                 dq[idx] = total_derivative(dq[idx[:-1]], idx[-1])
                 coeffs[Jet(a + 1, idx)] = dq[idx]
     zero_xi = (ZERO,) * ctx.p
-    return ProlongedVectorField(ctx, n, zero_xi, q.q, coeffs, base=None)
+    return ProlongedVectorField(ctx, n, zero_xi, q.q, coeffs)
 
 
 def apply_prolonged(pv: ProlongedVectorField, e: Expr) -> Expr:

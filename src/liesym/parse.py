@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .buckpi import DimensionalModel
 from .detsys import DiffSystem
-from .errors import LiesymError, ParseError, UnknownSymbol
+from .errors import LiesymError, NotSolvedForm, ParseError, UnknownSymbol
 from .expr import (
     Add,
     Const,
@@ -28,6 +28,7 @@ from .expr import (
     Pow,
     UFunc,
     Var,
+    ZERO,
     _digit_count,
     _split,
     add,
@@ -504,7 +505,6 @@ class _ProblemParser:
         self.unknowns.append((t.text, tuple(args)))
 
     def system_item(self, s: _Stream):
-        from .errors import NotSolvedForm
         name = self.item_name(s)
         s.expect("op", ":")
         ctx = self.ctx
@@ -531,7 +531,6 @@ class _ProblemParser:
         name = self.item_name(s)
         s.expect("op", ":")
         ctx = self.ctx
-        from .expr import ZERO
         xi = {n: ZERO for n in ctx.indep}
         phi = {n: ZERO for n in ctx.dep}
         p = _ExprParser(s, ctx)

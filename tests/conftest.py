@@ -53,6 +53,15 @@ def rotation(ctx_xu):
     )
 
 
+def base_exp(f):
+    """(base, exponent) of a product factor: the helper liesym.expr had
+    before its readers took the monomials of the expand kernel, kept for
+    the reference implementations in the tests."""
+    if isinstance(f, ls.Pow):
+        return f.base, f.exp
+    return f, Fraction(1)
+
+
 def rand_rational(rng, lo=-4, hi=4):
     num = rng.randint(lo, hi)
     den = rng.choice([1, 1, 1, 2, 3])

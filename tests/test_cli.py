@@ -277,6 +277,20 @@ class TestExitCodes:
                        "100000000000000000000 exceeds the expansion limit 64\n")
         assert "Traceback" not in err
 
+    def test_constant_power_over_size_limit(self, capsys, tmp_path):
+        p = tmp_path / "big.prob"
+        p.write_text("indep x t\ndep u\nsystem s: u_t = u_xx + 3^(1000000000)*u")
+        assert main(["determine", "--file", str(p), "--system", "s"]) == 2
+        assert capsys.readouterr().err == (
+            "error: power of a constant with exponent 1000000000 exceeds "
+            "the size limit of 1048576 bits\n")
+
+    def test_negative_prolongation_order(self, capsys, heat_file):
+        assert main(["prolong", "--file", heat_file,
+                     "--vf", "rot", "--order", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: prolongation order -1 is negative\n"
+
     def test_noether_not_symmetry(self, capsys, curve_file):
         p = curve_file
         status = main(["noether", "--file", p,

@@ -1,13 +1,29 @@
 """Solved-form systems: reduction, symmetry checks, determining equations,
 linear solving, rank probing."""
+import math
+import operator
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import liesym as ls
-from liesym import Ansatz, DiffSystem, Jet, Var
+from liesym import Ansatz, DiffSystem, Jet, Var, ratla
+from liesym.detsys import _monomials, _printed
+from liesym.errors import NotPolynomial, UnknownSymbol
+from liesym.expr import (
+    Add,
+    Expr,
+    Param,
+    UFunc,
+    _split,
+    atoms_of,
+    contains,
+    expand,
+)
 
+from conftest import base_exp as _base_exp
 from conftest import rand_poly
 
 x = Var(1)
@@ -46,6 +62,10 @@ class TestDiffSystem:
     def test_lead_in_rhs_rejected(self, ctx_heat):
         with pytest.raises(ls.NotSolvedForm):
             DiffSystem(ctx_heat, ((ut, ls.mul(u, ut)),))
+
+    def test_no_equations_rejected(self, ctx_heat):
+        with pytest.raises(ls.NotSolvedForm, match="at least one equation"):
+            DiffSystem(ctx_heat, ())
 
     def test_wave_as_first_order_system(self, ctx_wave):
         vx = Jet(2, (1,))
@@ -142,6 +162,18 @@ class TestDeterminingEquations:
         # coefficient of u_xx^2 vanishes identically and is not reported
         assert all(not ls.is_zero(q) for q in heat_det.equations)
 
+    def test_coefficients_expanded_again(self):
+        # collect's coefficients are sub-sums of the expanded defect; in one
+        # of these nine, merge_sum_powers finds shifted powers of 1 + u^2
+        # that it could not merge in the whole, so each is expanded again
+        prob = ls.parse_problem("indep x t\ndep u\nsystem s: u_t = u_xx + "
+                                "(1+u^2)^(1/2)*u_x + (1+u^2)^(1/3)")
+        eqs = ls.determining_equations(prob.systems["s"]).equations
+        assert len(eqs) == 9
+        assert all(ls.expand(q) == q for q in eqs)
+        signed = eqs + tuple(ls.neg(q) for q in eqs)
+        assert len(set(signed)) == len(signed)
+
     def test_default_names(self, heat_system):
         ds = ls.determining_equations(heat_system)
         assert ds.xi_names == ("xi1", "xi2") and ds.phi_names == ("phi",)
@@ -223,6 +255,191 @@ class TestSolveDeterminingErrors:
         basis = ls.solve_determining(self.determining("param nu\n", "nu*u_xx"),
                                      Ansatz(0))
         assert len(basis) == 3
+
+
+def ref_matrix(ds, ansatz):
+    """The matrix solve_determining assembled before it read the monomials
+    of the expand kernel: its setup and row loop kept verbatim."""
+    ctx = ds.ctx
+    base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
+        Jet(a + 1, ()) for a in range(ctx.q)
+    )
+    base_slot = {a: i for i, a in enumerate(base_atoms)}
+    width = len(base_atoms)
+    # name -> (first column, argument atoms, [(exponent vector, monomial)])
+    unknowns: dict[str, tuple[int, tuple[Expr, ...], list]] = {}
+    ncols = 0
+    for name in tuple(ds.xi_names) + tuple(ds.phi_names):
+        args = ctx.unknown_arg_atoms(name)
+        monos = _monomials(args, ansatz.degree)
+        unknowns[name] = (ncols, args, monos)
+        ncols += len(monos)
+
+    tables: dict[tuple[str, tuple[int, ...]], list] = {}
+
+    def table(u: UFunc) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(column, integer coefficient, base exponents) of the derivative
+        of each ansatz monomial of u's function that u's derivative does not
+        annihilate; a falling factorial per argument gives the coefficient."""
+        key = (u.name, u.deriv)
+        got = tables.get(key)
+        if got is None:
+            first, args, monos = unknowns[u.name]
+            if len(args) != len(u.args):
+                raise UnknownSymbol(f"arity mismatch for unknown function {u.name!r}")
+            counts = [u.deriv.count(j) for j in range(len(args))]
+            got = []
+            for k, (vec, _) in enumerate(monos):
+                if all(e >= d for e, d in zip(vec, counts)):
+                    exps = [0] * width
+                    for a, e, d in zip(args, vec, counts):
+                        exps[base_slot[a]] += e - d
+                    got.append((first + k, math.prod(map(math.perm, vec, counts)),
+                                tuple(exps)))
+            tables[key] = got
+        return got
+
+    def mentions_unknown(f: Expr) -> bool:
+        return any(isinstance(a, UFunc) and a.name in unknowns
+                   for a in atoms_of(f))
+
+    rows: list[dict[int, Fraction]] = []
+    for eq in ds.equations:
+        ex = expand(eq)
+        # (base exponents, other factors) -> {column: coefficient}
+        acc: dict[tuple, dict[int, Fraction]] = {}
+        nonlinear = False
+        params: set[str] = set()     # system parameters in surviving terms
+        for t in (ex.terms if isinstance(ex, Add) else (ex,)):
+            c, fs = _split(t)
+            if c == 0:
+                continue
+            exps = [0] * width
+            found: list[tuple[UFunc, Fraction]] = []
+            rest: list[Expr] = []
+            for f in fs:
+                b, e = _base_exp(f)
+                slot = base_slot.get(b)
+                if slot is not None:
+                    exps[slot] += e
+                elif isinstance(b, UFunc) and b.name in unknowns:
+                    found.append((b, e))
+                else:
+                    rest.append(f)
+            if len(found) != 1 or found[0][1] != 1 or any(map(mentions_unknown, rest)):
+                # nonlinear or inhomogeneous: harmless only when the ansatz
+                # annihilates one of its unknown factors
+                if not any(e > 0 and not table(u) for u, e in found):
+                    nonlinear = True
+                continue
+            rest_t = tuple(rest)
+            for col, a, mexps in table(found[0][0]):
+                key = (tuple(map(operator.add, exps, mexps)), rest_t)
+                row = acc.setdefault(key, {})
+                row[col] = row.get(col, 0) + c * a
+        for (exps, rest_t), row in acc.items():
+            row = {k: v for k, v in row.items() if v}
+            if not row:
+                continue
+            for b, e in zip(base_atoms, exps):
+                if e < 0 or e.denominator != 1:
+                    raise _printed(NotPolynomial(
+                        f"variable {{}} occurs with non-polynomial exponent {e}", b
+                    ), ctx)
+            for f in rest_t:
+                if any(contains(f, v) for v in base_atoms):
+                    raise _printed(NotPolynomial(
+                        "variable occurs inside non-polynomial factor {}", f
+                    ), ctx)
+            if rest_t:
+                nonlinear = True
+                params.update(a.name for f in rest_t for a in atoms_of(f)
+                              if isinstance(a, Param))
+            rows.append(row)
+        if nonlinear:
+            why = ("determining equation is not linear homogeneous in the "
+                   "ansatz parameters")
+            if params:
+                word = "parameter" if len(params) == 1 else "parameters"
+                why += (f" (system {word} in the coefficients: "
+                        f"{', '.join(sorted(params))})")
+            raise NotPolynomial(why)
+
+    return ratla.RatMatrix.from_sparse(rows, ncols)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the library error's type, message and expression."""
+    try:
+        return f(*args)
+    except ls.LiesymError as exc:
+        return type(exc), str(exc), getattr(exc, "expr", None)
+
+
+# larger systems: higher order, two dependent variables, three or four
+# independent ones; each oriented as lead = rhs
+ROADMAP_SYSTEMS = {
+    "fifth": "indep x t\ndep u\n"
+             "system s: u_t = u_xxxxx + u*u_xxx + u_x*u_xx + u^2*u_x",
+    # u_tt = u_xx + (u^2)_xx + u_xxxx as a first-order system in t
+    "boussinesq": "indep x t\ndep u v\n"
+                  "system s: u_t = v_x; v_t = u_x + 2*u*u_x + u_xxx",
+    "nls": "indep x t\ndep u v\n"
+           "system s: u_t = -v_xx - (u^2 + v^2)*v; v_t = u_xx + (u^2 + v^2)*u",
+    "heat3d": "indep x y z t\ndep u\nsystem s: u_t = u_xx + u_yy + u_zz",
+    "kp": "indep x t y\ndep u v\n"
+          "system s: v_y = -u_t - u_xxx - 6*u*u_x; u_y = v_x",
+}
+BENCH_PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
+
+
+def systems():
+    for path in sorted(BENCH_PROBLEMS.glob("*.prob")):
+        for name, sys_ in ls.parse_problem(path.read_text()).systems.items():
+            yield f"{path.stem}.{name}", sys_
+    for name, text in ROADMAP_SYSTEMS.items():
+        yield name, ls.parse_problem(text).systems["s"]
+
+
+class TestRowsAgainstReference:
+    def test_matches_reference(self, monkeypatch):
+        kernel_basis = ratla.kernel_basis
+        seen = []
+        monkeypatch.setattr(ratla, "kernel_basis",
+                            lambda m: seen.append(m) or kernel_basis(m))
+        solved = set()
+        for name, sys_ in systems():
+            ds = outcome(ls.determining_equations, sys_)
+            if not isinstance(ds, ls.DeterminingSystem):
+                continue
+            for degree in (2, 3):
+                seen.clear()
+                basis = outcome(ls.solve_determining, ds, Ansatz(degree))
+                ref = outcome(ref_matrix, ds, Ansatz(degree))
+                if not isinstance(ref, ratla.RatMatrix):
+                    assert basis == ref, name
+                    continue
+                (m,) = seen
+                assert m == ref, (name, degree)
+                assert all(type(v) is Fraction for row in m.data for _, v in row)
+                assert kernel_basis(m) == kernel_basis(ref)
+                assert len(basis) == len(kernel_basis(ref))
+                solved.add(name)
+        assert solved >= {"burgers.burgers", "heat.heat", "heat2d.heat2d",
+                          "kdv.kdv", "wave.wave", *ROADMAP_SYSTEMS}
+
+    def test_first_offending_factor(self):
+        # x*sin(x)*xi_xxxx, which a degree-2 ansatz annihilates, is read
+        # first, so the kernel numbers sin(x) before cos(u); the error names
+        # cos(u), the factor a canonical product lists first
+        ctx = ls.Context(("x",), ("u",), (), (("xi", ("x", "u")), ("phi", ("x", "u"))))
+        sin, cos = ls.func("sin", x), ls.func("cos", u)
+        eq = ls.add(ls.mul(x, sin, ctx.ufunc("xi", "x", "x", "x", "x")),
+                    ls.mul(cos, sin, ctx.ufunc("xi", "x")))
+        ds = ls.DeterminingSystem(ctx, ("xi",), ("phi",), (eq,), ())
+        got = outcome(ls.solve_determining, ds, Ansatz(2))
+        assert got == outcome(ref_matrix, ds, Ansatz(2))
+        assert got[1] == "variable occurs inside non-polynomial factor cos(u)"
 
 
 class TestLieClosure:

@@ -5,7 +5,9 @@ import itertools
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 
@@ -14,16 +16,22 @@ from liesym import Add, Const, Func, Jet, Mul, Param, Pow, UFunc, Var
 from liesym.expr import (
     ONE,
     ZERO,
+    Expr,
+    NotPolynomial,
     _Poly,
-    _base_exp,
     _cmp,
     _cmp_factor,
     _rebuild,
     _split,
     _term,
+    add,
+    contains,
+    expand,
+    mul,
     subterms,
 )
 
+from conftest import base_exp as _base_exp
 from conftest import rand_expr, rand_poly, rand_rational
 
 x = Var(1)
@@ -308,6 +316,41 @@ class TestNormalize:
         assert ls.evaluate(q, {x: Fraction(1)}) == Fraction(1, 3)
         assert type(ls.evaluate(q, {x: Fraction(1)})) is Fraction
         assert ls.format_expr(q, ls.Context(("x",), ("u",))) == "(1/3)*x"
+
+    def test_constant_powers_are_bounded(self):
+        # a result of up to 2^20 bits is computed; a larger one raises before
+        # any work, from pow_ on a constant, a root of one or a product's
+        # coefficient, and from evaluate
+        assert ls.pow_(2, 2**19 - 1) == Const(2 ** (2**19 - 1))
+        assert ls.pow_(Fraction(-1, 1), 10**9 + 1) == Const(-1)
+        limit = "exceeds the size limit of 1048576 bits"
+        for e, n in [(3, 10**9), (Fraction(1, 2), -2**19 - 1),
+                     (ls.mul(3, x), 10**9), (4, Fraction(10**9 + 1, 2))]:
+            with pytest.raises(ls.SimplificationIncomplete) as info:
+                ls.pow_(e, n)
+            assert str(info.value) == \
+                f"power of a constant with exponent {Fraction(n)} {limit}"
+        with pytest.raises(ls.SimplificationIncomplete,
+                           match=f"exponent of 5001 digits {limit}"):
+            ls.pow_(3, 10**5000)
+        p = ls.pow_(x, 10**9)
+        assert ls.evaluate(p, {x: Fraction(-1)}) == 1
+        for v in (Fraction(3), Fraction(9, 4)):
+            with pytest.raises(ls.EvaluationError, match=limit):
+                ls.evaluate(p, {x: v})
+        with pytest.raises(ls.EvaluationError, match=limit):
+            ls.evaluate(ls.pow_(x, Fraction(10**9 + 1, 2)), {x: Fraction(9, 4)})
+        # a root order past the bit length has no exact root to look for;
+        # without that shortcut the search computes 2^(10^9 - 1)
+        start = time.perf_counter()
+        assert isinstance(ls.pow_(3, Fraction(1, 10**9)), Pow)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ls.EvaluationError, match="no exact rational root"):
+            ls.evaluate(ls.pow_(x, Fraction(1, 10**9)), {x: Fraction(3, 2)})
+        assert ls.pow_(Fraction(1, 4), Fraction(1, 2)) == Const(Fraction(1, 2))
+        # zero to a negative fractional power is no ZeroDivisionError either
+        with pytest.raises(ls.EvaluationError, match="division by zero"):
+            ls.evaluate(ls.pow_(x, Fraction(-1, 2)), {x: Fraction(0)})
 
 
 class TestDiff:
@@ -641,6 +684,119 @@ class TestCollect:
             got = ls.collect(e, [ux])
             back = ls.add(*(ls.mul(m, c) for m, c in got.items()))
             assert ls.is_zero(ls.sub(back, e))
+
+
+# liesym.expr.collect as it was before it read the monomials of the expand
+# kernel, kept verbatim but for its name: the reference the projection must
+# equal, key order and errors included.
+def ref_collect(e: Expr, variables: Iterable[Expr]) -> dict[Expr, Expr]:
+    """Write ``e`` as a sum of monomial * coefficient over ``variables``.
+
+    The expression must be polynomial in the given atoms; monomial keys are
+    power products (``ONE`` for the constant part) and coefficients are free
+    of the variables.  Zero coefficients are dropped.  A
+    :class:`NotPolynomial` carries the offending variable or factor as its
+    ``expr``.
+    """
+    vars_ = set(variables)
+    ex = expand(e)
+    if ex == ZERO:
+        return {}
+    out: dict[Expr, list[Expr]] = {}
+    terms = ex.terms if isinstance(ex, Add) else (ex,)
+    for t in terms:
+        c, fs = _split(t)
+        mono: list[Expr] = []
+        coefs: list[Expr] = []
+        for f in fs:
+            b, exp = _base_exp(f)
+            if b in vars_:
+                if exp.denominator != 1 or exp < 0:
+                    raise NotPolynomial(
+                        f"variable {{}} occurs with non-polynomial exponent {exp}", b
+                    )
+                mono.append(f)
+            else:
+                if any(contains(f, v) for v in vars_):
+                    raise NotPolynomial(
+                        "variable occurs inside non-polynomial factor {}", f
+                    )
+                coefs.append(f)
+        key = mul(*mono) if mono else ONE
+        out.setdefault(key, []).append(_term(c, tuple(coefs)))
+    result = {}
+    for key, parts in out.items():
+        coef = add(*parts)
+        if coef != ZERO:
+            result[key] = coef
+    return result
+
+
+def collected(f, e, variables):
+    """The items of ``f(e, variables)`` in order, or the library error's
+    type, message and expression."""
+    try:
+        return list(f(e, variables).items())
+    except ls.LiesymError as exc:
+        return type(exc), str(exc), getattr(exc, "expr", None)
+
+
+class TestCollectAgainstReference:
+    T = ls.add(1, ls.pow_(ux, 2))     # a sum holding a variable
+    S = ls.add(1, ls.pow_(u, 2))      # and one free of them
+    VARS = [ux, uxx]
+    ATOMS = [x, u, ux, uxx, Param("c"), UFunc("F", (x, u)),
+             ls.pow_(S, Fraction(1, 2)), ls.pow_(S, Fraction(-3, 2))]
+
+    def inputs(self, rng, n):
+        out = []
+        for i in range(n):
+            kind = i % 3
+            if kind == 0:
+                e = rand_poly(rng, self.ATOMS, degree=3, terms=rng.randint(1, 5))
+            elif kind == 1:
+                e = rand_expr(rng, self.ATOMS + [self.T], depth=3)
+            else:
+                # a polynomial times a fractional power of a random sum
+                q = rand_poly(rng, self.ATOMS, degree=2, terms=rng.randint(2, 3))
+                if q == ZERO:
+                    q = ls.add(q, x)
+                e = ls.mul(rand_poly(rng, self.ATOMS, degree=2, terms=3),
+                           ls.pow_(q, rng.choice([Fraction(1, 2), Fraction(-1, 2),
+                                                  Fraction(3, 2), Fraction(-1)])))
+            out.append(e)
+        return out
+
+    def test_matches_reference(self, rng):
+        seen = set()
+        for e in self.inputs(rng, 600):
+            got = collected(ls.collect, e, self.VARS)
+            assert got == collected(ref_collect, e, self.VARS)
+            if isinstance(got, list):
+                seen.add("empty" if not got else "one key" if len(got) == 1
+                         else "keys")
+                if any(isinstance(s, Pow) and isinstance(s.base, Add)
+                       and s.exp.denominator != 1
+                       for _, c in got for s in subterms(c)):
+                    seen.add("fractional sum power")
+            else:
+                seen.add(got[0].__name__ + (" exponent" if "exponent" in got[1]
+                                            else " factor"))
+        assert seen >= {"empty", "one key", "keys", "fractional sum power",
+                        "NotPolynomial exponent", "NotPolynomial factor"}
+
+    def test_first_offending_factor(self):
+        # several offending factors in one term: the error names the one a
+        # canonical product lists first, whatever the kernel numbered first
+        # (here u_xx, read in the term before)
+        for e in [ls.add(ls.mul(x, uxx), ls.mul(ls.pow_(ux, -2), ls.pow_(uxx, -1))),
+                  ls.mul(ls.func("sin", ux), ls.pow_(ux, -1), ls.pow_(self.T, Fraction(1, 2))),
+                  ls.mul(ls.pow_(uxx, Fraction(1, 2)), ls.pow_(ux, -2)),
+                  ls.add(ls.mul(x, ls.pow_(self.T, -1)),
+                         ls.mul(ls.func("exp", uxx), ls.pow_(self.T, -1)))]:
+            got = collected(ls.collect, e, self.VARS)
+            assert got[0] is NotPolynomial
+            assert got == collected(ref_collect, e, self.VARS)
 
 
 class TestEvaluate:

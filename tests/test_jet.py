@@ -146,6 +146,14 @@ class TestProlong:
         pv = ls.prolong(rotation, 1)
         assert pv.phi == rotation.phi
 
+    def test_negative_order_rejected(self, rotation):
+        q = ls.characteristic_of(rotation)
+        for f, arg in [(ls.prolong, rotation), (ls.prolong_recursive, rotation),
+                       (ls.evolutionary_prolong, q)]:
+            assert f(arg, 0).coeffs == {}
+            with pytest.raises(ls.OrderError, match="order -1 is negative"):
+                f(arg, -1)
+
 
 class TestCharacteristic:
     def test_rotation(self, rotation):
