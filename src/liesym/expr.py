@@ -54,9 +54,14 @@ read the fixed point's monomials from the kernel, not its tree.  An exact
 power of a rational constant past 2^20 bits raises as well.
 
 :func:`partials` differentiates by every atom in one walk of the tree;
-:func:`diff` is the single-atom view of it.  Sums cache their structural hash
-on first use, because :func:`add` and :func:`mul` key dicts on factor tuples
-that contain them; the cache takes no part in equality, ``repr`` or pickling.
+:func:`diff` is the single-atom view of it.  The walk keeps a memo from each
+node to its partials for the length of the call, so a subtree that occurs
+more than once, as the same object or as equal trees built separately, is
+differentiated once per call.  The prolongations in ``liesym.jet`` share
+one such memo across all the walks of one call.  Sums cache their
+structural hash on first use, because :func:`add` and :func:`mul` key dicts
+on factor tuples that contain them; the cache takes no part in equality,
+``repr`` or pickling.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -657,21 +662,27 @@ def diff(e: Expr, v: Expr) -> Expr:
     """
     if not isinstance(v, (Var, Jet, Param)):
         raise UnknownSymbol(f"cannot differentiate with respect to {v!r}")
-    return _partials(e).get(v, ZERO)
+    return _partials(e, {}).get(v, ZERO)
 
 
 def partials(e: Expr) -> dict[Expr, Expr]:
     """Every partial derivative of ``e`` that is not structurally zero, keyed
-    by atom (variable, jet coordinate or parameter), in one walk of the tree.
+    by atom (variable, jet coordinate or parameter), in one walk of the tree
+    that visits each distinct subtree once.
 
-    ``partials(e).get(v, ZERO)`` equals ``diff(e, v)`` node for node.
+    ``partials(e).get(v, ZERO)`` equals ``diff(e, v)`` node for node.  The
+    returned dict belongs to the caller.
     """
     # the recursion stays private: the benchmark's tracer wraps every public
     # function, and a traced public recursion would open a span per node
-    return _partials(e)
+    return _partials(e, {})
 
 
-def _partials(e: Expr) -> dict[Expr, Expr]:
+def _partials(e: Expr, memo: dict[Expr, dict[Expr, Expr]]) -> dict[Expr, Expr]:
+    """:func:`partials` of ``e``, sharing ``memo``: a dict from each node
+    already walked, other than an atom or a constant, to its partials.  Equal
+    subtrees share one entry, and a dict that comes from ``memo`` is
+    read-only."""
     # Each node applies the rule diff(node, v) would apply, for every atom v
     # below it at once; a child without v contributes a structural zero,
     # which add and mul drop, so it is skipped.
@@ -679,15 +690,22 @@ def _partials(e: Expr) -> dict[Expr, Expr]:
         return {e: ONE}
     if isinstance(e, Const):
         return {}
+    out = memo.get(e)
+    if out is None:
+        out = memo[e] = _node_partials(e, memo)
+    return out
+
+
+def _node_partials(e: Expr, memo: dict) -> dict[Expr, Expr]:
     parts: dict[Expr, list[Expr]] = {}
     if isinstance(e, Add):
         for t in e.terms:
-            for v, d in _partials(t).items():
+            for v, d in _partials(t, memo).items():
                 parts.setdefault(v, []).append(d)
     elif isinstance(e, Mul):
         coeff, fs = Const(e.coeff), e.factors
         for i, f in enumerate(fs):
-            grads = _partials(f)
+            grads = _partials(f, memo)
             if grads:
                 rest = fs[:i] + fs[i + 1:]
                 for v, d in grads.items():
@@ -703,9 +721,9 @@ def _partials(e: Expr) -> dict[Expr, Expr]:
         # node has a zero argument)
         if isinstance(e, Pow):
             outer = (Const(e.exp), pow_(e.base, e.exp - 1))
-            grads = _partials(e.base)
+            grads = _partials(e.base, memo)
         elif isinstance(e, Func):
-            grads = _partials(e.arg)
+            grads = _partials(e.arg, memo)
             if e.fname == "exp":
                 outer = (func("exp", e.arg),)
             elif e.fname == "log":

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArityError, OrderError
 from .expr import (
@@ -18,6 +17,7 @@ from .expr import (
     Jet,
     Var,
     ZERO,
+    _partials,
     add,
     jet_order,
     mul,
@@ -39,9 +39,14 @@ def total_derivative(e: Expr, i: int) -> Expr:
     taken from one :func:`partials` pass over ``e``.  The sum runs over every
     jet coordinate present in the expression (including order-0 jets inside
     unknown-function arguments), so unknown functions pick up their u-slot
-    terms automatically.
+    terms automatically.  The prolongations derive every D_i of one
+    expression from that same pass (see :func:`evolutionary_prolong`).
     """
-    grads = partials(e)
+    return _total_derivative(partials(e), i)
+
+
+def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
+    """D_i of the expression whose partial derivatives are ``grads``."""
     parts = [grads.get(Var(i), ZERO)]
     for j, d in grads.items():
         if isinstance(j, Jet):
@@ -50,9 +55,13 @@ def total_derivative(e: Expr, i: int) -> Expr:
 
 
 def total_derivative_multi(e: Expr, idx: Iterable[int]) -> Expr:
+    """D_K e for the indices K in ``idx``, applied in order; the partials
+    walks along the chain share one memo, so a subtree that recurs in a
+    later derivative is walked once."""
+    memo: dict = {}
     out = e
     for i in idx:
-        out = total_derivative(out, i)
+        out = _total_derivative(_partials(out, memo), i)
     return out
 
 
@@ -60,6 +69,25 @@ def total_divergence(f: Sequence[Expr], p: int | None = None) -> Expr:
     if p is not None and len(f) != p:
         raise ArityError(f"current has {len(f)} components, expected {p}")
     return add(*(total_derivative(fi, i + 1) for i, fi in enumerate(f)))
+
+
+def _dj_table(e: Expr, p: int, n: int, memo: dict,
+              rest: Callable[[tuple[int, ...], int], Iterable[Expr]] | None = None
+              ) -> dict[tuple[int, ...], Expr]:
+    """The prefix table {J: D_J e} over the sorted multi-indices J of order
+    0..n in 1..p, built level by level as D_{J,i} = D_i(D_J) plus, when
+    given, the terms ``rest(J, i)``.  Each prefix D_J is walked by
+    :func:`partials` once, with ``memo``, and D_i for every i from J's last
+    index to p is read off that one dict.  Keys come in the order of
+    :func:`multi_indices`, level by level."""
+    table: dict[tuple[int, ...], Expr] = {(): e}
+    for k in range(n):
+        for prev in multi_indices(p, k):
+            grads = _partials(table[prev], memo)
+            for i in range(prev[-1] if prev else 1, p + 1):
+                d = _total_derivative(grads, i)
+                table[prev + (i,)] = d if rest is None else add(d, *rest(prev, i))
+    return table
 
 
 @dataclass(frozen=True)
@@ -175,41 +203,42 @@ def prolong(v: VectorField, n: int) -> ProlongedVectorField:
 
 def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
     """Level-by-level prolongation via the recursion
-    phi^{J,k} = D_k phi^J - sum_i D_k xi^i * u^a_{J,i}."""
+    phi^{J,k} = D_k phi^J - sum_i D_k xi^i * u^a_{J,i}.
+
+    The phi^J of each component form a prefix table (see
+    :func:`evolutionary_prolong`): each phi^J is walked by :func:`partials`
+    once for all its D_k, and one memo serves the whole call."""
     ctx = v.ctx
-    dxi = {
-        (i, k): total_derivative(v.xi[i], k)
-        for i in range(ctx.p)
-        for k in range(1, ctx.p + 1)
-    }
+    memo: dict = {}
+    dxi = {}
+    for i in range(ctx.p):
+        grads = _partials(v.xi[i], memo)
+        for k in range(1, ctx.p + 1):
+            dxi[(i, k)] = _total_derivative(grads, k)
     coeffs: dict[Jet, Expr] = {}
     for a in range(ctx.q):
-        level: dict[tuple[int, ...], Expr] = {(): v.phi[a]}
-        for k in range(1, n + 1):
-            for idx in multi_indices(ctx.p, k):
-                prev, last = idx[:-1], idx[-1]
-                val = add(
-                    total_derivative(level[prev], last),
-                    *(
-                        neg(mul(dxi[(i, last)], Jet(a + 1, tuple(sorted(prev + (i + 1,))))))
-                        for i in range(ctx.p)
-                    ),
-                )
-                level[idx] = val
-                coeffs[Jet(a + 1, idx)] = val
+        def rest(prev, last, dep=a + 1):
+            return (neg(mul(dxi[(i, last)], Jet(dep, prev + (i + 1,))))
+                    for i in range(ctx.p))
+        level = _dj_table(v.phi[a], ctx.p, n, memo, rest)
+        coeffs.update((Jet(a + 1, idx), val) for idx, val in level.items() if idx)
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
 
 def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
-    """pr v_Q = sum_{a,J} D_J Q_a d/du^a_J, with zero horizontal part."""
+    """pr v_Q = sum_{a,J} D_J Q_a d/du^a_J, with zero horizontal part.
+
+    The D_J Q_a of each component form a prefix table: D_{J,i} = D_i(D_J Q_a),
+    where each D_J Q_a is walked by :func:`partials` once and D_i for every
+    i from J's last index on is read off that one dict.  One memo serves the
+    whole call, so a subtree that recurs across levels and components is
+    differentiated once; it dies with the call."""
     ctx = q.ctx
+    memo: dict = {}
     coeffs: dict[Jet, Expr] = {}
     for a in range(ctx.q):
-        dq: dict[tuple[int, ...], Expr] = {(): q.q[a]}
-        for k in range(1, n + 1):
-            for idx in multi_indices(ctx.p, k):
-                dq[idx] = total_derivative(dq[idx[:-1]], idx[-1])
-                coeffs[Jet(a + 1, idx)] = dq[idx]
+        dq = _dj_table(q.q[a], ctx.p, n, memo)
+        coeffs.update((Jet(a + 1, idx), d) for idx, d in dq.items() if idx)
     zero_xi = (ZERO,) * ctx.p
     return ProlongedVectorField(ctx, n, zero_xi, q.q, coeffs)
 

@@ -327,6 +327,16 @@ def _ufunc_name(u: UFunc, ctx: Context) -> str:
     return u.name + "_{" + ",".join(names) + "}"
 
 
+def _flip_sign(c: Fraction, fs: tuple[Expr, ...]) -> Expr:
+    """``neg`` of the canonical term with coefficient ``c`` and factors
+    ``fs``, built without going through :func:`mul` again."""
+    if not fs:
+        return Const(-c)
+    if c == -1 and len(fs) == 1:
+        return fs[0]
+    return Mul(-c, fs)
+
+
 def _fmt(e: Expr, ctx: Context, prec: int) -> str:
     if isinstance(e, Const):
         return _fmt_const(e.value, prec)
@@ -364,9 +374,10 @@ def _fmt(e: Expr, ctx: Context, prec: int) -> str:
     if isinstance(e, Add):
         out = _fmt(e.terms[0], ctx, _ADD)
         for t in e.terms[1:]:
-            c, _ = _split(t)
+            c, fs = _split(t)
             if c < 0:
-                out += " - " + _fmt(neg(t), ctx, _ADD if not isinstance(neg(t), Add) else _MUL)
+                u = _flip_sign(c, fs)
+                out += " - " + _fmt(u, ctx, _ADD if not isinstance(u, Add) else _MUL)
             else:
                 out += " + " + _fmt(t, ctx, _ADD)
         return _paren(out) if prec > _ADD else out

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 import liesym as ls
 from liesym import Const, Jet, ParseError, Pow, Var, format_expr, parse_expr, parse_problem
 
-from conftest import rand_expr
+from liesym.expr import Add, Func, Mul, Param, UFunc, _split, neg, subterms
+from liesym.parse import (
+    _ADD, _MUL, _POW, _flip_sign, _fmt_const, _jet_name, _paren, _ufunc_name,
+)
+
+from conftest import rand_expr, rand_poly
 
 
 @pytest.fixture
@@ -172,3 +177,88 @@ class TestParseProblem:
         )
         assert model.derived_names == ("E", "t", "rho0", "P0", "R")
         assert model.a[0, 0] == 2 and model.a[2, 3] == -2
+
+
+# The printer before it flipped the sign of a negative term in place of
+# rebuilding it with neg, kept verbatim but for its name: the reference
+# format_expr must equal.
+def ref_fmt(e, ctx, prec):
+    if isinstance(e, Const):
+        return _fmt_const(e.value, prec)
+    if isinstance(e, Var):
+        return ctx.indep[e.index - 1]
+    if isinstance(e, Param):
+        return e.name
+    if isinstance(e, Jet):
+        return _jet_name(e, ctx)
+    if isinstance(e, UFunc):
+        return _ufunc_name(e, ctx)
+    if isinstance(e, Func):
+        return e.fname + _paren(ref_fmt(e.arg, ctx, _ADD))
+    if isinstance(e, Pow):
+        base = ref_fmt(e.base, ctx, _POW)
+        if isinstance(e.base, (Add, Mul, Pow)):
+            base = _paren(ref_fmt(e.base, ctx, _ADD))
+        exp = e.exp
+        if exp.denominator == 1 and exp >= 0:
+            return f"{base}^{exp}"
+        return f"{base}^({exp})"
+    if isinstance(e, Mul):
+        parts = [ref_fmt(f, ctx, _MUL) if not isinstance(f, Add)
+                 else _paren(ref_fmt(f, ctx, _ADD)) for f in e.factors]
+        body = "*".join(parts)
+        if e.coeff == 1:
+            s = body
+        elif e.coeff == -1:
+            s = "-" + body
+        else:
+            s = _fmt_const(e.coeff, _MUL) + "*" + body
+        if prec >= _POW or (prec > _ADD and s.startswith("-")):
+            return _paren(s)
+        return s
+    if isinstance(e, Add):
+        out = ref_fmt(e.terms[0], ctx, _ADD)
+        for t in e.terms[1:]:
+            c, _ = _split(t)
+            if c < 0:
+                out += " - " + ref_fmt(neg(t), ctx, _ADD if not isinstance(neg(t), Add) else _MUL)
+            else:
+                out += " + " + ref_fmt(t, ctx, _ADD)
+        return _paren(out) if prec > _ADD else out
+    raise TypeError(type(e))
+
+
+class TestNegativeTerms:
+    def atoms(self, ctx):
+        return [Var(1), Var(2), Jet(1, ()), Jet(1, (1,)), Jet(1, (1, 2)),
+                ls.Param("c"), ctx.ufunc("xi"), ctx.ufunc("xi", "x", "u")]
+
+    def trees(self, rng, ctx, n):
+        for _ in range(n):
+            if rng.random() < 0.5:
+                yield rand_poly(rng, self.atoms(ctx), degree=3, terms=4)
+            else:
+                yield rand_expr(rng, self.atoms(ctx), depth=4)
+
+    def test_flipped_sign_equals_neg(self, rng, ctx):
+        kinds = set()
+        for e in self.trees(rng, ctx, 600):
+            for s in subterms(e):
+                if not isinstance(s, Add):
+                    continue
+                for t in s.terms:
+                    c, fs = _split(t)
+                    if c < 0:
+                        got = _flip_sign(c, fs)
+                        assert got == neg(t) and repr(got) == repr(neg(t))
+                        kinds.add(type(got).__name__ if isinstance(got, (Const, Mul))
+                                  else "factor")
+        assert kinds == {"Const", "Mul", "factor"}
+
+    def test_format_matches_reference(self, rng, ctx):
+        negative = 0
+        for e in self.trees(rng, ctx, 600):
+            text = format_expr(e, ctx)
+            assert text == ref_fmt(e, ctx, _ADD)
+            negative += " - " in text
+        assert negative > 100
