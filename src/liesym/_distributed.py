@@ -47,6 +47,10 @@ from .expr import (
 # integer shifts between powers of one sum; expand raises beyond it.
 _EXPAND_POW_CAP = 64
 
+# A polynomial ansatz is refused when it has more parameters (columns of the
+# determining matrix) than this; the 2-D heat equation at degree 6 has 840.
+_ANSATZ_COLUMN_CAP = 100_000
+
 # Exact powers of rational constants are computed up to results of this many
 # bits; pow_ and evaluate raise beyond it.
 _CONST_POW_BITS = 1 << 20

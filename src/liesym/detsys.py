@@ -10,8 +10,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import ratla
+from ._distributed import _ANSATZ_COLUMN_CAP, _cap_error
 from .errors import (
     InvalidSample,
+    LiesymError,
     NotPolynomial,
     NotSolvedForm,
     OrderCapExceeded,
@@ -45,10 +47,12 @@ from .expr import (
 )
 from .jet import (
     VectorField,
+    _dj_table,
+    _jets_read,
+    _prefix_closure,
+    _prolong_for,
     apply_prolonged,
     lie_bracket,
-    prolong,
-    total_derivative_multi,
 )
 
 
@@ -97,10 +101,10 @@ class DiffSystem:
             lk = _rank_key(lead, p)
             for j in jets_of(rhs):
                 if _rank_key(j, p) >= lk:
-                    raise NotSolvedForm(
-                        f"right-hand side contains {j} which does not rank "
-                        f"below the lead {lead}"
-                    )
+                    raise _printed(NotSolvedForm(
+                        "right-hand side contains {} which does not rank "
+                        "below the lead {}", j, lead
+                    ), self.ctx)
 
     @property
     def order(self) -> int:
@@ -126,38 +130,63 @@ def _reducible_by(j: Jet, lead: Jet) -> tuple[int, ...] | None:
 def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) -> Expr:
     """Eliminate every lead derivative and all its prolongations from ``e``.
 
-    Each reducible jet D_K(lead) is replaced by D_K(rhs), computed on demand,
-    until none remains.  ``order_cap`` bounds the jet order any replacement may
-    reach (default: system order + 4).
+    Each reducible jet D_K(lead) is replaced by D_K(rhs) until none remains.
+    The D_K(rhs) of each equation come from one prefix table per call, so
+    D_x(rhs) is built once for u_tx, u_txx, ...  After the first round only
+    the jets of the replacements just made can be reducible, so only they
+    are looked at; a round in which one of them would exceed the cap scans
+    every jet of ``e`` instead, so the error names the jet a full scan meets
+    first.  ``order_cap`` bounds the jet order any replacement may reach
+    (default: system order + 4).
     """
     cap = order_cap if order_cap is not None else sys.order + 4
+    memo: dict = {}
+    tables = [{(): rhs} for _, rhs in sys.equations]
+
+    def replacement(j: Jet) -> Expr | None:
+        for (lead, rhs), table in zip(sys.equations, tables):
+            extra = _reducible_by(j, lead)
+            if extra is not None:
+                return _dj_table(rhs, _prefix_closure((extra,)), memo,
+                                 table=table)[extra]
+        return None
+
+    jets, full = jets_of(e), True
     while True:
         bindings: dict[Expr, Expr] = {}
-        for j in jets_of(e):
-            for lead, rhs in sys.equations:
-                extra = _reducible_by(j, lead)
-                if extra is not None:
-                    repl = total_derivative_multi(rhs, extra)
-                    if jet_order(repl) > cap:
-                        raise OrderCapExceeded(
-                            f"reducing {j} needs jets beyond order {cap}"
-                        )
-                    bindings[j] = repl
-                    break
+        over = None
+        for j in jets:
+            repl = replacement(j)
+            if repl is None:
+                continue
+            if jet_order(repl) > cap:
+                over = j
+                break
+            bindings[j] = repl
+        if over is not None:
+            if full:
+                raise _printed(OrderCapExceeded(
+                    f"reducing {{}} needs jets beyond order {cap}", over), sys.ctx)
+            # the jet may have cancelled out of e: decide on a full scan
+            jets, full = jets_of(e), True
+            continue
         if not bindings:
             return e
         e = substitute(e, bindings)
+        jets, full = set().union(*map(jets_of, bindings.values())), False
 
 
 def symmetry_defect(v: VectorField, sys: DiffSystem,
                     order_cap: int | None = None) -> list[Expr]:
-    """Prolonged action on each residual, reduced modulo the system."""
-    n = sys.order
-    pv = prolong(v, n)
-    return [
-        reduce_mod_system(apply_prolonged(pv, r), sys, order_cap)
-        for r in sys.residuals()
-    ]
+    """Prolonged action on each residual, reduced modulo the system.
+
+    The field is prolonged only to the jets of order >= 1 the residuals
+    read, each coefficient the node ``prolong(v, sys.order)`` holds.
+    """
+    residuals = sys.residuals()
+    pv = _prolong_for(v, sys.order, _jets_read(residuals, sys.order))
+    return [reduce_mod_system(apply_prolonged(pv, r), sys, order_cap)
+            for r in residuals]
 
 
 def check_symmetry(v: VectorField, sys: DiffSystem,
@@ -188,8 +217,8 @@ def generic_vector_field(ctx: Context, xi_names: Sequence[str],
     return ext, VectorField(ext, xi, phi)
 
 
-def _printed(exc: NotPolynomial, ctx: Context) -> NotPolynomial:
-    """``exc`` with its expression written in the declared names."""
+def _printed(exc, ctx: Context):
+    """``exc`` with its expressions written in the declared names."""
     # parse imports this module, so the printer is looked up at call time
     from .parse import format_expr
     return exc.printed(lambda e: format_expr(e, ctx))
@@ -236,18 +265,27 @@ class Ansatz:
 
     degree: int
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise LiesymError("ansatz degree is negative")
 
-def _monomials(atoms: Sequence[Expr], degree: int) -> list[tuple[tuple[int, ...], Expr]]:
+
+def _exponents(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials of total degree <= ``degree`` in
+    ``n`` atoms, by total degree."""
     out = []
-    n = len(atoms)
     for total in range(degree + 1):
         for exps in itertools.combinations_with_replacement(range(n), total):
             vec = [0] * n
             for k in exps:
                 vec[k] += 1
-            mono = mul(*(atoms[k] ** vec[k] for k in range(n))) if total else ONE
-            out.append((tuple(vec), mono))
+            out.append(tuple(vec))
     return out
+
+
+def _monomial(atoms: Sequence[Expr], vec: tuple[int, ...]) -> Expr:
+    """The product of ``atoms`` raised to the exponents ``vec``."""
+    return mul(*(a ** e for a, e in zip(atoms, vec))) if any(vec) else ONE
 
 
 def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField]:
@@ -269,14 +307,20 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     )
     base_slot = {a: i for i, a in enumerate(base_atoms)}
     width = len(base_atoms)
-    # name -> (first column, argument atoms, [(exponent vector, monomial)])
+    names = tuple(ds.xi_names) + tuple(ds.phi_names)
+    argss = [ctx.unknown_arg_atoms(name) for name in names]
+    ncols = sum(math.comb(len(args) + ansatz.degree, ansatz.degree)
+                for args in argss)
+    if ncols > _ANSATZ_COLUMN_CAP:
+        raise _cap_error("ansatz parameter count", ncols,
+                         f"the limit {_ANSATZ_COLUMN_CAP}", LiesymError)
+    # name -> (first column, argument atoms, [monomial exponent vector])
     unknowns: dict[str, tuple[int, tuple[Expr, ...], list]] = {}
-    ncols = 0
-    for name in tuple(ds.xi_names) + tuple(ds.phi_names):
-        args = ctx.unknown_arg_atoms(name)
-        monos = _monomials(args, ansatz.degree)
-        unknowns[name] = (ncols, args, monos)
-        ncols += len(monos)
+    first = 0
+    for name, args in zip(names, argss):
+        vecs = _exponents(len(args), ansatz.degree)
+        unknowns[name] = (first, args, vecs)
+        first += len(vecs)
 
     tables: dict[tuple[str, tuple[int, ...]], list] = {}
 
@@ -287,12 +331,12 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
         key = (u.name, u.deriv)
         got = tables.get(key)
         if got is None:
-            first, args, monos = unknowns[u.name]
+            first, args, vecs = unknowns[u.name]
             if len(args) != len(u.args):
                 raise UnknownSymbol(f"arity mismatch for unknown function {u.name!r}")
             counts = [u.deriv.count(j) for j in range(len(args))]
             got = []
-            for k, (vec, _) in enumerate(monos):
+            for k, vec in enumerate(vecs):
                 if all(e >= d for e, d in zip(vec, counts)):
                     exps = [0] * width
                     for a, e, d in zip(args, vec, counts):
@@ -368,9 +412,9 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     kernel = ratla.kernel_basis(ratla.RatMatrix.from_sparse(rows, ncols))
 
     def instantiate(name: str, vec: list[Fraction]) -> Expr:
-        first, _, monos = unknowns[name]
-        return add(*(mul(Const(vec[first + k]), mono)
-                     for k, (_, mono) in enumerate(monos) if vec[first + k]))
+        first, args, vecs = unknowns[name]
+        return add(*(mul(Const(vec[first + k]), _monomial(args, exps))
+                     for k, exps in enumerate(vecs) if vec[first + k]))
 
     out = []
     for vec in kernel:

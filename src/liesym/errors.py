@@ -14,26 +14,39 @@ class UnknownSymbol(LiesymError):
     """Raised when a symbol is used outside the declared scope."""
 
 
-class NotPolynomial(LiesymError):
-    """Raised when an expression is not polynomial in the requested variables.
+class _NamesExpressions(LiesymError):
+    """An error whose message names expressions.
 
-    ``expr``, when given, is the offending expression, and ``template`` marks
-    its place in the message with ``{}``.  The message shows its ``repr``
-    until :meth:`printed` is given a printer that knows the declared names.
+    ``exprs`` are the expressions, and ``template`` marks their places in
+    the message with ``{}``.  The message shows their ``repr`` until
+    :meth:`printed` is given a printer that knows the declared names.
     """
 
-    def __init__(self, template: str, expr=None, text: str | None = None):
+    def __init__(self, template: str, *exprs, texts=None):
         self.template = template
-        self.expr = expr
-        if expr is not None:
-            template = template.format(repr(expr) if text is None else text)
+        self.exprs = exprs
+        if exprs:
+            template = template.format(*(map(repr, exprs) if texts is None
+                                         else texts))
         super().__init__(template)
 
-    def printed(self, printer) -> "NotPolynomial":
-        """The same error, its expression written by ``printer(expr)``."""
-        if self.expr is None:
+    def printed(self, printer):
+        """The same error, each expression written by ``printer(expr)``."""
+        if not self.exprs:
             return self
-        return NotPolynomial(self.template, self.expr, printer(self.expr))
+        return type(self)(self.template, *self.exprs,
+                          texts=[printer(e) for e in self.exprs])
+
+
+class NotPolynomial(_NamesExpressions):
+    """Raised when an expression is not polynomial in the requested variables.
+
+    ``expr``, when given, is the offending expression.
+    """
+
+    @property
+    def expr(self):
+        return self.exprs[0] if self.exprs else None
 
 
 class ArityError(LiesymError):
@@ -44,7 +57,7 @@ class OrderError(LiesymError):
     """Raised when a jet order exceeds what an operation supports."""
 
 
-class OrderCapExceeded(LiesymError):
+class OrderCapExceeded(_NamesExpressions):
     """Raised when reduction modulo a system needs prolongations beyond the cap."""
 
 
@@ -60,7 +73,7 @@ class DegenerateDenominator(LiesymError):
     """Raised when a derived-invariant denominator vanishes identically."""
 
 
-class NotSolvedForm(LiesymError):
+class NotSolvedForm(_NamesExpressions):
     """Raised for systems that cannot be oriented as lead = rhs rewrite rules."""
 
 

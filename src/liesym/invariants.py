@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from .errors import DegenerateDenominator, OrderError
 from .expr import Expr, div, is_zero, jet_order
-from .jet import VectorField, apply_prolonged, prolong, total_derivative
+from .jet import (
+    VectorField,
+    _jets_read,
+    _prolong_for,
+    apply_prolonged,
+    total_derivative,
+)
 
 
 def invariance_defect(v: VectorField, f: Expr) -> Expr:
@@ -15,8 +21,9 @@ def invariance_defect(v: VectorField, f: Expr) -> Expr:
 
 
 def differential_invariant_check(v: VectorField, n: int, eta: Expr) -> bool:
-    """True iff the prolonged action of v annihilates eta."""
-    return is_zero(apply_prolonged(prolong(v, n), eta))
+    """True iff the prolonged action of v annihilates eta.  Only the
+    coefficients of the jets eta reads are built."""
+    return is_zero(apply_prolonged(_prolong_for(v, n, _jets_read([eta], n)), eta))
 
 
 def next_invariant(eta: Expr, zeta: Expr) -> Expr:

@@ -20,6 +20,7 @@ from .expr import (
     _partials,
     add,
     jet_order,
+    jets_of,
     mul,
     neg,
     partials,
@@ -71,22 +72,58 @@ def total_divergence(f: Sequence[Expr], p: int | None = None) -> Expr:
     return add(*(total_derivative(fi, i + 1) for i, fi in enumerate(f)))
 
 
-def _dj_table(e: Expr, p: int, n: int, memo: dict,
-              rest: Callable[[tuple[int, ...], int], Iterable[Expr]] | None = None
+def _idxs_upto(p: int, n: int) -> list[tuple[int, ...]]:
+    """The multi-indices of order 1..n over 1..p, level by level in the
+    order of :func:`multi_indices`."""
+    return [idx for k in range(1, n + 1) for idx in multi_indices(p, k)]
+
+
+def _jets_upto(ctx: Context, n: int) -> list[Jet]:
+    """Every jet coordinate of order 1..n, component by component, each in
+    the order of :func:`_idxs_upto`."""
+    idxs = _idxs_upto(ctx.p, n)
+    return [Jet(a + 1, idx) for a in range(ctx.q) for idx in idxs]
+
+
+def _jets_read(exprs: Iterable[Expr], n: int) -> list[Jet]:
+    """The jet coordinates of order 1..n in ``exprs``: the coefficients that
+    :func:`apply_prolonged` reads of an order-n lift, ordered by component,
+    order and multi-index."""
+    found = {j for e in exprs for j in jets_of(e) if 1 <= j.order <= n}
+    return sorted(found, key=lambda j: (j.dep, j.order, j.idx))
+
+
+def _prefix_closure(idxs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The nonempty prefixes of the sorted multi-indices ``idxs``, those
+    included, listed level by level in the order of :func:`multi_indices`."""
+    closed = {idx[:k] for idx in idxs for k in range(1, len(idx) + 1)}
+    return sorted(closed, key=lambda idx: (len(idx), idx))
+
+
+def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]], memo: dict,
+              rest: Callable[[tuple[int, ...], int], Iterable[Expr]] | None = None,
+              table: dict[tuple[int, ...], Expr] | None = None
               ) -> dict[tuple[int, ...], Expr]:
-    """The prefix table {J: D_J e} over the sorted multi-indices J of order
-    0..n in 1..p, built level by level as D_{J,i} = D_i(D_J) plus, when
-    given, the terms ``rest(J, i)``.  Each prefix D_J is walked by
-    :func:`partials` once, with ``memo``, and D_i for every i from J's last
-    index to p is read off that one dict.  Keys come in the order of
-    :func:`multi_indices`, level by level."""
-    table: dict[tuple[int, ...], Expr] = {(): e}
-    for k in range(n):
-        for prev in multi_indices(p, k):
+    """The prefix table {J: D_J e} over the nonempty sorted multi-indices
+    ``idxs``, a prefix-closed set listed level by level (as
+    :func:`_prefix_closure` lists it), plus () for ``e`` itself.
+
+    D_{J,i} is D_i(D_J) plus, when given, the terms ``rest(J, i)``.  Each
+    prefix D_J with a requested child is walked by :func:`partials` once,
+    with ``memo``, and only the requested D_i are read off that one dict.
+    ``table``, when given, is a table of ``e`` to extend: its entries are
+    kept, and only the missing ones are derived."""
+    if table is None:
+        table = {(): e}
+    prev = grads = None
+    for idx in idxs:
+        if idx in table:
+            continue
+        if idx[:-1] != prev:
+            prev = idx[:-1]
             grads = _partials(table[prev], memo)
-            for i in range(prev[-1] if prev else 1, p + 1):
-                d = _total_derivative(grads, i)
-                table[prev + (i,)] = d if rest is None else add(d, *rest(prev, i))
+        d = _total_derivative(grads, idx[-1])
+        table[idx] = d if rest is None else add(d, *rest(prev, idx[-1]))
     return table
 
 
@@ -155,8 +192,11 @@ class Characteristic:
 class ProlongedVectorField:
     """Lift of a vector field to the order-n jet space.
 
-    ``phi`` holds the order-0 coefficients and ``coeffs`` maps every jet
-    coordinate of order 1..n to its coefficient.
+    ``phi`` holds the order-0 coefficients and ``coeffs`` maps jet
+    coordinates of order 1..n to their coefficients: every one of them in
+    the public prolongations' results.  A lift built for the jets one
+    expression reads (``symmetry_defect`` builds those) holds only those,
+    and applies to that expression only.
     """
 
     ctx: Context
@@ -192,11 +232,16 @@ def prolong(v: VectorField, n: int) -> ProlongedVectorField:
     The order-J coefficient is D_J(Q_a) + sum_i xi^i u^a_{J,i} with Q the
     characteristic; the D_J(Q_a) are those of :func:`evolutionary_prolong`.
     """
+    return _prolong_for(v, n, _jets_upto(v.ctx, n))
+
+
+def _prolong_for(v: VectorField, n: int, jets: Sequence[Jet]) -> ProlongedVectorField:
+    """:func:`prolong` with the coefficients of ``jets`` (each of order 1..n)
+    only, in their order; each is the node :func:`prolong` builds."""
     ctx = v.ctx
-    dq = evolutionary_prolong(characteristic_of(v), n).coeffs
     coeffs = {
         j: add(d, *(mul(v.xi[i], Jet(j.dep, j.idx + (i + 1,))) for i in range(ctx.p)))
-        for j, d in dq.items()
+        for j, d in _evolutionary_coeffs(characteristic_of(v), jets).items()
     }
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
@@ -215,12 +260,13 @@ def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
         grads = _partials(v.xi[i], memo)
         for k in range(1, ctx.p + 1):
             dxi[(i, k)] = _total_derivative(grads, k)
+    idxs = _idxs_upto(ctx.p, n)
     coeffs: dict[Jet, Expr] = {}
     for a in range(ctx.q):
         def rest(prev, last, dep=a + 1):
             return (neg(mul(dxi[(i, last)], Jet(dep, prev + (i + 1,))))
                     for i in range(ctx.p))
-        level = _dj_table(v.phi[a], ctx.p, n, memo, rest)
+        level = _dj_table(v.phi[a], idxs, memo, rest)
         coeffs.update((Jet(a + 1, idx), val) for idx, val in level.items() if idx)
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
@@ -234,13 +280,21 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
     whole call, so a subtree that recurs across levels and components is
     differentiated once; it dies with the call."""
     ctx = q.ctx
+    coeffs = _evolutionary_coeffs(q, _jets_upto(ctx, n))
+    return ProlongedVectorField(ctx, n, (ZERO,) * ctx.p, q.q, coeffs)
+
+
+def _evolutionary_coeffs(q: Characteristic, jets: Sequence[Jet]) -> dict[Jet, Expr]:
+    """{u^a_J: D_J Q_a} for the jet coordinates ``jets`` of order >= 1, in
+    their order.  Each component's table holds the prefixes of its requested
+    jets only; one memo serves all components."""
     memo: dict = {}
-    coeffs: dict[Jet, Expr] = {}
-    for a in range(ctx.q):
-        dq = _dj_table(q.q[a], ctx.p, n, memo)
-        coeffs.update((Jet(a + 1, idx), d) for idx, d in dq.items() if idx)
-    zero_xi = (ZERO,) * ctx.p
-    return ProlongedVectorField(ctx, n, zero_xi, q.q, coeffs)
+    wanted: dict[int, list[tuple[int, ...]]] = {}
+    for j in jets:
+        wanted.setdefault(j.dep, []).append(j.idx)
+    tables = {dep: _dj_table(q.q[dep - 1], _prefix_closure(idxs), memo)
+              for dep, idxs in sorted(wanted.items())}
+    return {j: tables[j.dep][j.idx] for j in jets}
 
 
 def apply_prolonged(pv: ProlongedVectorField, e: Expr) -> Expr:

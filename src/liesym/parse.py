@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .buckpi import DimensionalModel
 from .detsys import DiffSystem
-from .errors import LiesymError, NotSolvedForm, ParseError, UnknownSymbol
+from .errors import (
+    DegenerateExpression,
+    LiesymError,
+    NotSolvedForm,
+    ParseError,
+    SimplificationIncomplete,
+    UnknownSymbol,
+)
 from .expr import (
     Add,
     Const,
@@ -270,9 +277,16 @@ class _ExprParser:
 
 
 def parse_expr(text: str, ctx: Context) -> Expr:
+    """One expression.  A subexpression that is undefined (``log(0)``,
+    ``0^(-1)``) or a constant too large to compute (``2^99999999``) is a
+    :class:`ParseError` at the last token it took."""
     tokens = [t for t in tokenize(text) if t.kind != "newline"]
     s = _Stream(tokens)
-    e = _ExprParser(s, ctx).sum()
+    try:
+        e = _ExprParser(s, ctx).sum()
+    except (DegenerateExpression, SimplificationIncomplete) as exc:
+        t = s.tokens[max(s.i - 1, 0)]
+        raise ParseError(str(exc), t.line, t.column) from None
     s.expect("eof")
     return e
 

@@ -28,9 +28,10 @@ from .expr import (
 from .jet import (
     Characteristic,
     VectorField,
+    _jets_read,
+    _prolong_for,
     apply_prolonged,
     multi_indices,
-    prolong,
     total_derivative_multi,
     total_divergence,
 )
@@ -79,9 +80,10 @@ def euler_lagrange(lag: Lagrangian) -> list[Expr]:
 
 
 def variational_symmetry_defect(v: VectorField, lag: Lagrangian) -> Expr:
-    """pr v(L) + L * Div(xi); zero iff v generates a variational symmetry."""
+    """pr v(L) + L * Div(xi); zero iff v generates a variational symmetry.
+    Only the coefficients of the jets L reads are built."""
     n = max(lag.order, 1)
-    pv = prolong(v, n)
+    pv = _prolong_for(v, n, _jets_read([lag.L], n))
     return add(
         apply_prolonged(pv, lag.L),
         mul(lag.L, total_divergence(v.xi, lag.ctx.p)),

@@ -1,12 +1,14 @@
 """Shared fixtures: contexts, seeded RNG, and random expression generators."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import liesym as ls
+from liesym.expr import ONE, mul
 
 SEED = 20260825
 
@@ -60,6 +62,23 @@ def base_exp(f):
     if isinstance(f, ls.Pow):
         return f.base, f.exp
     return f, Fraction(1)
+
+
+def ref_monomials(atoms, degree):
+    """(exponent vector, monomial) of every ansatz monomial: the helper
+    liesym.detsys had before solve_determining built monomials only for the
+    nonzero entries of its basis, kept verbatim (as ``_monomials``) for the
+    reference implementations in the tests."""
+    out = []
+    n = len(atoms)
+    for total in range(degree + 1):
+        for exps in itertools.combinations_with_replacement(range(n), total):
+            vec = [0] * n
+            for k in exps:
+                vec[k] += 1
+            mono = mul(*(atoms[k] ** vec[k] for k in range(n))) if total else ONE
+            out.append((tuple(vec), mono))
+    return out
 
 
 def rand_rational(rng, lo=-4, hi=4):

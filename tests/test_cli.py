@@ -1,10 +1,14 @@
 """Command-line interface: report shape, determinism, exit codes."""
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from liesym.cli import main
+
+MINIMAL_PROB = str(Path(__file__).resolve().parent.parent / "bench" / "problems"
+                   / "minimal.prob")
 
 HEAT_PROB = """\
 indep x t
@@ -291,6 +295,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: prolongation order -1 is negative\n"
 
+    def test_order_cap_names_the_jet(self, capsys):
+        assert main(["check-symmetry", "--file", MINIMAL_PROB,
+                     "--system", "minimal", "--vf", "rxy", "--order-cap", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: reducing u_yy needs jets beyond order 1\n"
+
+    def test_unsolved_form_names_the_jets(self, capsys, tmp_path):
+        p = tmp_path / "bad.prob"
+        p.write_text("indep x t\ndep u\nsystem s: u_t = u_tx\n")
+        assert main(["determine", "--file", str(p), "--system", "s"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 3:11: right-hand side contains u_xt which does not rank "
+            "below the lead u_t\n")
+
+    def test_negative_degree(self, capsys, heat_file):
+        assert main(["solve", "--file", heat_file, "--system", "heat",
+                     "--degree", "-3"]) == 2
+        assert capsys.readouterr().err == "error: ansatz degree is negative\n"
+
+    def test_degree_over_column_limit(self, capsys, heat_file):
+        assert main(["solve", "--file", heat_file, "--system", "heat",
+                     "--degree", "99999999999999999999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ansatz parameter count ")
+        assert err.endswith(" exceeds the limit 100000\n")
+
     def test_noether_not_symmetry(self, capsys, curve_file):
         p = curve_file
         status = main(["noether", "--file", p,
@@ -339,6 +369,32 @@ class TestSolveGolden:
             "solve", "--file", str(p), "--system", name, "--degree", "5"])
         assert status == 0
         assert report["result"]["dimension"] == dimension
+        compact = json.dumps(report["result"], separators=(",", ":"))
+        assert hashlib.sha256(compact.encode()).hexdigest() == digest
+
+
+class TestFifthOrderGolden:
+    """``determine`` (86 equations) and degree-3 ``solve`` (dimension 3) on
+    a fifth-order equation, pinned like :class:`TestSolveGolden`; the
+    benchmark's systems stop at order 3."""
+
+    PROB = ("indep x t\ndep u\n"
+            "system fifth: u_t = u_xxxxx + u*u_xxx + u_x*u_xx + u^2*u_x\n")
+
+    @pytest.mark.parametrize("argv,key,size,digest", [
+        (["determine"], "equations", 86,
+         "8344bdd17b4b0932e0d2a82882f58e4570ccdb825e3f0a7005ab8e3f3181b211"),
+        (["solve", "--degree", "3"], "dimension", 3,
+         "0757ac801de546ac51cb4334a4954eee247e345054db5b2300f1aa1907361e75"),
+    ])
+    def test_fifth_order(self, capsys, tmp_path, argv, key, size, digest):
+        p = tmp_path / "fifth.prob"
+        p.write_text(self.PROB)
+        status, report = run_json(capsys, [
+            argv[0], "--file", str(p), "--system", "fifth", *argv[1:]])
+        assert status == 0
+        got = report["result"][key]
+        assert (len(got) if isinstance(got, list) else got) == size
         compact = json.dumps(report["result"], separators=(",", ":"))
         assert hashlib.sha256(compact.encode()).hexdigest() == digest
 

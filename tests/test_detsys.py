@@ -10,7 +10,7 @@ import pytest
 
 import liesym as ls
 from liesym import Ansatz, DiffSystem, Jet, Var, ratla
-from liesym.detsys import _monomials, _printed
+from liesym.detsys import _printed
 from liesym.errors import NotPolynomial, UnknownSymbol
 from liesym.expr import (
     Add,
@@ -25,6 +25,7 @@ from liesym.expr import (
 
 from conftest import base_exp as _base_exp
 from conftest import rand_poly
+from conftest import ref_monomials as _monomials
 
 x = Var(1)
 t = Var(2)

@@ -96,6 +96,21 @@ class TestFormatExpr:
             assert parse_expr(format_expr(e, ctx), ctx) == e
 
 
+class TestRefusedConstants:
+    @pytest.mark.parametrize("text,message", [
+        ("log(0)", "1:6: log(0) is undefined"),
+        ("x + log(1 - 1)", "1:14: log(0) is undefined"),
+        ("0^(-1)", "1:6: 0 raised to a negative power"),
+        ("2^99999999", "1:3: power of a constant with exponent 99999999 "
+                       "exceeds the size limit of 1048576 bits"),
+    ])
+    def test_parse_error_at_the_construct(self, text, message):
+        ctx = ls.Context(("x", "t"), ("u",))
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, ctx)
+        assert str(exc.value) == message
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.text(min_size=0, max_size=40))
