@@ -8,6 +8,7 @@ to human-readable text).  Exit status: 0 on success, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,10 @@ from .parse import (
 from .varcalc import ConservedCurrent, Lagrangian
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it holds only the
+    option definitions, and each ``parse_args`` returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="liesym",
         description="Lie symmetry analysis of differential equations",

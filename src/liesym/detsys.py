@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import ratla
+from ._diffring import _Fallback, ring_determining
 from ._distributed import _ANSATZ_COLUMN_CAP, _cap_error
 from .errors import (
     InvalidSample,
@@ -127,6 +128,19 @@ def _reducible_by(j: Jet, lead: Jet) -> tuple[int, ...] | None:
     return tuple(extra)
 
 
+def _reduction(j: Jet, sys: DiffSystem) -> tuple[int, tuple[int, ...]] | None:
+    """(equation number, K) of the first lead with j = D_K(lead), or None."""
+    for n, (lead, _) in enumerate(sys.equations):
+        extra = _reducible_by(j, lead)
+        if extra is not None:
+            return n, extra
+    return None
+
+
+def _order_cap(sys: DiffSystem, order_cap: int | None) -> int:
+    return order_cap if order_cap is not None else sys.order + 4
+
+
 def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) -> Expr:
     """Eliminate every lead derivative and all its prolongations from ``e``.
 
@@ -139,17 +153,17 @@ def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) ->
     first.  ``order_cap`` bounds the jet order any replacement may reach
     (default: system order + 4).
     """
-    cap = order_cap if order_cap is not None else sys.order + 4
+    cap = _order_cap(sys, order_cap)
     memo: dict = {}
     tables = [{(): rhs} for _, rhs in sys.equations]
 
     def replacement(j: Jet) -> Expr | None:
-        for (lead, rhs), table in zip(sys.equations, tables):
-            extra = _reducible_by(j, lead)
-            if extra is not None:
-                return _dj_table(rhs, _prefix_closure((extra,)), memo,
-                                 table=table)[extra]
-        return None
+        hit = _reduction(j, sys)
+        if hit is None:
+            return None
+        n, extra = hit
+        return _dj_table(sys.equations[n][1], _prefix_closure((extra,)), memo,
+                         table=tables[n])[extra]
 
     jets, full = jets_of(e), True
     while True:
@@ -229,7 +243,21 @@ def determining_equations(sys: DiffSystem,
                           phi_names: Sequence[str] | None = None,
                           order_cap: int | None = None) -> DeterminingSystem:
     """Split the symmetry criterion for a generic vector field over jet
-    monomials of order >= 1; the coefficient of each monomial must vanish."""
+    monomials of order >= 1; the coefficient of each monomial must vanish.
+
+    A polynomial system takes the differential polynomial ring of
+    ``liesym._diffring``: every right-hand side expands to a polynomial in
+    variables, jets and parameters with non-negative integral exponents and
+    keeps every jet of its tree, and every lead has order >= 1.  There the
+    defects are ``{monomial: coefficient}`` dicts, and only the returned
+    equations are built as trees.  Any other system (a function such as
+    ``exp(u)``, a negative or fractional power), and any system whose
+    reduction would pass the order cap, takes the tree path:
+    :func:`symmetry_defect`, then :func:`~liesym.expr.collect` of each
+    defect.  Both give the same equations, splitting variables and errors,
+    node for node: each defect's coefficients in ``collect``'s order, each
+    equation once up to sign, with the sign seen first.
+    """
     ctx = sys.ctx
     if xi_names is None:
         xi_names = [f"xi{i+1}" if ctx.p > 1 else "xi" for i in range(ctx.p)]
@@ -237,26 +265,44 @@ def determining_equations(sys: DiffSystem,
         phi_names = [f"phi{a+1}" if ctx.q > 1 else "phi" for a in range(ctx.q)]
     ext, v = generic_vector_field(ctx, xi_names, phi_names)
     ext_sys = DiffSystem(ext, sys.equations)
-    defects = symmetry_defect(v, ext_sys, order_cap)
-    split: set[Jet] = set()
-    for d in defects:
-        split |= {j for j in jets_of(d) if j.order >= 1}
+    try:
+        ring = ring_determining(ext_sys, v.xi, v.phi, _order_cap(sys, order_cap),
+                                lambda j: _reduction(j, ext_sys))
+    except _Fallback:
+        ring = None
+    if ring is None:
+        defects = symmetry_defect(v, ext_sys, order_cap)
+        split = {j for d in defects for j in jets_of(d) if j.order >= 1}
+        coeffs = _tree_coefficients(defects, split, ext)
+    else:
+        split, coeffs = ring
+    eqs = _distinct(coeffs)
     split_t = tuple(sorted(split, key=lambda j: (j.dep, len(j.idx), j.idx)))
-    eqs: list[Expr] = []
-    seen: set[Expr] = set()
+    return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
+
+
+def _tree_coefficients(defects: list[Expr], split: set[Jet], ctx: Context):
+    """The expanded coefficients of each defect over the monomials in the
+    jets ``split``."""
     for d in defects:
         try:
-            coeffs = collect(d, split_t)
+            coeffs = collect(d, split)
         except NotPolynomial as exc:
-            raise _printed(exc, ext) from None
-        for coeff in coeffs.values():
-            # the negation of an expand fixed point is a fixed point too
-            c = expand(coeff)
-            if c != ZERO and c not in seen and neg(c) not in seen:
-                seen.add(c)
-                eqs.append(c)
-    return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names),
-                             tuple(eqs), split_t)
+            raise _printed(exc, ctx) from None
+        yield from map(expand, coeffs.values())
+
+
+def _distinct(coeffs) -> tuple[Expr, ...]:
+    """The nonzero ``coeffs``, each once up to sign, with the sign seen
+    first."""
+    eqs: list[Expr] = []
+    seen: set[Expr] = set()
+    for c in coeffs:
+        # the negation of an expand fixed point is a fixed point too
+        if c != ZERO and c not in seen and neg(c) not in seen:
+            seen.add(c)
+            eqs.append(c)
+    return tuple(eqs)
 
 
 @dataclass(frozen=True)

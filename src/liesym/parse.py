@@ -140,10 +140,28 @@ class _Stream:
 # expression parsing
 # ---------------------------------------------------------------------------
 
+# Groups (parentheses and function calls) nest at most this deep; the
+# recursive descent takes five Python frames per group, so the bound keeps a
+# parse well inside the interpreter's default recursion limit of 1000.
+_MAX_NESTING = 128
+
+
 class _ExprParser:
     def __init__(self, s: _Stream, ctx: Context):
         self.s = s
         self.ctx = ctx
+        self.depth = 0
+
+    def open_group(self, t: Token) -> None:
+        """Enter the group opened at token ``t``; :meth:`close_group` leaves it."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"expression nested too deeply (more than "
+                             f"{_MAX_NESTING} groups)", t.line, t.column)
+        self.depth += 1
+
+    def close_group(self) -> None:
+        self.s.expect("op", ")")
+        self.depth -= 1
 
     def sum(self) -> Expr:
         t = self.term()
@@ -169,9 +187,14 @@ class _ExprParser:
                 return t
 
     def unary(self) -> Expr:
-        if self.s.accept("op", "-"):
-            return neg(self.unary())
-        return self.power()
+        # a loop, not a recursion, so a long run of signs takes no stack
+        signs = 0
+        while self.s.accept("op", "-"):
+            signs += 1
+        e = self.power()
+        for _ in range(signs):
+            e = neg(e)
+        return e
 
     def power(self) -> Expr:
         b = self.primary()
@@ -203,8 +226,9 @@ class _ExprParser:
             s.next()
             return Const(Fraction(_int(t)))
         if s.accept("op", "("):
+            self.open_group(t)
             e = self.sum()
-            s.expect("op", ")")
+            self.close_group()
             return e
         if t.kind != "name":
             s.error(f"expected an expression, found {t.text or t.kind!r}")
@@ -213,9 +237,9 @@ class _ExprParser:
         if name == "D" and s.peek().kind == "op" and s.peek().text == "(":
             return self.canonical_jet(t)
         if name in FUNC_NAMES:
-            s.expect("op", "(")
+            self.open_group(s.expect("op", "("))
             arg = self.sum()
-            s.expect("op", ")")
+            self.close_group()
             return func(name, arg)
         return self.resolve(name, t)
 

@@ -4,11 +4,30 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 import liesym as ls
-from liesym.expr import ONE, mul
+from liesym.detsys import (
+    DeterminingSystem,
+    DiffSystem,
+    _printed,
+    generic_vector_field,
+    symmetry_defect,
+)
+from liesym.errors import NotPolynomial
+from liesym.expr import (
+    ONE,
+    ZERO,
+    Expr,
+    Jet,
+    collect,
+    expand,
+    jets_of,
+    mul,
+    neg,
+)
 
 SEED = 20260825
 
@@ -132,3 +151,40 @@ def rand_point_vf(rng, ctx, degree=2):
     xi = tuple(rand_poly(rng, atoms, degree) for _ in range(ctx.p))
     phi = tuple(rand_poly(rng, atoms, degree) for _ in range(ctx.q))
     return ls.VectorField(ctx, xi, phi)
+
+
+def ref_determining_equations(sys: DiffSystem,
+                              xi_names: Sequence[str] | None = None,
+                              phi_names: Sequence[str] | None = None,
+                              order_cap: int | None = None) -> DeterminingSystem:
+    """``liesym.detsys.determining_equations`` as it was before polynomial
+    systems took the differential polynomial ring: every system on the tree
+    path.  Kept verbatim (as ``determining_equations``) for the reference
+    comparisons in the tests."""
+    ctx = sys.ctx
+    if xi_names is None:
+        xi_names = [f"xi{i+1}" if ctx.p > 1 else "xi" for i in range(ctx.p)]
+    if phi_names is None:
+        phi_names = [f"phi{a+1}" if ctx.q > 1 else "phi" for a in range(ctx.q)]
+    ext, v = generic_vector_field(ctx, xi_names, phi_names)
+    ext_sys = DiffSystem(ext, sys.equations)
+    defects = symmetry_defect(v, ext_sys, order_cap)
+    split: set[Jet] = set()
+    for d in defects:
+        split |= {j for j in jets_of(d) if j.order >= 1}
+    split_t = tuple(sorted(split, key=lambda j: (j.dep, len(j.idx), j.idx)))
+    eqs: list[Expr] = []
+    seen: set[Expr] = set()
+    for d in defects:
+        try:
+            coeffs = collect(d, split_t)
+        except NotPolynomial as exc:
+            raise _printed(exc, ext) from None
+        for coeff in coeffs.values():
+            # the negation of an expand fixed point is a fixed point too
+            c = expand(coeff)
+            if c != ZERO and c not in seen and neg(c) not in seen:
+                seen.add(c)
+                eqs.append(c)
+    return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names),
+                             tuple(eqs), split_t)

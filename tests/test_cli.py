@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from liesym.cli import main
+from liesym.cli import _build_parser, main
 
 MINIMAL_PROB = str(Path(__file__).resolve().parent.parent / "bench" / "problems"
                    / "minimal.prob")
@@ -345,6 +345,35 @@ class TestDeterminism:
             "--seed", "99", "determine", "--file", heat_file,
             "--system", "heat"])
         assert out1 == out2
+
+
+class TestParserOncePerProcess:
+    """``main`` builds its parser once per process; a parse must leave no
+    trace in it for the next call."""
+
+    def test_append_option_does_not_accumulate(self, capsys, heat_file):
+        argv = ["rank-probe", "--file", heat_file, "--system", "heat",
+                "--sample", "u_t=1,u_xx=1", "--sample", "u_t=2,u_xx=2"]
+        first = run(capsys, argv)
+        second = run(capsys, argv)
+        assert first == second
+        status, out = first
+        assert status == 0
+        assert json.loads(out)["inputs"]["sample"] == [
+            "u_t=1,u_xx=1", "u_t=2,u_xx=2"]
+        _, out = run(capsys, argv[:-2])
+        assert json.loads(out)["inputs"]["sample"] == ["u_t=1,u_xx=1"]
+
+    def test_defaults_reset_between_commands(self, capsys, heat_file):
+        _, plain = run(capsys, ["--plain", "determine", "--file", heat_file,
+                                "--system", "heat"])
+        status, report = run_json(capsys, ["determine", "--file", heat_file,
+                                           "--system", "heat"])
+        assert status == 0 and plain.startswith("command: determine")
+        assert report["inputs"] == {"file": heat_file, "system": "heat"}
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
 
 
 class TestSolveGolden:

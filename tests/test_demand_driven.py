@@ -38,7 +38,13 @@ from liesym.jet import (
     total_derivative_multi,
 )
 
-from conftest import rand_expr, rand_point_vf, rand_poly, ref_monomials
+from conftest import (
+    rand_expr,
+    rand_point_vf,
+    rand_poly,
+    ref_determining_equations,
+    ref_monomials,
+)
 from test_detsys import BENCH_PROBLEMS, ROADMAP_SYSTEMS, systems
 
 
@@ -125,6 +131,12 @@ def raw(exc: Exception) -> str:
     return exc.template.format(*map(repr, exprs)) if exprs else str(exc)
 
 
+def default_names(ctx):
+    """The xi and phi names determining_equations picks by default."""
+    return ([f"xi{i+1}" if ctx.p > 1 else "xi" for i in range(ctx.p)],
+            [f"phi{a+1}" if ctx.q > 1 else "phi" for a in range(ctx.q)])
+
+
 def outcome(f, *args):
     """``f(*args)``, or the library error's type and raw message."""
     try:
@@ -133,28 +145,19 @@ def outcome(f, *args):
         return type(exc), raw(exc)
 
 
-def recorded(monkeypatch, fn):
-    """Patch ``detsys.symmetry_defect`` with ``fn``, recording its results."""
-    got = []
-    monkeypatch.setattr(detsys, "symmetry_defect",
-                        lambda *a: got.append(fn(*a)) or got[-1])
-    return got
-
-
 # --- the defect and the determining system ---------------------------------
 
 @pytest.mark.parametrize("name,sys_", list(systems()), ids=lambda x: x
                          if isinstance(x, str) else "")
 def test_determining_matches_reference(monkeypatch, name, sys_):
-    new_defects = recorded(monkeypatch, detsys.symmetry_defect)
+    # the generic field's defects, which the tree path of
+    # determining_equations splits
+    ext, generic = detsys.generic_vector_field(sys_.ctx, *default_names(sys_.ctx))
+    ext_sys = DiffSystem(ext, sys_.equations)
+    same(outcome(detsys.symmetry_defect, generic, ext_sys),
+         outcome(ref_symmetry_defect, generic, ext_sys))
     new = outcome(ls.determining_equations, sys_)
-    ref_defects = recorded(monkeypatch, ref_symmetry_defect)
-    ref = outcome(ls.determining_equations, sys_)
-    monkeypatch.undo()
-    assert len(new_defects) == len(ref_defects) == 1
-    for a, b in zip(new_defects[0], ref_defects[0]):
-        same(a, b)
-    same(new, ref)
+    same(new, outcome(ref_determining_equations, sys_))
     if not isinstance(new, ls.DeterminingSystem):
         return
     kernel_basis = ratla.kernel_basis

@@ -1,0 +1,200 @@
+"""Determining equations in the differential polynomial ring.
+
+``determining_equations`` builds the defects of a polynomial system as
+monomial dicts and falls back to the tree path for every other system and
+for a reduction past the order cap.  Both must give what
+``ref_determining_equations`` (the tree path alone) gives, node for node:
+equations in the same order with the same signs, splitting variables and
+errors.
+"""
+import random
+
+import pytest
+
+import liesym as ls
+from liesym import Jet, UFunc, Var, detsys
+from liesym._diffring import _Ring
+from liesym.expr import _expand_monomials, expand, partials
+from liesym.jet import total_derivative
+
+from conftest import rand_poly, ref_determining_equations
+from test_demand_driven import outcome, same
+from test_detsys import BENCH_PROBLEMS, ROADMAP_SYSTEMS, systems
+
+
+def high_order(k: int) -> str:
+    return f"indep x t\ndep u\nsystem s: u_t = u_{'x' * k} + u*u_x"
+
+
+RING_SYSTEMS = {
+    "param": "indep x t\ndep u\nparam nu\nsystem s: u_t = nu*u_xx",
+    "params": "indep x t\ndep u\nparam a b\nsystem s: u_t = a*u_xx + b*u^2*u_x",
+    "cube": "indep x t\ndep u\nsystem s: u_t = (u + u_x)^3 + u_xx",
+    "constant": "indep x t\ndep u\nsystem s: u_t = u_xx + 1",
+    "inhomogeneous": "indep x t\ndep u\nsystem s: u_t = u_xx + x*t^2 - 3",
+    "coupled": "indep x t\ndep u v\nsystem s: u_t = v_xx + u*v; v_t = u_xx - v^2*u_x",
+    # a right-hand side that reads another equation's lead
+    "chained": "indep x t\ndep u v\nsystem s: u_t = u_xx + u*v_x^2; v_x = u^2 + u_x",
+}
+
+FALLBACK_SYSTEMS = {
+    "exp": "indep x t\ndep u\nsystem s: u_t = u_xx + exp(u)",
+    "negative": "indep x t\ndep u\nsystem s: u_t = u^(-2)*u_xx - 2*u^(-3)*u_x^2",
+    "fractional": "indep x t\ndep u\nsystem s: u_t = u^(1/2)*u_xx",
+    # u_xxx cancels from the expansion but not from the tree, whose defect
+    # then has splitting variables the polynomial lacks
+    "cancelled": "indep x t\ndep u\nsystem s: "
+                 "u_t = u_xx + (u + u_xxx)^2*u - u_xxx^2*u - 2*u^2*u_xxx",
+    # the tree path substitutes u for v inside the unknown functions
+    "order0": "indep x t\ndep u v\nsystem s: u_t = u_xx; v = u",
+}
+
+MECHANICS = [(name, s) for name, s in systems() if name.startswith("mechanics.")]
+
+
+def parsed(text):
+    return ls.parse_problem(text).systems["s"]
+
+
+def ring_only(monkeypatch):
+    """Make the tree path fail, so only the ring can answer."""
+    def refuse(*_):
+        raise AssertionError("tree path taken")
+    monkeypatch.setattr(detsys, "symmetry_defect", refuse)
+
+
+def tree_taken(monkeypatch):
+    """Record each call of the tree path."""
+    calls = []
+    defect = detsys.symmetry_defect
+    monkeypatch.setattr(detsys, "symmetry_defect",
+                        lambda *a: calls.append(a) or defect(*a))
+    return calls
+
+
+# --- the ring against the tree path -----------------------------------------
+
+POLYNOMIAL = [(n, s) for n, s in systems() if n.split(".")[0] in
+              ("burgers", "heat", "heat2d", "kdv", "wave", *ROADMAP_SYSTEMS)]
+
+
+@pytest.mark.parametrize("name,sys_", POLYNOMIAL + [
+    (n, parsed(t)) for n, t in RING_SYSTEMS.items()], ids=lambda x: x
+    if isinstance(x, str) else "")
+def test_polynomial_systems_take_the_ring(monkeypatch, name, sys_):
+    ref = ref_determining_equations(sys_)
+    ring_only(monkeypatch)
+    same(ls.determining_equations(sys_), ref)
+
+
+def test_every_polynomial_bench_system_is_listed():
+    covered = {n for n, _ in POLYNOMIAL} | {n for n, _ in MECHANICS} | {
+        "minimal.minimal"}
+    assert {n for n, _ in systems()} == covered
+
+
+def test_custom_names(monkeypatch):
+    sys_ = parsed(ROADMAP_SYSTEMS["boussinesq"])
+    names = (["X", "T"], ["U", "V"])
+    ref = ref_determining_equations(sys_, *names)
+    ring_only(monkeypatch)
+    got = ls.determining_equations(sys_, *names)
+    same(got, ref)
+    assert (got.xi_names, got.phi_names) == (("X", "T"), ("U", "V"))
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_high_order_with_an_explicit_cap(monkeypatch, k):
+    sys_ = parsed(high_order(k))
+    ref = ref_determining_equations(sys_, None, None, 2 * k - 1)
+    ring_only(monkeypatch)
+    same(ls.determining_equations(sys_, None, None, 2 * k - 1), ref)
+
+
+@pytest.mark.parametrize("k,jet", [(6, "u_xxxxxt"), (7, "u_xxxxxxt")])
+def test_default_cap_error_comes_from_the_tree_path(monkeypatch, k, jet):
+    sys_ = parsed(high_order(k))
+    calls = tree_taken(monkeypatch)
+    with pytest.raises(ls.OrderCapExceeded) as exc:
+        ls.determining_equations(sys_)
+    assert str(exc.value) == f"reducing {jet} needs jets beyond order {k + 4}"
+    assert calls
+    monkeypatch.undo()
+    same(outcome(ls.determining_equations, sys_),
+         outcome(ref_determining_equations, sys_))
+
+
+@pytest.mark.parametrize("name,sys_", [
+    (n, parsed(t)) for n, t in FALLBACK_SYSTEMS.items()] + MECHANICS,
+    ids=lambda x: x if isinstance(x, str) else "")
+def test_other_systems_take_the_tree_path(monkeypatch, name, sys_):
+    ref = outcome(ref_determining_equations, sys_)
+    calls = tree_taken(monkeypatch)
+    same(outcome(ls.determining_equations, sys_), ref)
+    assert calls, name
+
+
+def test_minimal_surface_error_is_unchanged():
+    sys_ = ls.parse_problem((BENCH_PROBLEMS / "minimal.prob").read_text()
+                            ).systems["minimal"]
+    with pytest.raises(ls.NotPolynomial) as exc:
+        ls.determining_equations(sys_)
+    assert str(exc.value) == ("variable occurs inside non-polynomial factor "
+                              "(1 + u_x^2)^(-2)")
+    same(outcome(ls.determining_equations, sys_),
+         outcome(ref_determining_equations, sys_))
+
+
+def test_random_polynomial_systems():
+    rng = random.Random(4201)
+    ctx = ls.Context(("x", "t"), ("u",))
+    atoms = [Var(1), Var(2), Jet(1, ()), Jet(1, (1,)), Jet(1, (1, 1))]
+    for _ in range(12):
+        rhs = rand_poly(rng, atoms, degree=3, terms=4)
+        sys_ = ls.DiffSystem(ctx, ((Jet(1, (2,)), rhs),))
+        want = outcome(ref_determining_equations, sys_)
+        same(outcome(ls.determining_equations, sys_), want)
+
+
+# --- the derivation ----------------------------------------------------------
+
+def test_derivation_is_the_total_derivative():
+    """D_i of a polynomial in jets, variables and unknown functions, read
+    back as a tree, is the expanded ``total_derivative``."""
+    rng = random.Random(4202)
+    ctx = ls.Context(("x", "t"), ("u", "v"))
+    args = (Var(1), Var(2), Jet(1, ()), Jet(2, ()))
+    atoms = list(args) + [Jet(1, (1,)), Jet(2, (1, 2)), UFunc("f", args),
+                          UFunc("f", args, (0, 2)), ls.Param("c")]
+    for _ in range(20):
+        e = expand(rand_poly(rng, atoms, degree=3, terms=4))
+        ring = _Ring((), ctx.p, 10, lambda j: None)
+        k = ring.k
+        poly = k.read(e)
+        for i in (1, 2):
+            want = expand(total_derivative(e, i))
+            same(k.tree(ring.derive(poly, i)), want)
+
+
+def test_read_refuses_what_the_ring_cannot_hold():
+    ctx = ls.Context(("x", "t"), ("u",), ("c",))
+    ring = _Ring((), ctx.p, 10, lambda j: None)
+    for text in ("u^(-1)*u_x", "u^(1/2)", "exp(u)", "u_x/c",
+                 "(u + u_x)^2 - u_x^2 - 2*u*u_x"):
+        assert ring.read(ls.parse_expr(text, ctx)) is None, text
+    for text in ("(u + u_x)^2", "c*u_xx + 3", "x^2*t"):
+        e = ls.parse_expr(text, ctx)
+        _, want = _expand_monomials(e)
+        got = ring.read(e)
+        assert got is not None and ring.k.tree(got) == expand(e), text
+        assert len(got) == len(want)
+
+
+def test_partial_by_generator():
+    ctx = ls.Context(("x", "t"), ("u",))
+    ring = _Ring((), ctx.p, 10, lambda j: None)
+    e = ls.parse_expr("u_x^3*u + 2*u_x*x - u", ctx)
+    poly = ring.read(e)
+    for atom, d in partials(e).items():
+        got = ring.partial(poly, ring.k.gen(atom))
+        same(ring.k.tree(got), expand(d))

@@ -9,7 +9,8 @@ from liesym import Const, Jet, ParseError, Pow, Var, format_expr, parse_expr, pa
 
 from liesym.expr import Add, Func, Mul, Param, UFunc, _split, neg, subterms
 from liesym.parse import (
-    _ADD, _MUL, _POW, _flip_sign, _fmt_const, _jet_name, _paren, _ufunc_name,
+    _ADD, _MAX_NESTING, _MUL, _POW, _flip_sign, _fmt_const, _jet_name, _paren,
+    _ufunc_name,
 )
 
 from conftest import rand_expr, rand_poly
@@ -109,6 +110,54 @@ class TestRefusedConstants:
         with pytest.raises(ParseError) as exc:
             parse_expr(text, ctx)
         assert str(exc.value) == message
+
+
+class TestNesting:
+    """Groups nest to a fixed bound and signs take no stack, so hostile
+    nesting is a ParseError, not a RecursionError."""
+
+    @pytest.fixture
+    def ctx(self):
+        return ls.Context(("x", "t"), ("u",))
+
+    @pytest.mark.parametrize("open_", ["(", "exp(", "-(", "(-"])
+    def test_groups_up_to_the_bound(self, ctx, open_):
+        e = parse_expr(open_ * _MAX_NESTING + "u" + ")" * _MAX_NESTING, ctx)
+        assert isinstance(e, ls.Expr)
+
+    @pytest.mark.parametrize("open_,depth", [
+        ("(", _MAX_NESTING + 1), ("(", 198), ("(", 3000),
+        ("exp(", _MAX_NESTING + 1), ("exp(", 198), ("exp(", 3000),
+    ])
+    def test_deeper_groups_refused_at_the_token(self, ctx, open_, depth):
+        text = "x + " + open_ * depth + "u" + ")" * depth
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse_expr(text, ctx)
+        # the '(' that opens the group one past the bound
+        column = 4 + len(open_) * (_MAX_NESTING + 1)
+        assert str(exc.value).startswith(f"1:{column}: ")
+
+    def test_bound_lies_between_accepted_and_recursion_depths(self):
+        # tests/test_cli.py accepts 100 parentheses; about 198 used to
+        # exhaust the interpreter's stack
+        assert 100 < _MAX_NESTING < 197
+
+    @pytest.mark.parametrize("signs", [1, 2, 3, 988, 989, 20000])
+    def test_long_runs_of_unary_minus(self, ctx, signs):
+        e = parse_expr("-" * signs + "u_x", ctx)
+        ux = ctx.jet("u", "x")
+        assert e == (neg(ux) if signs % 2 else ux)
+
+    def test_unary_minus_binds_as_before(self, ctx):
+        assert parse_expr("--2^2", ctx) == Const(4)
+        assert parse_expr("-2^2", ctx) == Const(-4)
+        assert parse_expr("x*-u", ctx) == neg(ls.mul(Var(1), Jet(1, ())))
+
+    def test_problem_file_reports_the_line(self):
+        text = "indep x t\ndep u\nsystem s: u_t = " + "(" * 300 + "u" + ")" * 300
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse_problem(text)
+        assert str(exc.value).startswith("3:")
 
 
 class TestFuzz:
