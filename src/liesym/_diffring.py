@@ -2,8 +2,10 @@
 
 :func:`liesym.detsys.determining_equations` builds the symmetry defects of a
 polynomial system here, as ``{monomial: coefficient}`` dicts on the
-generator table of :class:`liesym._distributed._Poly`, and builds trees only
-for the coefficients it returns.  The generators are jet coordinates,
+generator table of :class:`liesym._distributed._Poly`, deduplicates their
+coefficients as dicts, and builds trees only for the ones it returns;
+:func:`liesym.detsys.solve_determining` reads its rows from the monomials of
+those trees on the same table.  The generators are jet coordinates,
 independent variables, parameters and the unknown coefficient functions of
 the generic field.  The total derivative ``D_i`` acts on them as a
 derivation, cached per generator:
@@ -258,10 +260,11 @@ class _Ring:
             out.append(_nonzero(defect))
         return out
 
-    def coefficients(self, defect: dict, split: set[int]) -> list[Expr]:
-        """The coefficient trees of ``defect`` over the monomials in the
-        generators ``split``, in the order :func:`liesym.expr.collect` gives
-        them: by first occurrence among the terms of the canonical sum."""
+    def coefficients(self, defect: dict, split: set[int]) -> list[dict]:
+        """The coefficients of ``defect`` over the monomials in the
+        generators ``split``, as polynomials in the other generators, in the
+        order :func:`liesym.expr.collect` gives them: by first occurrence
+        among the terms of the canonical sum."""
         k = self.k
         terms = sorted(defect.items(), key=lambda mc: _term_order(k.product(*mc)))
         groups: dict[tuple, dict] = {}
@@ -269,23 +272,38 @@ class _Ring:
             mono = tuple(x for x in m if x[0] in split)
             rest = tuple(x for x in m if x[0] not in split)
             groups.setdefault(mono, {})[rest] = c
-        return [k.tree(rest) for rest in groups.values()]
+        return list(groups.values())
 
 
 def ring_determining(sys, xi, phi, cap: int, reduction):
-    """(split jets, coefficient trees of the defects in turn) of the generic field
-    with coefficients ``xi``, ``phi`` on ``sys``, or None when ``sys`` is
-    not polynomial.  Raises :class:`_Fallback` when a reduction would pass
-    ``cap``.  ``reduction(j)`` names the first equation whose lead divides
-    jet ``j`` and the extra indices K, or is None."""
+    """(split jets, equations, their monomials) of the generic field with
+    coefficients ``xi``, ``phi`` on ``sys``, or None when ``sys`` is not
+    polynomial.  The equations are the coefficient trees of the defects in
+    turn, each once up to sign with the sign seen first, deduplicated on the
+    coefficient dicts before any tree is built; the monomials are one
+    ``(kernel, {monomial: coefficient})`` pair per equation, read back from
+    its tree so that they follow its terms.  Raises :class:`_Fallback` when
+    a reduction would pass ``cap``.  ``reduction(j)`` names the first
+    equation whose lead divides jet ``j`` and the extra indices K, or is
+    None."""
     if any(not lead.idx for lead, _ in sys.equations):
         return None
     ring = _Ring(sys.equations, sys.ctx.p, cap, reduction)
     if any(r is None for r in ring.rhs):
         return None
     defects = ring.defects(sys.equations, xi, phi)
-    gens = ring.k.gens
+    k, gens = ring.k, ring.k.gens
     split = {g for d in defects for m in d for g, _ in m
              if type(gens[g]) is Jet and gens[g].idx}
-    return ({gens[g] for g in split},
-            [c for d in defects for c in ring.coefficients(d, split)])
+    seen: set[frozenset] = set()     # each kept coefficient and its negation
+    eqs = []
+    for d in defects:
+        for c in ring.coefficients(d, split):
+            key = frozenset(c.items())
+            if key not in seen:
+                seen.add(key)
+                seen.add(frozenset((m, -x) for m, x in c.items()))
+                eqs.append(k.tree(c))
+    # a tree of the ring's coefficients is an expand fixed point
+    return ({gens[g] for g in split}, tuple(eqs),
+            tuple((k, k.read(e)) for e in eqs))

@@ -351,6 +351,12 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if args.plain:
         _emit_plain(report, sys.stdout)
     else:

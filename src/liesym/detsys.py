@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -21,7 +21,6 @@ from .errors import (
     UnknownSymbol,
 )
 from .expr import (
-    Const,
     Context,
     Expr,
     Jet,
@@ -31,6 +30,8 @@ from .expr import (
     Var,
     ZERO,
     _expand_monomials,
+    _split,
+    _term,
     add,
     atoms_of,
     collect,
@@ -210,13 +211,24 @@ def check_symmetry(v: VectorField, sys: DiffSystem,
 
 @dataclass(frozen=True)
 class DeterminingSystem:
-    """Coefficient equations that the infinitesimal coefficients must satisfy."""
+    """Coefficient equations that the infinitesimal coefficients must satisfy.
+
+    One built by :func:`determining_equations` on the differential
+    polynomial ring also holds, outside ``==``, ``hash`` and ``repr``, the
+    monomials of each equation on the ring's generator table, for
+    :func:`solve_determining` to read.  A system built by hand or through
+    :func:`dataclasses.replace` holds none, and is read from its trees.
+    """
 
     ctx: Context              # extended with the unknown coefficient functions
     xi_names: tuple[str, ...]
     phi_names: tuple[str, ...]
     equations: tuple[Expr, ...]
     splitting_vars: tuple[Jet, ...]
+    # ((kernel, monomials), ...) of the equations, set only by
+    # determining_equations: dataclasses.replace leaves it None
+    _polys: tuple | None = field(default=None, init=False, compare=False,
+                                 repr=False)
 
 
 def generic_vector_field(ctx: Context, xi_names: Sequence[str],
@@ -249,10 +261,11 @@ def determining_equations(sys: DiffSystem,
     ``liesym._diffring``: every right-hand side expands to a polynomial in
     variables, jets and parameters with non-negative integral exponents and
     keeps every jet of its tree, and every lead has order >= 1.  There the
-    defects are ``{monomial: coefficient}`` dicts, and only the returned
-    equations are built as trees.  Any other system (a function such as
-    ``exp(u)``, a negative or fractional power), and any system whose
-    reduction would pass the order cap, takes the tree path:
+    defects are ``{monomial: coefficient}`` dicts, deduplicated as dicts,
+    only the returned equations are built as trees, and the result keeps
+    their monomials for :func:`solve_determining`.  Any other system (a
+    function such as ``exp(u)``, a negative or fractional power), and any
+    system whose reduction would pass the order cap, takes the tree path:
     :func:`symmetry_defect`, then :func:`~liesym.expr.collect` of each
     defect.  Both give the same equations, splitting variables and errors,
     node for node: each defect's coefficients in ``collect``'s order, each
@@ -273,12 +286,13 @@ def determining_equations(sys: DiffSystem,
     if ring is None:
         defects = symmetry_defect(v, ext_sys, order_cap)
         split = {j for d in defects for j in jets_of(d) if j.order >= 1}
-        coeffs = _tree_coefficients(defects, split, ext)
+        eqs, polys = _distinct(_tree_coefficients(defects, split, ext)), None
     else:
-        split, coeffs = ring
-    eqs = _distinct(coeffs)
+        split, eqs, polys = ring
     split_t = tuple(sorted(split, key=lambda j: (j.dep, len(j.idx), j.idx)))
-    return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
+    ds = DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
+    object.__setattr__(ds, "_polys", polys)
+    return ds
 
 
 def _tree_coefficients(defects: list[Expr], split: set[Jet], ctx: Context):
@@ -334,6 +348,66 @@ def _monomial(atoms: Sequence[Expr], vec: tuple[int, ...]) -> Expr:
     return mul(*(a ** e for a, e in zip(atoms, vec))) if any(vec) else ONE
 
 
+def _columns(ds: DeterminingSystem, ansatz: Ansatz):
+    """The ansatz columns of the unknowns of ``ds``: (slot of each base
+    variable, {name: (first column, argument atoms, {monomial exponent
+    vector: offset from the first column})}, column count, table).
+
+    ``table(u)`` lists (column, integer coefficient, base exponents) of the
+    derivative of each ansatz monomial of u's function that u's derivative
+    does not annihilate, in column order, once per (name, derivative).  The
+    surviving monomials are those of degree <= degree - |deriv| shifted by
+    the derivative's counts; a falling factorial per argument gives the
+    coefficient.
+    """
+    ctx, degree = ds.ctx, ansatz.degree
+    base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
+        Jet(a + 1, ()) for a in range(ctx.q)
+    )
+    base_slot = {a: i for i, a in enumerate(base_atoms)}
+    names = tuple(ds.xi_names) + tuple(ds.phi_names)
+    argss = [ctx.unknown_arg_atoms(name) for name in names]
+    ncols = sum(math.comb(len(args) + degree, degree) for args in argss)
+    if ncols > _ANSATZ_COLUMN_CAP:
+        raise _cap_error("ansatz parameter count", ncols,
+                         f"the limit {_ANSATZ_COLUMN_CAP}", LiesymError)
+    unknowns: dict[str, tuple[int, tuple[Expr, ...], dict]] = {}
+    first = 0
+    for name, args in zip(names, argss):
+        index = {vec: k for k, vec in enumerate(_exponents(len(args), degree))}
+        unknowns[name] = (first, args, index)
+        first += len(index)
+
+    tables: dict[tuple[str, tuple[int, ...]], list] = {}
+    lows: dict[tuple, list] = {}    # (args, degree) -> [(vector, base exponents)]
+
+    def table(u: UFunc) -> list[tuple[int, int, tuple[int, ...]]]:
+        key = (u.name, u.deriv)
+        got = tables.get(key)
+        if got is None:
+            first, args, index = unknowns[u.name]
+            if len(args) != len(u.args):
+                raise UnknownSymbol(f"arity mismatch for unknown function {u.name!r}")
+            d = degree - len(u.deriv)
+            low = lows.get((args, d))
+            if low is None:
+                low = lows[(args, d)] = []
+                for vec in _exponents(len(args), d):
+                    exps = [0] * len(base_slot)
+                    for a, e in zip(args, vec):
+                        exps[base_slot[a]] += e
+                    low.append((vec, tuple(exps)))
+            counts = [u.deriv.count(j) for j in range(len(args))]
+            got = tables[key] = []
+            for vec, exps in low:
+                vec = tuple(map(operator.add, vec, counts))
+                got.append((first + index[vec], math.prod(map(math.perm, vec, counts)),
+                            exps))
+        return got
+
+    return base_slot, unknowns, ncols, table
+
+
 def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField]:
     """Kernel basis of the linear system the ansatz coefficients satisfy,
     instantiated as vector fields.  Deterministic: parameters are ordered by
@@ -343,58 +417,21 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     Each unknown F is the sum over its monomials m_k of c_k*m_k, so a
     derivative D(F) is a fixed linear map from the c_k to base monomials.
     Rows are assembled from those maps, tabulated once per derivative, one row
-    per (equation, base monomial).  Raises :class:`NotPolynomial` when a term
-    that survives instantiation is not polynomial in the base variables or
-    not linear homogeneous in the c_k.
+    per (equation, base monomial).  The monomials of each equation come from
+    the ring that built ``ds`` when it holds them (see
+    :class:`DeterminingSystem`), and from ``expand`` of its tree otherwise.
+    Raises :class:`NotPolynomial` when a term that survives instantiation is
+    not polynomial in the base variables or not linear homogeneous in the
+    c_k.
     """
     ctx = ds.ctx
-    base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
-        Jet(a + 1, ()) for a in range(ctx.q)
-    )
-    base_slot = {a: i for i, a in enumerate(base_atoms)}
+    base_slot, unknowns, ncols, table = _columns(ds, ansatz)
+    base_atoms = tuple(base_slot)
     width = len(base_atoms)
-    names = tuple(ds.xi_names) + tuple(ds.phi_names)
-    argss = [ctx.unknown_arg_atoms(name) for name in names]
-    ncols = sum(math.comb(len(args) + ansatz.degree, ansatz.degree)
-                for args in argss)
-    if ncols > _ANSATZ_COLUMN_CAP:
-        raise _cap_error("ansatz parameter count", ncols,
-                         f"the limit {_ANSATZ_COLUMN_CAP}", LiesymError)
-    # name -> (first column, argument atoms, [monomial exponent vector])
-    unknowns: dict[str, tuple[int, tuple[Expr, ...], list]] = {}
-    first = 0
-    for name, args in zip(names, argss):
-        vecs = _exponents(len(args), ansatz.degree)
-        unknowns[name] = (first, args, vecs)
-        first += len(vecs)
-
-    tables: dict[tuple[str, tuple[int, ...]], list] = {}
-
-    def table(u: UFunc) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(column, integer coefficient, base exponents) of the derivative
-        of each ansatz monomial of u's function that u's derivative does not
-        annihilate; a falling factorial per argument gives the coefficient."""
-        key = (u.name, u.deriv)
-        got = tables.get(key)
-        if got is None:
-            first, args, vecs = unknowns[u.name]
-            if len(args) != len(u.args):
-                raise UnknownSymbol(f"arity mismatch for unknown function {u.name!r}")
-            counts = [u.deriv.count(j) for j in range(len(args))]
-            got = []
-            for k, vec in enumerate(vecs):
-                if all(e >= d for e, d in zip(vec, counts)):
-                    exps = [0] * width
-                    for a, e, d in zip(args, vec, counts):
-                        exps[base_slot[a]] += e - d
-                    got.append((first + k, math.prod(map(math.perm, vec, counts)),
-                                tuple(exps)))
-            tables[key] = got
-        return got
+    polys = ds._polys or map(_expand_monomials, ds.equations)
 
     rows: list[dict[int, Fraction]] = []
-    for eq in ds.equations:
-        k, poly = _expand_monomials(eq)
+    for k, poly in polys:
         gens = k.gens
         # (base exponents, other (generator, exponent) pairs) -> row
         acc: dict[tuple, dict[int, Fraction]] = {}
@@ -457,16 +494,28 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
 
     kernel = ratla.kernel_basis(ratla.RatMatrix.from_sparse(rows, ncols))
 
-    def instantiate(name: str, vec: list[Fraction]) -> Expr:
-        first, args, vecs = unknowns[name]
-        return add(*(mul(Const(vec[first + k]), _monomial(args, exps))
-                     for k, exps in enumerate(vecs) if vec[first + k]))
+    # argument atoms -> {monomial exponent vector: the monomial's factors}
+    monomials: dict[tuple[Expr, ...], dict] = {}
+
+    def instantiate(name: str, vec: dict[int, Fraction]) -> Expr:
+        first, args, index = unknowns[name]
+        factors = monomials.setdefault(args, {})
+        terms = []
+        for exps, k in index.items():
+            c = vec.get(first + k)
+            if c is not None:
+                fs = factors.get(exps)
+                if fs is None:
+                    fs = factors[exps] = _split(_monomial(args, exps))[1]
+                terms.append(_term(c, fs))
+        return add(*terms)
 
     out = []
     for vec in kernel:
-        lead = next((x for x in vec if x != 0), None)
-        if lead is not None and lead != 1:
-            vec = [x / lead for x in vec]
+        vec = {col: x for col, x in enumerate(vec) if x}
+        lead = next(iter(vec.values()), 1)
+        if lead != 1:
+            vec = {col: x / lead for col, x in vec.items()}
         xi = tuple(instantiate(n, vec) for n in ds.xi_names)
         phi = tuple(instantiate(n, vec) for n in ds.phi_names)
         out.append(VectorField(ctx, xi, phi))

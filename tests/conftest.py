@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -12,16 +13,19 @@ import liesym as ls
 from liesym.detsys import (
     DeterminingSystem,
     DiffSystem,
+    _exponents,
     _printed,
     generic_vector_field,
     symmetry_defect,
 )
-from liesym.errors import NotPolynomial
+from liesym.errors import NotPolynomial, UnknownSymbol
 from liesym.expr import (
     ONE,
     ZERO,
     Expr,
     Jet,
+    UFunc,
+    Var,
     collect,
     expand,
     jets_of,
@@ -188,3 +192,51 @@ def ref_determining_equations(sys: DiffSystem,
                 eqs.append(c)
     return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names),
                              tuple(eqs), split_t)
+
+
+def ref_derivative_table(ds, ansatz):
+    """The derivative table of ``liesym.detsys.solve_determining`` as it was
+    before it enumerated only the monomials a derivative leaves: its setup
+    of the unknowns and its ``table`` kept verbatim, for the reference
+    comparisons in the tests."""
+    ctx = ds.ctx
+    base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
+        Jet(a + 1, ()) for a in range(ctx.q)
+    )
+    base_slot = {a: i for i, a in enumerate(base_atoms)}
+    width = len(base_atoms)
+    names = tuple(ds.xi_names) + tuple(ds.phi_names)
+    argss = [ctx.unknown_arg_atoms(name) for name in names]
+    # name -> (first column, argument atoms, [monomial exponent vector])
+    unknowns: dict[str, tuple[int, tuple[Expr, ...], list]] = {}
+    first = 0
+    for name, args in zip(names, argss):
+        vecs = _exponents(len(args), ansatz.degree)
+        unknowns[name] = (first, args, vecs)
+        first += len(vecs)
+
+    tables: dict[tuple[str, tuple[int, ...]], list] = {}
+
+    def table(u: UFunc) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(column, integer coefficient, base exponents) of the derivative
+        of each ansatz monomial of u's function that u's derivative does not
+        annihilate; a falling factorial per argument gives the coefficient."""
+        key = (u.name, u.deriv)
+        got = tables.get(key)
+        if got is None:
+            first, args, vecs = unknowns[u.name]
+            if len(args) != len(u.args):
+                raise UnknownSymbol(f"arity mismatch for unknown function {u.name!r}")
+            counts = [u.deriv.count(j) for j in range(len(args))]
+            got = []
+            for k, vec in enumerate(vecs):
+                if all(e >= d for e, d in zip(vec, counts)):
+                    exps = [0] * width
+                    for a, e, d in zip(args, vec, counts):
+                        exps[base_slot[a]] += e - d
+                    got.append((first + k, math.prod(map(math.perm, vec, counts)),
+                                tuple(exps)))
+            tables[key] = got
+        return got
+
+    return table

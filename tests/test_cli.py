@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import liesym.cli as cli
 from liesym.cli import _build_parser, main
 
 MINIMAL_PROB = str(Path(__file__).resolve().parent.parent / "bench" / "problems"
@@ -236,6 +237,20 @@ class TestExitCodes:
         p.write_text("indep x\ndep u\nvf v: xi[x] = log(0)")
         assert main(["prolong", "--file", str(p), "--vf", "v", "--order", "1"]) == 2
         assert "error: log(0) is undefined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc,message", [
+        (OverflowError("int too large to convert to float"),
+         "error: arithmetic overflow: int too large to convert to float\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_interpreter_limits(self, capsys, monkeypatch, heat_file, exc,
+                                message):
+        def fail(*_):
+            raise exc
+        monkeypatch.setitem(cli._HANDLERS, "determine", fail)
+        assert main(["determine", "--file", heat_file, "--system", "heat"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message)
 
     @pytest.mark.parametrize("decl,rhs,message", [
         ("", "u_xx/x", "non-polynomial exponent -1"),

@@ -1,5 +1,6 @@
 """Solved-form systems: reduction, symmetry checks, determining equations,
 linear solving, rank probing."""
+import itertools
 import math
 import operator
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import liesym as ls
 from liesym import Ansatz, DiffSystem, Jet, Var, ratla
-from liesym.detsys import _printed
+from liesym.detsys import _columns, _printed
 from liesym.errors import NotPolynomial, UnknownSymbol
 from liesym.expr import (
     Add,
@@ -24,7 +25,7 @@ from liesym.expr import (
 )
 
 from conftest import base_exp as _base_exp
-from conftest import rand_poly
+from conftest import rand_poly, ref_derivative_table
 from conftest import ref_monomials as _monomials
 
 x = Var(1)
@@ -441,6 +442,48 @@ class TestRowsAgainstReference:
         got = outcome(ls.solve_determining, ds, Ansatz(2))
         assert got == outcome(ref_matrix, ds, Ansatz(2))
         assert got[1] == "variable occurs inside non-polynomial factor cos(u)"
+
+
+ARGS = ("x", "t", "u", "v")
+
+
+def table_system(n):
+    """Two unknowns of the first ``n`` base variables, the second with its
+    arguments in reverse order, so that argument positions and base slots
+    differ."""
+    ctx = ls.Context(("x", "t"), ("u", "v"), (),
+                     (("f", ARGS[:n]), ("g", ARGS[:n][::-1])))
+    return ls.DeterminingSystem(ctx, ("f",), ("g",), (), ())
+
+
+class TestDerivativeTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_reference(self, n):
+        ds = table_system(n)
+        for degree in range(6):
+            table = _columns(ds, Ansatz(degree))[3]
+            ref = ref_derivative_table(ds, Ansatz(degree))
+            for name in ("f", "g"):
+                args = ds.ctx.unknown_arg_atoms(name)
+                for order in range(degree + 2):
+                    for deriv in itertools.combinations_with_replacement(
+                            range(n), order):
+                        u = UFunc(name, args, deriv)
+                        assert table(u) == ref(u), (name, degree, deriv)
+                        # a derivative of order above the degree annihilates
+                        assert bool(table(u)) == (order <= degree)
+
+    def test_arity_mismatch(self):
+        ds = table_system(3)
+        f = UFunc("f", (x, t))
+        for table in (_columns(ds, Ansatz(2))[3],
+                      ref_derivative_table(ds, Ansatz(2))):
+            with pytest.raises(UnknownSymbol, match="arity mismatch for "
+                               "unknown function 'f'"):
+                table(f)
+        eq = ls.DeterminingSystem(ds.ctx, ("f",), ("g",), (f,), ())
+        with pytest.raises(UnknownSymbol, match="arity mismatch"):
+            ls.solve_determining(eq, Ansatz(2))
 
 
 class TestLieClosure:

@@ -7,19 +7,20 @@ for a reduction past the order cap.  Both must give what
 equations in the same order with the same signs, splitting variables and
 errors.
 """
+import dataclasses
 import random
 
 import pytest
 
 import liesym as ls
-from liesym import Jet, UFunc, Var, detsys
-from liesym._diffring import _Ring
+from liesym import Ansatz, Jet, UFunc, Var, detsys, ratla
+from liesym._diffring import _Ring, ring_determining
 from liesym.expr import _expand_monomials, expand, partials
 from liesym.jet import total_derivative
 
 from conftest import rand_poly, ref_determining_equations
-from test_demand_driven import outcome, same
-from test_detsys import BENCH_PROBLEMS, ROADMAP_SYSTEMS, systems
+from test_demand_driven import default_names, outcome, same
+from test_detsys import BENCH_PROBLEMS, ROADMAP_SYSTEMS, ref_matrix, systems
 
 
 def high_order(k: int) -> str:
@@ -154,6 +155,84 @@ def test_random_polynomial_systems():
         sys_ = ls.DiffSystem(ctx, ((Jet(1, (2,)), rhs),))
         want = outcome(ref_determining_equations, sys_)
         same(outcome(ls.determining_equations, sys_), want)
+
+
+# --- the handoff to solve_determining ---------------------------------------
+
+HANDOFF = POLYNOMIAL + [(n, parsed(t)) for n, t in RING_SYSTEMS.items()]
+
+
+def read_back(k, poly):
+    """The monomials of ``poly`` by generator, in order, so that kernels
+    that number their generators differently compare equal."""
+    return [({k.gens[g]: e for g, e in m}, c) for m, c in poly.items()]
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_solve_reads_the_ring(monkeypatch, name, sys_):
+    """A ring-built system, one rebuilt by hand and one with its equations
+    reversed give the matrix of their own equations and the same basis; only
+    the first reads its rows from the ring."""
+    ds = ls.determining_equations(sys_)
+    by_hand = ls.DeterminingSystem(ds.ctx, ds.xi_names, ds.phi_names,
+                                   ds.equations, ds.splitting_vars)
+    assert by_hand == ds and hash(by_hand) == hash(ds)
+    assert repr(by_hand) == repr(ds)
+    turned = dataclasses.replace(ds, equations=ds.equations[::-1])
+    assert by_hand._polys is None and turned._polys is None
+    for eq, (k, poly) in zip(ds.equations, ds._polys, strict=True):
+        assert read_back(k, poly) == read_back(*_expand_monomials(eq)), name
+    matrices, reads = [], []
+    kernel_basis, expand_monomials = ratla.kernel_basis, detsys._expand_monomials
+    monkeypatch.setattr(ratla, "kernel_basis",
+                        lambda m: matrices.append(m) or kernel_basis(m))
+    monkeypatch.setattr(detsys, "_expand_monomials",
+                        lambda e: reads.append(e) or expand_monomials(e))
+    for degree in (2, 3):
+        bases = []
+        for d in (ds, by_hand, turned):
+            matrices.clear()
+            reads.clear()
+            basis = outcome(ls.solve_determining, d, Ansatz(degree))
+            ref = outcome(ref_matrix, d, Ansatz(degree))
+            if isinstance(ref, ratla.RatMatrix):
+                assert matrices == [ref], (name, degree)
+            else:
+                assert basis == ref, (name, degree)
+            if d is ds:
+                assert reads == [], name
+            elif isinstance(basis, list):
+                assert reads == list(d.equations), name
+            bases.append(basis)
+        assert bases[0] == bases[1], (name, degree)
+        if isinstance(bases[0], list):
+            assert bases[2] == bases[0], (name, degree)
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_dict_dedup_is_distinct(name, sys_):
+    """Deduplicating the ring's coefficient dicts keeps the trees, order and
+    signs included, that ``_distinct`` keeps of all the candidate trees.
+    Among the candidates, heat2d, KdV, heat3d and others repeat an equation,
+    and wave, Boussinesq, NLS, KP, coupled and chained repeat one negated."""
+    ext, v = detsys.generic_vector_field(sys_.ctx, *default_names(sys_.ctx))
+    ext_sys = ls.DiffSystem(ext, sys_.equations)
+    cap = detsys._order_cap(sys_, None)
+
+    def reduction(j):
+        return detsys._reduction(j, ext_sys)
+
+    _, eqs, _ = ring_determining(ext_sys, v.xi, v.phi, cap, reduction)
+    ring = _Ring(ext_sys.equations, ext.p, cap, reduction)
+    defects = ring.defects(ext_sys.equations, v.xi, v.phi)
+    gens = ring.k.gens
+    split = {g for d in defects for m in d for g, _ in m
+             if type(gens[g]) is Jet and gens[g].idx}
+    candidates = [ring.k.tree(c) for d in defects
+                  for c in ring.coefficients(d, split)]
+    same(eqs, detsys._distinct(candidates))
 
 
 # --- the derivation ----------------------------------------------------------
