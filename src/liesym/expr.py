@@ -17,7 +17,10 @@ differ by integers (the step that makes rational-function cancellations such as
 Contract: compound nodes must be built with :func:`add`, :func:`mul`,
 :func:`pow_`, :func:`div` and :func:`func` (or the operators, which call them);
 a tree so built is canonical, and no operation here re-canonicalizes its
-input.  The node dataclasses are exported for ``isinstance`` checks and
+input.  :func:`add` and :func:`mul` keep each input term or factor that
+meets no like one and that they would only rebuild equal, so the nodes of
+canonical input pass into the result as the same objects.  The node
+dataclasses are exported for ``isinstance`` checks and
 atoms; a tree assembled from the raw compound dataclasses must first go
 through :func:`normalize`.
 
@@ -58,10 +61,11 @@ power of a rational constant past 2^20 bits raises as well.
 node to its partials for the length of the call, so a subtree that occurs
 more than once, as the same object or as equal trees built separately, is
 differentiated once per call.  The prolongations in ``liesym.jet`` share
-one such memo across all the walks of one call.  Sums cache their
-structural hash on first use, because :func:`add` and :func:`mul` key dicts
-on factor tuples that contain them; the cache takes no part in equality,
-``repr`` or pickling.
+one such memo across all the walks of one call.  Sums and unknown
+functions cache their structural hash on first use, because :func:`add`,
+:func:`mul` and that memo key dicts on them and on factor tuples that
+contain them; the cache takes no part in equality, ``repr``, pickling or
+``dataclasses.replace``.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -134,6 +138,23 @@ class Expr:
         return pow_(self, exponent)
 
 
+# Sums and unknown functions are the compound keys add, mul and the partials
+# memo hash most often, so they cache their structural hash, the hash of the
+# tuple of their fields, in a ``_hash`` slot on first use.  The dataclass
+# keeps a ``__hash__`` its class body sets.
+def _cached_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        h = hash(self.__reduce__()[1])
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+def _reduce_fields(self):
+    # string hashes differ between processes, so a pickle omits the cache
+    return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: Fraction
@@ -181,9 +202,13 @@ class UFunc(Expr):
     name: str
     args: tuple[Expr, ...]
     deriv: tuple[int, ...] = ()
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "deriv", tuple(sorted(self.deriv)))
+
+    __hash__ = _cached_hash
+    __reduce__ = _reduce_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,20 +234,10 @@ class Mul(Expr):
 @dataclass(frozen=True, slots=True)
 class Add(Expr):
     terms: tuple[Expr, ...]
-    # Sums are the compound keys add and mul hash most often, inside factor
-    # tuples; the hash is computed once, on first use.
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.terms,))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        # string hashes differ between processes, so a pickle omits the cache
-        return (Add, (self.terms,))
+    __hash__ = _cached_hash
+    __reduce__ = _reduce_fields
 
 
 ZERO = Const(Fraction(0))
@@ -421,59 +436,88 @@ def _term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
 
 
 def add(*args) -> Expr:
-    acc: dict[tuple[Expr, ...], Fraction] = {}
-    stack = [_coerce(a) for a in args]
-    for a in stack:
-        terms = a.terms if isinstance(a, Add) else (a,)
+    # factor tuple -> (coefficient, the input term while it is the tuple's
+    # only term and equals what _term would build from it, else None)
+    acc: dict[tuple[Expr, ...], tuple] = {}
+    for a in args:
+        if type(a) is Add:
+            terms = a.terms
+        else:
+            terms = (a if isinstance(a, Expr) else _coerce(a),)
         for t in terms:
-            c, fs = _split(t)
+            tt = type(t)
+            if tt is Mul:
+                c, fs = t.coeff, t.factors
+                if len(fs) < 2 and (not fs or c == 1 or type(fs[0]) is Add):
+                    t = None
+            elif tt is Const:
+                c, fs = t.value, ()
+                if type(c) is not Fraction:
+                    c, t = Fraction(c), None
+            else:
+                c, fs = _Q1, (t,)
             prev = acc.get(fs)
-            acc[fs] = c if prev is None else prev + c
-    out = [_term(c, fs) for fs, c in acc.items() if c]
-    if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    out.sort(key=_term_order)
+            acc[fs] = (c, t) if prev is None else (prev[0] + c, None)
+    out = [_term(c, fs) if t is None else t for fs, (c, t) in acc.items() if c]
+    if len(out) < 2:
+        return out[0] if out else ZERO
+    if len(out) > 2:
+        out.sort(key=_term_order)
+    elif _cmp(out[0], out[1]) > 0:
+        out.reverse()
     return Add(tuple(out))
+
+
+# Bases of a lone power that mul keeps; pow_ folds a Const, Pow or Mul base.
+_POW_BASES_KEPT = frozenset((Var, Jet, Param, UFunc, Func, Add))
 
 
 def mul(*args) -> Expr:
     coeff = _Q1
-    bases: dict[Expr, Fraction] = {}
-    work = [_coerce(a) for a in reversed(args)]
+    # base -> (exponent, the input factor while it is the base's only factor)
+    bases: dict[Expr, tuple] = {}
+    work = [a if isinstance(a, Expr) else _coerce(a) for a in reversed(args)]
     while work:
         a = work.pop()
-        if isinstance(a, Const):
+        ta = type(a)
+        if ta is Const:
             v = a.value
             if not v:
                 return ZERO
             coeff = v if coeff is _Q1 and type(v) is Fraction else coeff * v
             continue
-        if isinstance(a, Mul):
+        if ta is Mul:
             coeff = a.coeff if coeff is _Q1 else coeff * a.coeff
             work.extend(reversed(a.factors))
             continue
-        b, e = (a.base, a.exp) if isinstance(a, Pow) else (a, _Q1)
+        b, e = (a.base, a.exp) if ta is Pow else (a, _Q1)
         prev = bases.get(b)
-        bases[b] = e if prev is None else prev + e
+        bases[b] = (e, a) if prev is None else (prev[0] + e, None)
     factors: list[Expr] = []
     products: list[Expr] = []
-    for b, e in bases.items():
-        if not e:
-            continue
-        f = b if e is _Q1 else pow_(b, e)
-        if isinstance(f, Const):
-            coeff *= f.value
-        elif isinstance(f, Mul):
-            # a product base whose fractional powers summed to an integer
-            products.append(f)
-        else:
-            factors.append(f)
+    for b, (e, f) in bases.items():
+        # pow_ would rebuild a lone power equal, unless it folds the base or
+        # normalizes the exponent
+        if f is None or type(f) is Pow and (
+                type(e) is not Fraction or e == 1 or not e
+                or type(b) not in _POW_BASES_KEPT):
+            if not e:
+                continue
+            f = pow_(b, e)
+            if type(f) is Const:
+                coeff *= f.value
+                continue
+            if type(f) is Mul:
+                # a product base whose fractional powers summed to an integer
+                products.append(f)
+                continue
+        factors.append(f)
     if products:
         return mul(Const(coeff), *factors, *products)
-    if len(factors) > 1:
+    if len(factors) > 2:
         factors.sort(key=_factor_order)
+    elif len(factors) == 2 and _cmp_factor(factors[0], factors[1]) > 0:
+        factors.reverse()
     return _term(coeff, tuple(factors))
 
 
@@ -735,7 +779,9 @@ def _node_partials(e: Expr, memo: dict) -> dict[Expr, Expr]:
         else:
             raise TypeError(type(e))
         return _nonzero({v: mul(*outer, d) for v, d in grads.items()})
-    return _nonzero({v: add(*ds) for v, ds in parts.items()})
+    # a lone partial is canonical already, and add would return it equal
+    return _nonzero({v: add(*ds) if len(ds) > 1 else ds[0]
+                     for v, ds in parts.items()})
 
 
 def _nonzero(grads: dict[Expr, Expr]) -> dict[Expr, Expr]:

@@ -323,8 +323,11 @@ _ADD, _MUL, _POW = 0, 1, 2
 
 
 def format_expr(e: Expr, ctx: Context) -> str:
-    """Canonical text form; parse_expr(format_expr(e), ctx) == e."""
-    return _fmt(e, ctx, _ADD)
+    """Canonical text form; parse_expr(format_expr(e), ctx) == e.
+
+    A subtree that occurs more than once in ``e`` as one object is printed
+    once per precedence; the memo of printed subtrees lives for one call."""
+    return _fmt(e, ctx, _ADD, {})
 
 
 def _paren(s: str) -> str:
@@ -375,30 +378,40 @@ def _flip_sign(c: Fraction, fs: tuple[Expr, ...]) -> Expr:
     return Mul(-c, fs)
 
 
-def _fmt(e: Expr, ctx: Context, prec: int) -> str:
+def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
+    """The text of ``e`` at precedence ``prec``.  ``memo`` maps
+    ``(id(node), prec)`` to ``(node, text)``; holding the node keeps its id
+    from passing to a temporary built later in the call, such as a term
+    whose sign the sum printer flips."""
     if isinstance(e, Const):
         return _fmt_const(e.value, prec)
     if isinstance(e, Var):
         return ctx.indep[e.index - 1]
     if isinstance(e, Param):
         return e.name
+    key = (id(e), prec)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Jet):
-        return _jet_name(e, ctx)
-    if isinstance(e, UFunc):
-        return _ufunc_name(e, ctx)
-    if isinstance(e, Func):
-        return e.fname + _paren(_fmt(e.arg, ctx, _ADD))
-    if isinstance(e, Pow):
-        base = _fmt(e.base, ctx, _POW)
+        s = _jet_name(e, ctx)
+    elif isinstance(e, UFunc):
+        s = _ufunc_name(e, ctx)
+    elif isinstance(e, Func):
+        s = e.fname + _paren(_fmt(e.arg, ctx, _ADD, memo))
+    elif isinstance(e, Pow):
         if isinstance(e.base, (Add, Mul, Pow)):
-            base = _paren(_fmt(e.base, ctx, _ADD))
+            base = _paren(_fmt(e.base, ctx, _ADD, memo))
+        else:
+            base = _fmt(e.base, ctx, _POW, memo)
         exp = e.exp
         if exp.denominator == 1 and exp >= 0:
-            return f"{base}^{exp}"
-        return f"{base}^({exp})"
-    if isinstance(e, Mul):
-        parts = [_fmt(f, ctx, _MUL) if not isinstance(f, Add)
-                 else _paren(_fmt(f, ctx, _ADD)) for f in e.factors]
+            s = f"{base}^{exp}"
+        else:
+            s = f"{base}^({exp})"
+    elif isinstance(e, Mul):
+        parts = [_fmt(f, ctx, _MUL, memo) if not isinstance(f, Add)
+                 else _paren(_fmt(f, ctx, _ADD, memo)) for f in e.factors]
         body = "*".join(parts)
         if e.coeff == 1:
             s = body
@@ -407,19 +420,23 @@ def _fmt(e: Expr, ctx: Context, prec: int) -> str:
         else:
             s = _fmt_const(e.coeff, _MUL) + "*" + body
         if prec >= _POW or (prec > _ADD and s.startswith("-")):
-            return _paren(s)
-        return s
-    if isinstance(e, Add):
-        out = _fmt(e.terms[0], ctx, _ADD)
+            s = _paren(s)
+    elif isinstance(e, Add):
+        s = _fmt(e.terms[0], ctx, _ADD, memo)
         for t in e.terms[1:]:
             c, fs = _split(t)
             if c < 0:
                 u = _flip_sign(c, fs)
-                out += " - " + _fmt(u, ctx, _ADD if not isinstance(u, Add) else _MUL)
+                s += " - " + _fmt(u, ctx, _ADD if not isinstance(u, Add) else _MUL,
+                                  memo)
             else:
-                out += " + " + _fmt(t, ctx, _ADD)
-        return _paren(out) if prec > _ADD else out
-    raise TypeError(type(e))
+                s += " + " + _fmt(t, ctx, _ADD, memo)
+        if prec > _ADD:
+            s = _paren(s)
+    else:
+        raise TypeError(type(e))
+    memo[key] = (e, s)
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,27 @@ from liesym.errors import NotPolynomial, UnknownSymbol
 from liesym.expr import (
     ONE,
     ZERO,
+    Add,
+    Const,
     Expr,
     Jet,
+    Mul,
+    Pow,
     UFunc,
     Var,
+    _Q1,
+    _coerce,
+    _factor_order,
+    _split,
+    _term,
+    _term_order,
     collect,
     expand,
     jets_of,
     mul,
     neg,
+    pow_,
+    subterms,
 )
 
 SEED = 20260825
@@ -102,6 +114,75 @@ def ref_monomials(atoms, degree):
             mono = mul(*(atoms[k] ** vec[k] for k in range(n))) if total else ONE
             out.append((tuple(vec), mono))
     return out
+
+
+# ``liesym.expr.add`` and ``mul`` as they were before they kept input nodes
+# that they would rebuild equal, kept verbatim but for their names (the
+# recursive call included): the constructors must build the same trees node
+# for node.  The helpers they call are the library's own.
+def ref_add(*args) -> Expr:
+    acc: dict[tuple[Expr, ...], Fraction] = {}
+    stack = [_coerce(a) for a in args]
+    for a in stack:
+        terms = a.terms if isinstance(a, Add) else (a,)
+        for t in terms:
+            c, fs = _split(t)
+            prev = acc.get(fs)
+            acc[fs] = c if prev is None else prev + c
+    out = [_term(c, fs) for fs, c in acc.items() if c]
+    if not out:
+        return ZERO
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=_term_order)
+    return Add(tuple(out))
+
+
+def ref_mul(*args) -> Expr:
+    coeff = _Q1
+    bases: dict[Expr, Fraction] = {}
+    work = [_coerce(a) for a in reversed(args)]
+    while work:
+        a = work.pop()
+        if isinstance(a, Const):
+            v = a.value
+            if not v:
+                return ZERO
+            coeff = v if coeff is _Q1 and type(v) is Fraction else coeff * v
+            continue
+        if isinstance(a, Mul):
+            coeff = a.coeff if coeff is _Q1 else coeff * a.coeff
+            work.extend(reversed(a.factors))
+            continue
+        b, e = (a.base, a.exp) if isinstance(a, Pow) else (a, _Q1)
+        prev = bases.get(b)
+        bases[b] = e if prev is None else prev + e
+    factors: list[Expr] = []
+    products: list[Expr] = []
+    for b, e in bases.items():
+        if not e:
+            continue
+        f = b if e is _Q1 else pow_(b, e)
+        if isinstance(f, Const):
+            coeff *= f.value
+        elif isinstance(f, Mul):
+            # a product base whose fractional powers summed to an integer
+            products.append(f)
+        else:
+            factors.append(f)
+    if products:
+        return ref_mul(Const(coeff), *factors, *products)
+    if len(factors) > 1:
+        factors.sort(key=_factor_order)
+    return _term(coeff, tuple(factors))
+
+
+def same_tree(a, b) -> bool:
+    """Node for node: equal, the same ``repr`` (which shows the type of every
+    exponent and coefficient), and the same type of every constant's value."""
+    def const_types(e):
+        return [type(s.value) for s in subterms(e) if isinstance(s, Const)]
+    return a == b and repr(a) == repr(b) and const_types(a) == const_types(b)
 
 
 def rand_rational(rng, lo=-4, hi=4):

@@ -443,6 +443,23 @@ class TestFifthOrderGolden:
         assert hashlib.sha256(compact.encode()).hexdigest() == digest
 
 
+class TestProlongGolden:
+    """``prolong`` of the generic field of (x, t, u) at order 6, one order
+    past the benchmark's, pinned like :class:`TestSolveGolden`: 27
+    coefficients, u_x through u_tttttt."""
+
+    DIGEST = "eb4f7eccc30119993bea15acf7729a48acc0afd44e13b4372cf76c1c4f06d6b8"
+
+    def test_order_6(self, capsys):
+        generic = str(Path(MINIMAL_PROB).parent / "generic.prob")
+        status, report = run_json(capsys, [
+            "prolong", "--file", generic, "--vf", "generic", "--order", "6"])
+        assert status == 0
+        assert len(report["result"]["coeffs"]) == 27
+        compact = json.dumps(report["result"], separators=(",", ":"))
+        assert hashlib.sha256(compact.encode()).hexdigest() == self.DIGEST
+
+
 class TestPlain:
     def test_plain_output(self, capsys, heat_file):
         status, out = run(capsys, [

@@ -1,5 +1,6 @@
 """Core expression engine: canonicalization, differentiation, substitution,
 zero testing, collection, exact evaluation."""
+import dataclasses
 import functools
 import itertools
 import math
@@ -473,6 +474,39 @@ class TestAddHash:
         back = pickle.loads(pickle.dumps(s))
         assert back == s and back._hash is None
         assert hash(back) == hash(s)
+
+
+class TestUFuncHash:
+    def test_hash_of_fields(self):
+        f = UFunc("F", (x, u), (1, 0))
+        assert f._hash is None
+        assert hash(f) == hash(("F", (x, u), (0, 1)))
+        assert f._hash == hash(("F", (x, u), (0, 1)))       # filled on first use
+
+    def test_equal_functions_hash_equal(self):
+        f1 = UFunc("F", (x, u), (0, 1))
+        f2 = UFunc("F", (Var(1), Jet(1, ())), (1, 0))
+        f3 = ls.diff(ls.diff(UFunc("F", (x, u)), u), x)
+        for f in (f2, f3):
+            assert f == f1 and f is not f1
+            assert hash(f) == hash(f1)
+        assert hash(ls.mul(2, ls.pow_(f3, 3))) == hash(ls.mul(ls.pow_(f1, 3), 2))
+
+    def test_cache_takes_no_part(self):
+        f = UFunc("F", (x, u), (0,))
+        g = UFunc("F", (x, u), (0,))
+        hash(f)
+        assert f == g and g._hash is None
+        assert repr(f) == repr(g) == (
+            "UFunc(name='F', args=(Var(index=1), Jet(dep=1, idx=())), deriv=(0,))")
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and back._hash is None
+        assert hash(back) == hash(f)
+        other = dataclasses.replace(f, name="G")
+        assert other._hash is None
+        assert other == UFunc("G", (x, u), (0,))
+        assert hash(other) == hash(("G", (x, u), (0,)))
+        assert dataclasses.replace(f) == f
 
 
 def fresh(e):

@@ -1,5 +1,7 @@
 """Grammar: expression and problem-file parsing, printing, round-trips."""
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from liesym.parse import (
 )
 
 from conftest import rand_expr, rand_poly
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 
 
 @pytest.fixture
@@ -326,3 +330,142 @@ class TestNegativeTerms:
             assert text == ref_fmt(e, ctx, _ADD)
             negative += " - " in text
         assert negative > 100
+
+
+# format_expr as it was before it printed each shared subtree once per call,
+# kept verbatim but for its names: the memoised printer must equal it.
+def ref_format_expr(e, ctx):
+    """Canonical text form; parse_expr(format_expr(e), ctx) == e."""
+    return ref_fmt_unmemoised(e, ctx, _ADD)
+
+
+def ref_fmt_unmemoised(e, ctx, prec):
+    if isinstance(e, Const):
+        return _fmt_const(e.value, prec)
+    if isinstance(e, Var):
+        return ctx.indep[e.index - 1]
+    if isinstance(e, Param):
+        return e.name
+    if isinstance(e, Jet):
+        return _jet_name(e, ctx)
+    if isinstance(e, UFunc):
+        return _ufunc_name(e, ctx)
+    if isinstance(e, Func):
+        return e.fname + _paren(ref_fmt_unmemoised(e.arg, ctx, _ADD))
+    if isinstance(e, Pow):
+        base = ref_fmt_unmemoised(e.base, ctx, _POW)
+        if isinstance(e.base, (Add, Mul, Pow)):
+            base = _paren(ref_fmt_unmemoised(e.base, ctx, _ADD))
+        exp = e.exp
+        if exp.denominator == 1 and exp >= 0:
+            return f"{base}^{exp}"
+        return f"{base}^({exp})"
+    if isinstance(e, Mul):
+        parts = [ref_fmt_unmemoised(f, ctx, _MUL) if not isinstance(f, Add)
+                 else _paren(ref_fmt_unmemoised(f, ctx, _ADD)) for f in e.factors]
+        body = "*".join(parts)
+        if e.coeff == 1:
+            s = body
+        elif e.coeff == -1:
+            s = "-" + body
+        else:
+            s = _fmt_const(e.coeff, _MUL) + "*" + body
+        if prec >= _POW or (prec > _ADD and s.startswith("-")):
+            return _paren(s)
+        return s
+    if isinstance(e, Add):
+        out = ref_fmt_unmemoised(e.terms[0], ctx, _ADD)
+        for t in e.terms[1:]:
+            c, fs = _split(t)
+            if c < 0:
+                u = _flip_sign(c, fs)
+                out += " - " + ref_fmt_unmemoised(
+                    u, ctx, _ADD if not isinstance(u, Add) else _MUL)
+            else:
+                out += " + " + ref_fmt_unmemoised(t, ctx, _ADD)
+        return _paren(out) if prec > _ADD else out
+    raise TypeError(type(e))
+
+
+def stack_depth() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+class TestSharedSubtrees:
+    """format_expr prints a subtree that occurs more than once as one object
+    once per precedence and call, and prints what the reference prints."""
+
+    @pytest.fixture
+    def ctx(self):
+        return ls.Context(("x", "y"), ("u",))
+
+    def test_one_subtree_at_several_precedences(self, ctx):
+        x, y, u = Var(1), Var(2), Jet(1, ())
+        m = ls.mul(-1, x, u)             # -x*u: bare as a term, bracketed as a factor
+        s = ls.add(x, u)                 # x + u: bare in exp(), bracketed when flipped
+        c = Const(Fraction(-1, 2))
+        trees = [
+            Add((m, Mul(Fraction(3), (m, y)), Mul(Fraction(-1), (s,)),
+                 Func("exp", s), Func("sin", m), Pow(m, Fraction(2)),
+                 Pow(c, Fraction(1, 2)), Mul(Fraction(1), (c, y)))),
+            ls.add(m, ls.func("exp", m), ls.pow_(s, 3), ls.mul(s, ls.func("log", s))),
+            Mul(Fraction(2), (m, Pow(m, Fraction(-1)), Func("cos", m))),
+        ]
+        for e in trees:
+            assert format_expr(e, ctx) == ref_format_expr(e, ctx)
+        text = format_expr(trees[0], ctx)
+        assert text.startswith("-x*u + 3*(-x*u)*y - (x + u) + exp(x + u)")
+
+    def test_negative_terms_with_temporary_flips(self, rng, ctx):
+        # every flipped term is a temporary that dies before the next is
+        # built, so a memo that did not hold its nodes would see their ids
+        # again
+        atoms = [Var(1), Var(2), Jet(1, ()), Jet(1, (1,)), Jet(1, (2,)),
+                 Jet(1, (1, 2))]
+        for _ in range(200):
+            terms = [ls.mul(rng.choice([-3, -2, -1, Fraction(-1, 2), 1, 2]),
+                            *rng.sample(atoms, rng.randint(0, 2)))
+                     for _ in range(rng.randint(2, 8))]
+            shared = ls.add(*terms)
+            for e in (shared, ls.add(shared, ls.func("exp", shared)),
+                      ls.mul(shared, ls.add(ls.mul(-5, atoms[0]), atoms[1]))):
+                assert format_expr(e, ctx) == ref_format_expr(e, ctx)
+        e = ls.add(Var(1), ls.mul(-2, Jet(1, ())), ls.mul(-3, Var(2)))
+        assert format_expr(e, ctx) == "x - 3*y - 2*u"
+
+    def test_seeded_trees_match_the_reference(self, rng, ctx):
+        atoms = [Var(1), Var(2), Jet(1, ()), Jet(1, (1,)), ls.Param("c")]
+        ctx = ls.Context(("x", "y"), ("u",), ("c",))
+        for _ in range(400):
+            e = rand_expr(rng, atoms, depth=4)
+            e = ls.add(e, ls.mul(-2, e, atoms[2]), ls.func("sin", e))
+            assert format_expr(e, ctx) == ref_format_expr(e, ctx)
+
+    def test_problem_file_prolongation(self):
+        prob = parse_problem((PROBLEMS / "generic.prob").read_text())
+        pv = ls.prolong(prob.vfields["generic"], 4)
+        for e in pv.coeffs.values():
+            assert format_expr(e, prob.ctx) == ref_format_expr(e, prob.ctx)
+
+    def test_memo_lives_for_one_call(self, ctx):
+        e = ls.add(ls.mul(-2, Var(1), Jet(1, ())), ls.func("exp", Var(2)))
+        before = sys.getrefcount(e), sys.getrefcount(e.terms[0])
+        format_expr(e, ctx)
+        assert (sys.getrefcount(e), sys.getrefcount(e.terms[0])) == before
+
+    def test_deep_exp_chain_one_frame_per_level(self, ctx):
+        e = Jet(1, ())
+        for _ in range(_MAX_NESTING):
+            e = ls.func("exp", e)
+        limit = sys.getrecursionlimit()
+        # room for one frame per level and a few more, not two per level
+        sys.setrecursionlimit(stack_depth() + _MAX_NESTING + 20)
+        try:
+            text = format_expr(e, ctx)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text == "exp(" * _MAX_NESTING + "u" + ")" * _MAX_NESTING
+        assert parse_expr(text, ctx) == e
