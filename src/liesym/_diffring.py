@@ -40,7 +40,7 @@ from typing import Callable
 
 from ._distributed import _Poly, _num
 from .errors import LiesymError
-from .expr import Expr, Jet, Param, UFunc, Var, _term_order, jets_of
+from .expr import _RANK, Const, Expr, Jet, Mul, Param, Pow, UFunc, Var, jets_of
 
 _GENERATORS = (Var, Jet, Param)
 
@@ -74,6 +74,20 @@ def _nonzero(poly: dict) -> dict:
     return {m: _num(c) for m, c in poly.items() if c}
 
 
+def _atom_key(a: Expr) -> tuple:
+    """A key that orders the ring's generators as :func:`liesym.expr._cmp`
+    orders them: by node kind, then field by field, the arguments of an
+    unknown function (variables and order-0 jets) as a sequence."""
+    t = type(a)
+    if t is Var:
+        return _RANK[Var], a.index
+    if t is Jet:
+        return _RANK[Jet], a.dep, len(a.idx), a.idx
+    if t is Param:
+        return _RANK[Param], a.name
+    return _RANK[UFunc], a.name, a.deriv, tuple(map(_atom_key, a.args))
+
+
 class _Ring:
     """Differential polynomials of one determining system."""
 
@@ -86,6 +100,7 @@ class _Ring:
         self.derivs: dict[tuple[int, int], dict] = {}     # (generator, i) -> D_i
         self.forms: dict[int, dict | None] = {}           # generator -> normal form
         self.powers: dict[tuple[int, int], dict] = {}     # (generator, k) -> form^k
+        self.keys: dict[int, tuple] = {}                  # generator -> _atom_key
         self.rhs = [self.read(rhs) for _, rhs in equations]
         self.tables = [{(): r} for r in self.rhs]
 
@@ -260,13 +275,34 @@ class _Ring:
             out.append(_nonzero(defect))
         return out
 
+    def term_key(self, term: tuple) -> tuple:
+        """The key of the tree ``k.product(m, c)`` of ``term = (m, c)`` in
+        canonical order (``_term_order``), computed on the monomial: a
+        constant, a lone generator, a power of one, or a product of such
+        factors sorted by generator, then its coefficient."""
+        m, c = term
+        if not m:
+            return _RANK[Const], c
+        keys = self.keys
+        pairs = []
+        for g, x in m:
+            a = keys.get(g)
+            if a is None:
+                a = keys[g] = _atom_key(self.k.gens[g])
+            pairs.append((a, x))
+        # a product lists its factors by base, and the bases are distinct
+        pairs.sort()
+        fs = [a if x == 1 else (_RANK[Pow], a, x) for a, x in pairs]
+        if len(fs) == 1 and c == 1:
+            return fs[0]
+        return _RANK[Mul], tuple(fs), c
+
     def coefficients(self, defect: dict, split: set[int]) -> list[dict]:
         """The coefficients of ``defect`` over the monomials in the
         generators ``split``, as polynomials in the other generators, in the
         order :func:`liesym.expr.collect` gives them: by first occurrence
         among the terms of the canonical sum."""
-        k = self.k
-        terms = sorted(defect.items(), key=lambda mc: _term_order(k.product(*mc)))
+        terms = sorted(defect.items(), key=self.term_key)
         groups: dict[tuple, dict] = {}
         for m, c in terms:
             mono = tuple(x for x in m if x[0] in split)

@@ -13,6 +13,14 @@ keeps that product for a round and the kernel reads it back as one power at
 once.  Such a round is one step ahead of the walk's; the fixed point is the
 same.
 
+A round expands each distinct subtree once.  The prolongations and the
+partials memo return one node object for equal subtrees, so a tree such as
+``D_x zeta / D_x eta`` reaches some nodes many times, and its unfolded size
+doubles with each level of nesting.  A sum, product or power reached a
+second time, by object identity, gets the dict of its first visit back;
+only such nodes are stored, so a node that occurs once costs no memory.
+First visits keep their order, and so does the numbering of generators.
+
 :func:`liesym.expr.collect` and :func:`liesym.detsys.solve_determining` read
 the monomials of ``expand(e)`` from the kernel (:meth:`_Poly.read` of the
 fixed point) and build trees only for what they return.
@@ -69,6 +77,16 @@ def _num(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _drop_zeros(poly: dict, zeros: list) -> dict:
+    """``poly`` without those of the monomials ``zeros`` whose coefficient
+    is still 0, deleted in place: rebuilding the dict would hash every
+    monomial again, and a fractional exponent hashes in pure Python."""
+    for m in zeros:
+        if not poly.get(m, 1):
+            del poly[m]
+    return poly
+
+
 def _cap_error(what: str, k, limit=f"the expansion limit {_EXPAND_POW_CAP}",
                error=SimplificationIncomplete):
     try:
@@ -92,7 +110,8 @@ class _Poly:
     exponents of foldable generators to :func:`mul` (see :meth:`product`).
     """
 
-    __slots__ = ("gens", "index", "kind", "subtrees", "powers", "stirred")
+    __slots__ = ("gens", "index", "kind", "subtrees", "rounds", "seen",
+                 "powers", "stirred")
 
     def __init__(self):
         self.gens: list[Expr] = []
@@ -102,6 +121,14 @@ class _Poly:
         # function arguments, which recur across terms and rounds; holding
         # the node keeps its id unique
         self.subtrees: dict[int, tuple[Expr, Expr]] = {}
+        # id(node) -> (node, its polynomial after one round), for a sum,
+        # product or power reached a second time, as a shared subtree is;
+        # holding the node keeps its id unique.  ``seen`` holds the ids of
+        # those reached once, so a node that occurs once keeps no entry; an
+        # id that a dead node left there only makes the next node at that
+        # address stored on its first visit
+        self.rounds: dict[int, tuple[Expr, dict]] = {}
+        self.seen: set[int] = set()
         # (sum generator, k) -> (its terms to the k-th power, stirred); the
         # merge multiplies the same shift into many terms
         self.powers: dict[tuple[int, int], tuple[dict, bool]] = {}
@@ -148,11 +175,16 @@ class _Poly:
     def read(self, e: Expr) -> dict:
         """The polynomial whose monomials are the terms of ``e``."""
         out: dict = {}
+        zeros = []
         for t in e.terms if type(e) is Add else (e,):
             c, m = self.term(t)
             p = out.get(m)
-            out[m] = c if p is None else p + c
-        return {m: c for m, c in out.items() if c}
+            if p is not None:
+                c += p
+            out[m] = c
+            if not c:
+                zeros.append(m)
+        return _drop_zeros(out, zeros)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -161,6 +193,7 @@ class _Poly:
         before folding (see :meth:`settle`)."""
         kind = self.kind
         out: dict = {}
+        zeros = []
         for ma, ca in a.items():
             da = dict(ma)
             for mb, cb in b.items():
@@ -189,8 +222,13 @@ class _Poly:
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
                 p = out.get(m)
-                out[m] = c if p is None else p + c
-        return {m: c for m, c in out.items() if c}
+                if p is None:
+                    out[m] = c
+                else:
+                    out[m] = c = p + c
+                    if not c:
+                        zeros.append(m)
+        return _drop_zeros(out, zeros)
 
     def sum_power(self, g: int, k: int) -> dict:
         """The terms of sum generator ``g`` multiplied out to the ``k``-th
@@ -212,17 +250,22 @@ class _Poly:
         to the first power, and any constant, product or power base."""
         kind = self.kind
         out: dict = {}
+        zeros = []
         for m, c in poly.items():
             if (len(m) == 1 and m[0][1] == 1 and kind[m[0][0]] == _SUM) or \
                     any(kind[g] == _ODD for g, _ in m):
-                folded = self.read(self.product(m, _Q1))
-                for m2, c2 in folded.items():
-                    p = out.get(m2)
-                    out[m2] = c * c2 if p is None else p + c * c2
+                terms = [(m2, c * c2) for m2, c2 in
+                         self.read(self.product(m, _Q1)).items()]
             else:
-                p = out.get(m)
-                out[m] = c if p is None else p + c
-        return {m: _num(c) for m, c in out.items() if c}
+                terms = ((m, c),)
+            for m2, c2 in terms:
+                p = out.get(m2)
+                if p is not None:
+                    c2 += p
+                    if not c2:
+                        zeros.append(m2)
+                out[m2] = _num(c2)
+        return _drop_zeros(out, zeros)
 
     # -- rounds -------------------------------------------------------------
 
@@ -241,31 +284,45 @@ class _Poly:
         the same reach per round as the tree walk it replaces: a product
         multiplies out its sum factors, and powers of sums to an exponent in
         (1, _EXPAND_POW_CAP] inside a single-term factor; a power node
-        multiplies out its base when that base is a sum."""
+        multiplies out its base when that base is a sum.
+
+        A sum, product or power reached a second time, as a shared subtree
+        is, returns the dict of its first visit, which no caller changes."""
         t = type(e)
-        if t is Add:
-            out: dict = {}
-            for s in e.terms:
-                for m, c in self.expand_once(s).items():
-                    p = out.get(m)
-                    out[m] = c if p is None else p + c
-            out = {m: c for m, c in out.items() if c}
-        elif t is Mul:
-            out = self._product(e)
-        elif t is Pow:
-            out = self._power(e)
-        elif t is Const:
-            out = self.read(e)
-        elif t is Func:
-            out = self.read(func(e.fname, self.subtree(e.arg)))
-        elif t is UFunc:
-            u = e
-            if not all(type(a) in _ATOMS for a in e.args):
-                u = UFunc(e.name, tuple(map(self.subtree, e.args)), e.deriv)
-            out = {((self.gen(u), 1),): 1}
-        else:
-            out = {((self.gen(e), 1),): 1}
-        return out
+        if t is Add or t is Mul or t is Pow:
+            i = id(e)
+            hit = self.rounds.get(i)
+            if hit is not None:
+                return hit[1]
+            if t is Add:
+                out: dict = {}
+                zeros = []
+                for s in e.terms:
+                    for m, c in self.expand_once(s).items():
+                        p = out.get(m)
+                        if p is None:
+                            out[m] = c
+                        else:
+                            out[m] = c = p + c
+                            if not c:
+                                zeros.append(m)
+                out = _drop_zeros(out, zeros)
+            elif t is Mul:
+                out = self._product(e)
+            else:
+                out = self._power(e)
+            if i in self.seen:
+                self.rounds[i] = (e, out)
+            else:
+                self.seen.add(i)
+            return out
+        if t is Const:
+            return self.read(e)
+        if t is Func:
+            return self.read(func(e.fname, self.subtree(e.arg)))
+        if t is UFunc and not all(type(a) in _ATOMS for a in e.args):
+            e = UFunc(e.name, tuple(map(self.subtree, e.args)), e.deriv)
+        return {((self.gen(e), 1),): 1}
 
     def _product(self, e: Mul) -> dict:
         parts = [self.expand_once(f) for f in e.factors]
@@ -343,6 +400,7 @@ class _Poly:
         if not targets:
             return poly
         out: dict = {}
+        zeros = []
         for m, c in poly.items():
             keep, extra, bare, present = [], [], [], set()
             for g, k in m:
@@ -364,7 +422,12 @@ class _Poly:
                     extra.append((g, -mn))
             if not extra:
                 p = out.get(m)
-                out[m] = c if p is None else p + c
+                if p is None:
+                    out[m] = c
+                else:
+                    out[m] = c = p + c
+                    if not c:
+                        zeros.append(m)
                 continue
             # a bare sum factor of a rewritten term is multiplied out too
             part = {tuple(sorted(keep)): c}
@@ -374,8 +437,13 @@ class _Poly:
                 part = self.times(part, self.sum_power(g, k))
             for m2, c2 in part.items():
                 p = out.get(m2)
-                out[m2] = c2 if p is None else p + c2
-        return {m: c for m, c in out.items() if c}
+                if p is None:
+                    out[m2] = c2
+                else:
+                    out[m2] = c2 = p + c2
+                    if not c2:
+                        zeros.append(m2)
+        return _drop_zeros(out, zeros)
 
     # -- back to trees ------------------------------------------------------
 

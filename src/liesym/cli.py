@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import buckpi, claws, detsys, invariants, varcalc
 from .errors import LiesymError, NotASymmetry
@@ -20,6 +21,7 @@ from .jet import VectorField, lie_bracket, prolong
 from .parse import (
     Problem,
     format_expr,
+    format_exprs,
     parse_dimension_csv,
     parse_expr,
     parse_problem,
@@ -133,12 +135,19 @@ def _pick(table: dict, name: str, what: str):
         raise LiesymError(f"no {what} named {name!r} in the problem file") from None
 
 
-def _vf_json(v: VectorField) -> dict:
+# A handler prints all the expressions of its report in one format_exprs
+# call, so a subtree they share is printed once per report.
+
+def _vf_json(v: VectorField, texts: Iterator[str]) -> dict:
+    """The xi and phi of ``v``, their texts taken in turn from ``texts``."""
     ctx = v.ctx
-    return {
-        "xi": {ctx.indep[i]: format_expr(v.xi[i], ctx) for i in range(ctx.p)},
-        "phi": {ctx.dep[a]: format_expr(v.phi[a], ctx) for a in range(ctx.q)},
-    }
+    return {"xi": {n: next(texts) for n in ctx.indep},
+            "phi": {n: next(texts) for n in ctx.dep}}
+
+
+def _fields_json(vs: list[VectorField], ctx: Context) -> list[dict]:
+    texts = iter(format_exprs([e for v in vs for e in v.xi + v.phi], ctx))
+    return [_vf_json(v, texts) for v in vs]
 
 
 def _frac(s: str) -> Fraction:
@@ -164,11 +173,12 @@ def _parse_sample(text: str, ctx: Context) -> dict[Expr, Fraction]:
 def _prolong(args, prob: Problem) -> tuple[dict, int]:
     v = _pick(prob.vfields, args.vf, "vector field")
     pv = prolong(v, args.order)
-    coeffs = {
-        format_expr(j, prob.ctx): format_expr(pv.coeffs[j], prob.ctx)
-        for j in sorted(pv.coeffs, key=lambda j: (j.dep, len(j.idx), j.idx))
-    }
-    return {**_vf_json(v), "coeffs": coeffs}, 0
+    jets = sorted(pv.coeffs, key=lambda j: (j.dep, len(j.idx), j.idx))
+    texts = iter(format_exprs([*v.xi, *v.phi, *jets,
+                               *(pv.coeffs[j] for j in jets)], prob.ctx))
+    report = _vf_json(v, texts)
+    names = [next(texts) for _ in jets]
+    return {**report, "coeffs": dict(zip(names, texts))}, 0
 
 
 def _determine_or_solve(args, prob: Problem) -> tuple[dict, int]:
@@ -177,12 +187,11 @@ def _determine_or_solve(args, prob: Problem) -> tuple[dict, int]:
     phi_names = args.phi_names.split(",") if args.phi_names else None
     ds = detsys.determining_equations(sys_, xi_names, phi_names, args.order_cap)
     if args.command == "determine":
-        return {
-            "equations": [format_expr(e, ds.ctx) for e in ds.equations],
-            "splitting_vars": [format_expr(j, ds.ctx) for j in ds.splitting_vars],
-        }, 0
+        texts = format_exprs([*ds.equations, *ds.splitting_vars], ds.ctx)
+        n = len(ds.equations)
+        return {"equations": texts[:n], "splitting_vars": texts[n:]}, 0
     basis = detsys.solve_determining(ds, detsys.Ansatz(args.degree))
-    return {"dimension": len(basis), "fields": [_vf_json(v) for v in basis]}, 0
+    return {"dimension": len(basis), "fields": _fields_json(basis, ds.ctx)}, 0
 
 
 def _check_symmetry(args, prob: Problem) -> tuple[dict, int]:
@@ -195,14 +204,14 @@ def _check_symmetry(args, prob: Problem) -> tuple[dict, int]:
 def _bracket(args, prob: Problem) -> tuple[dict, int]:
     v = _pick(prob.vfields, args.vf, "vector field")
     w = _pick(prob.vfields, args.vf2, "vector field")
-    return _vf_json(lie_bracket(v, w)), 0
+    u = lie_bracket(v, w)
+    return _fields_json([u], u.ctx)[0], 0
 
 
 def _euler_lagrange(args, prob: Problem) -> tuple[dict, int]:
     lag = Lagrangian(prob.ctx, _pick(prob.lagrangians, args.lagrangian, "lagrangian"))
     eqs = varcalc.euler_lagrange(lag)
-    return {"equations": {prob.ctx.dep[a]: format_expr(e, prob.ctx)
-                          for a, e in enumerate(eqs)}}, 0
+    return {"equations": dict(zip(prob.ctx.dep, format_exprs(eqs, prob.ctx)))}, 0
 
 
 def _varsym_defect(args, prob: Problem) -> tuple[dict, int]:
@@ -220,7 +229,7 @@ def _noether(args, prob: Problem) -> tuple[dict, int]:
         cur = varcalc.noether_current_first_order(v, lag, b)
     except NotASymmetry as exc:
         return {"error": str(exc)}, 1
-    return {"current": [format_expr(e, prob.ctx) for e in cur.f]}, 0
+    return {"current": format_exprs(cur.f, prob.ctx)}, 0
 
 
 def _check_claw(args, prob: Problem) -> tuple[dict, int]:

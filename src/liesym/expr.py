@@ -47,22 +47,25 @@ bases of all other powers.  Sums add dicts, products multiply them, and an
 integer power of a sum is repeated multiplication, so ``(1+x)^n`` costs
 O(n^2) term products.  The shifted sum powers are then merged on the dict,
 and one canonical tree is built from it: each term as :func:`mul` would
-build it, summed with :func:`add`.  A round reaches as far as a walk that
-distributes over the tree node by node would, and at times a little further
-(see ``liesym._distributed``).  Integer powers of sums and the shifts of the
-merge are multiplied out up to exponent 64; beyond that :func:`expand` raises
-:class:`~liesym.errors.SimplificationIncomplete` instead of leaving the
-power unexpanded.  :func:`collect` and ``liesym.detsys.solve_determining``
-read the fixed point's monomials from the kernel, not its tree.  An exact
-power of a rational constant past 2^20 bits raises as well.
+build it, summed with :func:`add`.  A round expands each distinct subtree
+(one node object) once, however often the tree reaches it, and reaches as
+far as a walk that distributes over the tree node by node would, at times a
+little further (see ``liesym._distributed``).  Integer powers of sums and
+the shifts of the merge are multiplied out up to exponent 64; beyond that
+:func:`expand` raises :class:`~liesym.errors.SimplificationIncomplete`
+instead of leaving the power unexpanded.  :func:`collect` and
+``liesym.detsys.solve_determining`` read the fixed point's monomials from
+the kernel, not its tree.  An exact power of a rational constant past 2^20
+bits raises as well.
 
 :func:`partials` differentiates by every atom in one walk of the tree;
 :func:`diff` is the single-atom view of it.  The walk keeps a memo from each
 node to its partials for the length of the call, so a subtree that occurs
 more than once, as the same object or as equal trees built separately, is
 differentiated once per call.  The prolongations in ``liesym.jet`` share
-one such memo across all the walks of one call.  Sums and unknown
-functions cache their structural hash on first use, because :func:`add`,
+one such memo across all the walks of one call.  :func:`jets_of`,
+:func:`jet_order` and :func:`contains` also visit each distinct node once.
+Sums and unknown functions cache their structural hash on first use, because :func:`add`,
 :func:`mul` and that memo key dicts on them and on factor tuples that
 contain them; the cache takes no part in equality, ``repr``, pickling or
 ``dataclasses.replace``.
@@ -659,21 +662,20 @@ def normalize(e: Expr) -> Expr:
 # traversal helpers
 # ---------------------------------------------------------------------------
 
+def _kids(x: Expr) -> tuple[Expr, ...]:
+    t = type(x)
+    return (x.terms if t is Add else x.factors if t is Mul else (x.base,)
+            if t is Pow else (x.arg,) if t is Func else x.args if t is UFunc
+            else ())
+
+
 def subterms(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, Add):
-        for t in e.terms:
-            yield from subterms(t)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            yield from subterms(f)
-    elif isinstance(e, Pow):
-        yield from subterms(e.base)
-    elif isinstance(e, Func):
-        yield from subterms(e.arg)
-    elif isinstance(e, UFunc):
-        for a in e.args:
-            yield from subterms(a)
+    """Every node of ``e`` in pre-order, a shared subtree at each use."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(_kids(x)))
 
 
 def atoms_of(e: Expr) -> Iterator[Expr]:
@@ -682,16 +684,30 @@ def atoms_of(e: Expr) -> Iterator[Expr]:
             yield s
 
 
+def _distinct(e: Expr) -> Iterator[Expr]:
+    """Each distinct node of ``e`` once, with a set of the node ids seen, so
+    a shared subtree is walked once.  ``e`` keeps every node alive, so no
+    id is reused."""
+    seen, stack = {id(e)}, [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        for k in _kids(x):
+            if id(k) not in seen:
+                seen.add(id(k))
+                stack.append(k)
+
+
 def jets_of(e: Expr) -> set[Jet]:
-    return {a for a in atoms_of(e) if isinstance(a, Jet)}
+    return {a for a in _distinct(e) if type(a) is Jet}
 
 
 def jet_order(e: Expr) -> int:
-    return max((j.order for j in jets_of(e)), default=0)
+    return max((len(a.idx) for a in _distinct(e) if type(a) is Jet), default=0)
 
 
 def contains(e: Expr, atom: Expr) -> bool:
-    return any(s == atom for s in subterms(e))
+    return any(s == atom for s in _distinct(e))
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,9 @@ def next_invariant(eta: Expr, zeta: Expr) -> Expr:
 
 def characteristic_system(v: VectorField) -> str:
     """The ODE system dx^i/dt = xi^i, du^a/dt = phi_a, one equation per line."""
-    from .parse import format_expr
+    from .parse import format_exprs
 
     ctx = v.ctx
-    lines = []
-    for i, name in enumerate(ctx.indep):
-        lines.append(f"d{name}/dt = {format_expr(v.xi[i], ctx)}")
-    for a, name in enumerate(ctx.dep):
-        lines.append(f"d{name}/dt = {format_expr(v.phi[a], ctx)}")
-    return "\n".join(lines)
+    texts = format_exprs(v.xi + v.phi, ctx)
+    return "\n".join(f"d{name}/dt = {s}"
+                     for name, s in zip(ctx.indep + ctx.dep, texts))

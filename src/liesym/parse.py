@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .buckpi import DimensionalModel
 from .detsys import DiffSystem
@@ -328,6 +329,14 @@ def format_expr(e: Expr, ctx: Context) -> str:
     A subtree that occurs more than once in ``e`` as one object is printed
     once per precedence; the memo of printed subtrees lives for one call."""
     return _fmt(e, ctx, _ADD, {})
+
+
+def format_exprs(exprs: Iterable[Expr], ctx: Context) -> list[str]:
+    """The :func:`format_expr` text of each expression, in order, with one
+    memo of printed subtrees for the whole batch, so a subtree that several
+    of them share as one object is printed once per precedence."""
+    memo: dict = {}
+    return [_fmt(e, ctx, _ADD, memo) for e in exprs]
 
 
 def _paren(s: str) -> str:

@@ -15,7 +15,7 @@ import pytest
 import liesym as ls
 from liesym import Ansatz, Jet, UFunc, Var, detsys, ratla
 from liesym._diffring import _Ring, ring_determining
-from liesym.expr import _expand_monomials, expand, partials
+from liesym.expr import _expand_monomials, _term_order, expand, partials
 from liesym.jet import total_derivative
 
 from conftest import rand_poly, ref_determining_equations
@@ -233,6 +233,31 @@ def test_dict_dedup_is_distinct(name, sys_):
     candidates = [ring.k.tree(c) for d in defects
                   for c in ring.coefficients(d, split)]
     same(eqs, detsys._distinct(candidates))
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF + [("high6", parsed(high_order(6)))],
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_term_key_is_the_canonical_term_order(name, sys_):
+    """The key computed on a defect's monomials sorts its terms as the
+    trees of those terms sort in canonical order, in every permutation
+    tried."""
+    ext, v = detsys.generic_vector_field(sys_.ctx, *default_names(sys_.ctx))
+    ext_sys = ls.DiffSystem(ext, sys_.equations)
+    cap = 11 if name == "high6" else detsys._order_cap(sys_, None)
+    ring = _Ring(ext_sys.equations, ext.p, cap,
+                 lambda j: detsys._reduction(j, ext_sys))
+    rng = random.Random(4203)
+    for d in ring.defects(ext_sys.equations, v.xi, v.phi):
+        terms = list(d.items())
+        want = sorted(terms, key=lambda mc: _term_order(ring.k.product(*mc)))
+        for _ in range(3):
+            rng.shuffle(terms)
+            assert sorted(terms, key=ring.term_key) == want, name
+        # a scaled copy reaches the lone-generator and constant keys with
+        # coefficients other than 1
+        scaled = [(m, c * 3) for m, c in want] + [((), 2), ((), -1)]
+        assert sorted(scaled, key=ring.term_key) == sorted(
+            scaled, key=lambda mc: _term_order(ring.k.product(*mc))), name
 
 
 # --- the derivation ----------------------------------------------------------
