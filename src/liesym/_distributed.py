@@ -5,13 +5,9 @@ monomials to rational coefficients, merges integer-shifted powers of common
 sum bases on that dict, and builds one canonical tree from it with the
 constructors of :mod:`liesym.expr` (S. C. Johnson 1974, "Sparse polynomial
 arithmetic"; Monagan & Pearce 2007 for exponent-vector monomials).  A round
-reaches as far as a walk that distributes over the tree node by node would,
-with one difference: where :func:`mul` folds a product into one with a
-repeated factor (a power base whose fractional exponents sum to 1 beside a
-power of its own base, as in ``x^(1/2) * ((x^(1/2))^(1/3))^3``), the walk
-keeps that product for a round and the kernel reads it back as one power at
-once.  Such a round is one step ahead of the walk's; the fixed point is the
-same.
+reaches as far as a walk that distributes over the tree node by node would.
+A fractional exponent is stored as one :class:`_Exp` per value and kernel,
+whose hash is computed once; trees get plain fractions back.
 
 A round expands each distinct subtree once.  The prolongations and the
 partials memo return one node object for equal subtrees, so a tree such as
@@ -77,6 +73,22 @@ def _num(q):
     return q.numerator if q.denominator == 1 else q
 
 
+class _Exp(Fraction):
+    """A fractional exponent in a monomial, hashed once when made: every
+    dict lookup of a monomial hashes its exponents, and ``Fraction`` hashes
+    in pure Python.  Arithmetic on it gives plain fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, q: Fraction):
+        self = super().__new__(cls, q.numerator, q.denominator)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def _drop_zeros(poly: dict, zeros: list) -> dict:
     """``poly`` without those of the monomials ``zeros`` whose coefficient
     is still 0, deleted in place: rebuilding the dict would hash every
@@ -104,14 +116,15 @@ class _Poly:
     of ``(generator, exponent)`` pairs sorted by generator number.  A
     generator is the base of a factor that is not multiplied out, numbered in
     this object's table.  Integral coefficients and exponents are stored as
-    ints.  Every polynomial that :meth:`expand_once` yields is in the form
+    ints, and fractional exponents are interned (:meth:`exp`).  Every
+    polynomial that :meth:`expand_once` yields is in the form
     the tree built from it has: each monomial converts to one term of that
     tree, with no folding left for :func:`mul` to do.  The merge may leave
     exponents of foldable generators to :func:`mul` (see :meth:`product`).
     """
 
     __slots__ = ("gens", "index", "kind", "subtrees", "rounds", "seen",
-                 "powers", "stirred")
+                 "powers", "stirred", "exps")
 
     def __init__(self):
         self.gens: list[Expr] = []
@@ -134,8 +147,21 @@ class _Poly:
         self.powers: dict[tuple[int, int], tuple[dict, bool]] = {}
         # set when a product merges exponents of a generator that may fold
         self.stirred = False
+        # (numerator, denominator) -> the one _Exp of that fractional value
+        self.exps: dict[tuple[int, int], _Exp] = {}
 
     # -- reading trees ------------------------------------------------------
+
+    def exp(self, k):
+        """Exponent ``k`` as a monomial holds it: an int when integral, else
+        this kernel's one :class:`_Exp` of that value."""
+        if k.denominator == 1:
+            return k.numerator
+        key = (k.numerator, k.denominator)
+        e = self.exps.get(key)
+        if e is None:
+            e = self.exps[key] = _Exp(k)
+        return e
 
     def gen(self, b: Expr) -> int:
         i = self.index.get(b)
@@ -158,14 +184,14 @@ class _Poly:
         mono: dict[int, object] = {}
         for f in fs:
             if type(f) is Pow:
-                g, k = self.gen(f.base), _num(f.exp)
+                g, k = self.gen(f.base), self.exp(f.exp)
             else:
                 g, k = self.gen(f), 1
             p = mono.get(g)
             if p is None:
                 mono[g] = k
             else:
-                k = _num(p + k)
+                k = self.exp(p + k)
                 if k:
                     mono[g] = k
                 else:
@@ -209,8 +235,8 @@ class _Poly:
                             d[g] = k
                             continue
                         k = p + k
-                        if type(k) is Fraction and k.denominator == 1:
-                            k = k.numerator
+                        if type(k) is not int:
+                            k = self.exp(k)
                         if k:
                             d[g] = k
                         else:

@@ -19,7 +19,12 @@ Contract: compound nodes must be built with :func:`add`, :func:`mul`,
 a tree so built is canonical, and no operation here re-canonicalizes its
 input.  :func:`add` and :func:`mul` keep each input term or factor that
 meets no like one and that they would only rebuild equal, so the nodes of
-canonical input pass into the result as the same objects.  The node
+canonical input pass into the result as the same objects.  A product holds
+one factor per base: where the exponents of one base sum so that
+:func:`pow_` folds the power to another base (``((1+x)^2)^(1/2)`` twice is
+``(1+x)^2``), :func:`mul` merges the result with the factors of that base,
+so every constructor result is a fixed point of :func:`mul` and
+:func:`normalize`.  The node
 dataclasses are exported for ``isinstance`` checks and
 atoms; a tree assembled from the raw compound dataclasses must first go
 through :func:`normalize`.
@@ -49,8 +54,8 @@ O(n^2) term products.  The shifted sum powers are then merged on the dict,
 and one canonical tree is built from it: each term as :func:`mul` would
 build it, summed with :func:`add`.  A round expands each distinct subtree
 (one node object) once, however often the tree reaches it, and reaches as
-far as a walk that distributes over the tree node by node would, at times a
-little further (see ``liesym._distributed``).  Integer powers of sums and
+far as a walk that distributes over the tree node by node would (see
+``liesym._distributed``).  Integer powers of sums and
 the shifts of the merge are multiplied out up to exponent 64; beyond that
 :func:`expand` raises :class:`~liesym.errors.SimplificationIncomplete`
 instead of leaving the power unexpanded.  :func:`collect` and
@@ -62,9 +67,14 @@ bits raises as well.
 :func:`diff` is the single-atom view of it.  The walk keeps a memo from each
 node to its partials for the length of the call, so a subtree that occurs
 more than once, as the same object or as equal trees built separately, is
-differentiated once per call.  The prolongations in ``liesym.jet`` share
-one such memo across all the walks of one call.  :func:`jets_of`,
-:func:`jet_order` and :func:`contains` also visit each distinct node once.
+differentiated once per call.  The product rule builds each term
+``c * d * (the other factors)`` by merging the sorted factors of the partial
+``d`` with the other factors, sorted already, in one pass; only where two
+bases meet does :func:`mul` build the term.  The prolongations in
+``liesym.jet`` share one such memo across all the walks of one call, and
+build the terms ``u_{J,i} * d`` of their total derivatives the same way.
+:func:`jets_of`, :func:`jet_order` and :func:`contains` also visit each
+distinct node once.
 Sums and unknown functions cache their structural hash on first use, because :func:`add`,
 :func:`mul` and that memo key dicts on them and on factor tuples that
 contain them; the cache takes no part in equality, ``repr``, pickling or
@@ -363,8 +373,10 @@ def _cmp_seq(xs: tuple[Expr, ...], ys: tuple[Expr, ...]) -> int:
     """Lexicographic order of child sequences, a proper prefix first; only
     the first pair of children that differ is compared recursively."""
     for x, y in zip(xs, ys):
-        if x is not y and x != y:
-            return _cmp(x, y)
+        if x is not y:
+            s = _cmp(x, y)
+            if s:
+                return s
     return _sign(len(xs), len(ys))
 
 
@@ -497,7 +509,7 @@ def mul(*args) -> Expr:
         prev = bases.get(b)
         bases[b] = (e, a) if prev is None else (prev[0] + e, None)
     factors: list[Expr] = []
-    products: list[Expr] = []
+    folded: list[Expr] = []
     for b, (e, f) in bases.items():
         # pow_ would rebuild a lone power equal, unless it folds the base or
         # normalizes the exponent
@@ -510,18 +522,44 @@ def mul(*args) -> Expr:
             if type(f) is Const:
                 coeff *= f.value
                 continue
-            if type(f) is Mul:
-                # a product base whose fractional powers summed to an integer
-                products.append(f)
+            if type(f) is Mul or (f.base if type(f) is Pow else f) is not b:
+                # a power or product base whose fractional powers summed to
+                # an integer folded to other bases, which may meet the
+                # factors already here
+                folded.append(f)
                 continue
         factors.append(f)
-    if products:
-        return mul(Const(coeff), *factors, *products)
+    if folded:
+        return mul(Const(coeff), *factors, *folded)
     if len(factors) > 2:
         factors.sort(key=_factor_order)
     elif len(factors) == 2 and _cmp_factor(factors[0], factors[1]) > 0:
         factors.reverse()
     return _term(coeff, tuple(factors))
+
+
+def _merge_term(c: Fraction, d: Expr, rest: tuple[Expr, ...]) -> Expr:
+    """``mul(Const(c), d, *rest)`` node for node, for ``c != 0``, canonical
+    ``d`` and ``rest`` the sorted factors of a canonical product: the two
+    sorted factor lists merge in one pass, and only where two bases meet
+    does ``mul`` build the term."""
+    if type(d) is Const:
+        return _term(c * d.value, rest)
+    ds, cd = (d.factors, c * d.coeff) if type(d) is Mul else ((d,), c)
+    out = []
+    i = j = 0
+    while i < len(ds) and j < len(rest):
+        f, g = ds[i], rest[j]
+        s = _cmp(f.base if type(f) is Pow else f, g.base if type(g) is Pow else g)
+        if not s:
+            return mul(Const(c), d, *rest)
+        if s < 0:
+            out.append(f)
+            i += 1
+        else:
+            out.append(g)
+            j += 1
+    return _term(cd, (*out, *ds[i:], *rest[j:]))
 
 
 def neg(e: Expr) -> Expr:
@@ -763,13 +801,13 @@ def _node_partials(e: Expr, memo: dict) -> dict[Expr, Expr]:
             for v, d in _partials(t, memo).items():
                 parts.setdefault(v, []).append(d)
     elif isinstance(e, Mul):
-        coeff, fs = Const(e.coeff), e.factors
+        coeff, fs = e.coeff, e.factors
         for i, f in enumerate(fs):
             grads = _partials(f, memo)
             if grads:
                 rest = fs[:i] + fs[i + 1:]
                 for v, d in grads.items():
-                    parts.setdefault(v, []).append(mul(coeff, d, *rest))
+                    parts.setdefault(v, []).append(_merge_term(coeff, d, rest))
     elif isinstance(e, UFunc):
         # only a bare atom argument gets a chain-rule term
         for k, a in enumerate(e.args):
@@ -801,7 +839,7 @@ def _node_partials(e: Expr, memo: dict) -> dict[Expr, Expr]:
 
 
 def _nonzero(grads: dict[Expr, Expr]) -> dict[Expr, Expr]:
-    return {v: d for v, d in grads.items() if d != ZERO}
+    return {v: d for v, d in grads.items() if type(d) is not Const or d.value}
 
 
 def substitute(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:

@@ -17,6 +17,8 @@ from .expr import (
     Jet,
     Var,
     ZERO,
+    _Q1,
+    _merge_term,
     _partials,
     add,
     jet_order,
@@ -51,7 +53,7 @@ def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
     parts = [grads.get(Var(i), ZERO)]
     for j, d in grads.items():
         if isinstance(j, Jet):
-            parts.append(mul(Jet(j.dep, j.idx + (i,)), d))
+            parts.append(_merge_term(_Q1, d, (Jet(j.dep, j.idx + (i,)),)))
     return add(*parts)
 
 

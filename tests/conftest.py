@@ -165,8 +165,9 @@ def ref_mul(*args) -> Expr:
         f = b if e is _Q1 else pow_(b, e)
         if isinstance(f, Const):
             coeff *= f.value
-        elif isinstance(f, Mul):
-            # a product base whose fractional powers summed to an integer
+        elif isinstance(f, Mul) or base_exp(f)[0] != b:
+            # a power or product base whose fractional powers summed to an
+            # integer, folded to other bases
             products.append(f)
         else:
             factors.append(f)

@@ -1,6 +1,8 @@
 """``add`` and ``mul`` keep the input terms and factors they would rebuild
 equal: their results, node for node, against the reference constructors that
-rebuilt every one."""
+rebuilt every one.  The product rule's term helper builds what ``mul``
+builds, and every constructor result is a fixed point of ``mul`` and
+``normalize``."""
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +19,25 @@ from liesym.expr import (
     Pow,
     UFunc,
     Var,
+    _merge_term,
+    _split,
     add,
     func,
     mul,
+    neg,
+    normalize,
     pow_,
 )
 
-from conftest import rand_expr, rand_poly, rand_rational, ref_add, ref_mul, same_tree
+from conftest import (
+    base_exp,
+    rand_expr,
+    rand_poly,
+    rand_rational,
+    ref_add,
+    ref_mul,
+    same_tree,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 
@@ -32,6 +46,14 @@ u = Jet(1, ())
 ux = Jet(1, (1,))
 F = UFunc("F", (x, u))
 ATOMS = [x, y, u, ux, Jet(1, (1, 2)), Param("c"), F, UFunc("F", (x, u), (0,))]
+# powers of a power, a sum and a product whose fractional exponents can sum
+# to an integer, beside powers of the base they fold to
+uy = Jet(1, (2,))
+S = add(1, x)
+HALF = Fraction(1, 2)
+FOLDING = [x, uy, S, pow_(uy, 2), pow_(pow_(uy, -2), HALF),
+           pow_(pow_(uy, -2), Fraction(5, 2)), pow_(pow_(S, 2), HALF),
+           pow_(neg(x), HALF), pow_(neg(x), Fraction(3, 2))]
 
 
 def raw_inputs(rng, pieces):
@@ -145,6 +167,65 @@ class TestAgainstReference:
             mul(0, "y")
 
 
+class TestFixedPoints:
+    """A tree the constructors built is canonical: ``mul`` and ``normalize``
+    give it back node for node."""
+
+    def test_folds_meet_the_other_factors(self):
+        for args, want in [
+            ((pow_(pow_(uy, -2), HALF), pow_(pow_(uy, -2), Fraction(5, 2)),
+              pow_(uy, 2)), pow_(uy, -4)),
+            ((pow_(pow_(S, 2), HALF), pow_(pow_(S, 2), HALF), S), pow_(S, 3)),
+            ((pow_(neg(x), HALF), pow_(neg(x), Fraction(3, 2)), x), pow_(x, 3)),
+        ]:
+            got = both(mul, ref_mul, *args)
+            assert same_tree(got, want), (args, got)
+            assert same_tree(mul(got), got)
+
+    def test_random_trees(self, rng):
+        for atoms in (ATOMS, FOLDING):
+            for _ in range(800):
+                e = rand_expr(rng, atoms, depth=rng.randint(2, 4))
+                if rng.random() < 0.5:
+                    e = mul(e, *rng.choices(atoms, k=rng.randint(1, 3)))
+                assert same_tree(mul(e), e), e
+                assert same_tree(normalize(e), e), e
+
+
+class TestMergeTerm:
+    """``_merge_term(c, d, rest)`` is ``mul(Const(c), d, *rest)`` node for
+    node on the inputs the product rule passes it."""
+
+    @staticmethod
+    def rest_of(rng, pieces):
+        """The sorted factors of a canonical product, one of them dropped
+        at times, as the product rule passes them."""
+        fs = _split(mul(*rng.sample(pieces, rng.randint(1, 4))))[1]
+        if fs and rng.random() < 0.5:
+            i = rng.randrange(len(fs))
+            fs = fs[:i] + fs[i + 1:]
+        return fs
+
+    def test_against_mul(self, rng):
+        pieces = pieces_of(rng, 40) + FOLDING + [add(x, uy), F]
+        kinds = set()
+        for _ in range(3000):
+            c = rand_rational(rng) or Fraction(1)
+            d = rng.choice(pieces)
+            if rng.random() < 0.4:
+                d = mul(d, rng.choice(pieces))
+            rest = self.rest_of(rng, pieces)
+            got = _merge_term(c, d, rest)
+            assert same_tree(got, mul(Const(c), d, *rest)), (c, d, rest)
+            bases = {base_exp(f)[0] for f in rest}
+            kinds.add("constant" if isinstance(d, Const) else
+                      "bases meet" if any(base_exp(f)[0] in bases
+                                          for f in _split(d)[1]) else
+                      "lone sum" if isinstance(d, ls.Add) and not rest else
+                      "merged")
+        assert kinds == {"constant", "bases meet", "lone sum", "merged"}
+
+
 def problem_fields():
     for path in sorted(PROBLEMS.glob("*.prob")):
         prob = ls.parse_problem(path.read_text())
@@ -168,6 +249,8 @@ def test_problem_file_prolongations(label, monkeypatch):
     for mod in (liesym.expr, liesym.jet):
         monkeypatch.setattr(mod, "add", ref_add)
         monkeypatch.setattr(mod, "mul", ref_mul)
+        monkeypatch.setattr(mod, "_merge_term",
+                            lambda c, d, rest: ref_mul(Const(c), d, *rest))
     for (f, w, n), coeffs in zip(runs, got):
         want = f(w, n).coeffs
         assert list(coeffs) == list(want), (label, f.__name__, n)

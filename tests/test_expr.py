@@ -32,6 +32,8 @@ from liesym.expr import (
     subterms,
 )
 
+from liesym._distributed import _Exp, _num
+
 from conftest import base_exp as _base_exp
 from conftest import rand_expr, rand_poly, rand_rational
 
@@ -1055,15 +1057,48 @@ class TestExpandAgainstReference:
             assert ls.expand(e) == ref_expand(e)
 
     def test_round_that_reads_a_folded_term_back(self):
-        # q^3 merges to x^(1/2) next to x^(1/2) in a product of sums.  The
-        # old walk kept the term Mul(1, (x^(1/2), x^(1/2))) for one round;
-        # the kernel reads the folded term back as x in the same round.
+        # q^3 merges to x^(1/2) next to x^(1/2) in a product of sums.  mul
+        # merges the folded power with the other factor of its base, so
+        # the walk and the kernel both give x in the same round.
         a, b = Var(3), Var(4)
         q = ls.pow_(ls.pow_(x, Fraction(1, 2)), Fraction(1, 3))
         e = ls.mul(ls.pow_(x, Fraction(1, 2)), ls.add(q, a), ls.add(q, b),
                    ls.add(q, 1))
-        assert one_round(e) == ref_round(ref_round(e))
+        assert one_round(e) == ref_round(e)
         assert ls.expand(e) == ref_expand(e)
+
+    def test_interned_exponents_change_no_tree(self, rng, monkeypatch):
+        trees = self.trees(rng, 300)
+        got = [outcome(ls.expand, e) for e in trees]
+        fractional = 0
+        for e in trees:
+            try:
+                c = ls.expand(e)
+            except ls.LiesymError:
+                continue
+            for s in subterms(c):
+                if isinstance(s, Pow):
+                    assert type(s.exp) is Fraction, s
+                    fractional += s.exp.denominator != 1
+                elif isinstance(s, Mul):
+                    assert type(s.coeff) is Fraction, s
+        assert fractional > 100
+        # the kernel as it was before it interned exponents
+        monkeypatch.setattr(_Poly, "exp", lambda self, k: _num(k))
+        assert got == [outcome(ls.expand, e) for e in trees]
+
+    def test_fractional_exponents_are_interned(self):
+        k = _Poly()
+        h = ls.pow_(x, Fraction(1, 2))
+        poly = k.read(ls.add(ls.mul(h, u), h, ls.mul(h, h, h, ux)))
+        exps = [e for m in poly for _, e in m if type(e) is not int]
+        assert sorted(exps) == [Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)]
+        assert all(type(e) is _Exp for e in exps)
+        halves = [e for e in exps if e == Fraction(1, 2)]
+        assert halves[0] is halves[1]
+        assert hash(halves[0]) == hash(Fraction(1, 2))
+        assert all(type(e) in (int, _Exp) for m in k.times(poly, poly) for _, e in m)
+        assert type(k.tree(poly).terms[0].exp) is Fraction
 
     def test_negation_of_a_fixed_point_is_one(self, rng):
         for e in self.trees(rng, 300):
