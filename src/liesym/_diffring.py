@@ -3,12 +3,10 @@
 :func:`liesym.detsys.determining_equations` builds the symmetry defects of a
 polynomial system here, as ``{monomial: coefficient}`` dicts on the
 generator table of :class:`liesym._distributed._Poly`, deduplicates their
-coefficients as dicts, and builds trees only for the ones it returns;
-:func:`liesym.detsys.solve_determining` reads its rows from the monomials of
-those trees on the same table.  The generators are jet coordinates,
-independent variables, parameters and the unknown coefficient functions of
-the generic field.  The total derivative ``D_i`` acts on them as a
-derivation, cached per generator:
+coefficients as dicts, and builds trees only for the ones it returns.  The
+generators are jet coordinates, independent variables, parameters and the
+unknown coefficient functions of the generic field.  The total derivative
+``D_i`` acts on them as a derivation, cached per generator:
 
 - ``D_i x^k`` is 1 when k = i and 0 otherwise, and ``D_i`` of a parameter is 0;
 - ``D_i u^a_J`` is ``u^a_{J,i}``;
@@ -30,23 +28,21 @@ the polynomial ``expand`` makes of that function's tree.
 A system takes this path only when every right-hand side expands to a
 polynomial in variables, jets and parameters with non-negative integral
 exponents and keeps every jet of its tree, and every lead has order >= 1.
-A reduction whose ``D_K(rhs)`` would pass the order cap raises
-:class:`_Fallback`; the caller then runs the tree path, which decides
-whether the jet is an error and words the message.
+Any other system, and a reduction whose ``D_K(rhs)`` would pass the order
+cap, raises :class:`_Fallback`; the caller then runs the tree path, which
+decides whether the jet is an error and words the message.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-from ._distributed import _Poly, _num
+from ._distributed import _FLAT, _Poly, _num
 from .errors import LiesymError
 from .expr import _RANK, Const, Expr, Jet, Mul, Param, Pow, UFunc, Var, jets_of
 
-_GENERATORS = (Var, Jet, Param)
-
 
 class _Fallback(Exception):
-    """A reduction would pass the order cap: the tree path decides."""
+    """The ring cannot hold the system or reduce it within the order cap."""
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -99,7 +95,6 @@ class _Ring:
         self.reduction = reduction
         self.derivs: dict[tuple[int, int], dict] = {}     # (generator, i) -> D_i
         self.forms: dict[int, dict | None] = {}           # generator -> normal form
-        self.powers: dict[tuple[int, int], dict] = {}     # (generator, k) -> form^k
         self.keys: dict[int, tuple] = {}                  # generator -> _atom_key
         self.rhs = [self.read(rhs) for _, rhs in equations]
         self.tables = [{(): r} for r in self.rhs]
@@ -113,14 +108,14 @@ class _Ring:
         None."""
         k = self.k
         try:
-            poly = k.read(k.fixed_point(e))
+            poly = k.monomials(e)
         except LiesymError:
             return None
         jets = set()
         for m in poly:
             for g, x in m:
                 a = k.gens[g]
-                if type(a) not in _GENERATORS or type(x) is not int or x < 0:
+                if type(a) not in _FLAT or type(x) is not int or x < 0:
                     return None
                 if type(a) is Jet:
                     jets.add(a)
@@ -214,7 +209,7 @@ class _Ring:
                 if f is None:
                     keep.append((g, k))
                 else:
-                    forms.append(self.power(g, k, f))
+                    forms.append(self.power(f, k))
             if not forms:
                 out[m] = out.get(m, 0) + c
                 continue
@@ -224,12 +219,9 @@ class _Ring:
             _add_to(out, part)
         return _nonzero(out)
 
-    def power(self, g: int, k: int, f: dict) -> dict:
-        got = self.powers.get((g, k))
-        if got is None:
-            got = f if k == 1 else self.k.times(self.power(g, k - 1, f), f)
-            self.powers[(g, k)] = got
-        return got
+    def power(self, f: dict, k: int) -> dict:
+        """``f`` to the ``k``-th power, as ``f^(k-1)*f``."""
+        return f if k == 1 else self.k.times(self.power(f, k - 1), f)
 
     # -- the symmetry defects -----------------------------------------------
 
@@ -312,21 +304,19 @@ class _Ring:
 
 
 def ring_determining(sys, xi, phi, cap: int, reduction):
-    """(split jets, equations, their monomials) of the generic field with
-    coefficients ``xi``, ``phi`` on ``sys``, or None when ``sys`` is not
-    polynomial.  The equations are the coefficient trees of the defects in
-    turn, each once up to sign with the sign seen first, deduplicated on the
-    coefficient dicts before any tree is built; the monomials are one
-    ``(kernel, {monomial: coefficient})`` pair per equation, read back from
-    its tree so that they follow its terms.  Raises :class:`_Fallback` when
-    a reduction would pass ``cap``.  ``reduction(j)`` names the first
-    equation whose lead divides jet ``j`` and the extra indices K, or is
-    None."""
+    """(split jets, equations) of the generic field with coefficients
+    ``xi``, ``phi`` on ``sys``.  The equations are the coefficient trees of
+    the defects in turn, each once up to sign with the sign seen first,
+    deduplicated on the coefficient dicts before any tree is built.  Raises
+    :class:`_Fallback` when ``sys`` has a lead of order 0 or a right-hand
+    side the ring cannot hold, or when a reduction would pass ``cap``.
+    ``reduction(j)`` names the first equation whose lead divides jet ``j``
+    and the extra indices K, or is None."""
     if any(not lead.idx for lead, _ in sys.equations):
-        return None
+        raise _Fallback
     ring = _Ring(sys.equations, sys.ctx.p, cap, reduction)
     if any(r is None for r in ring.rhs):
-        return None
+        raise _Fallback
     defects = ring.defects(sys.equations, xi, phi)
     k, gens = ring.k, ring.k.gens
     split = {g for d in defects for m in d for g, _ in m
@@ -340,6 +330,4 @@ def ring_determining(sys, xi, phi, cap: int, reduction):
                 seen.add(key)
                 seen.add(frozenset((m, -x) for m, x in c.items()))
                 eqs.append(k.tree(c))
-    # a tree of the ring's coefficients is an expand fixed point
-    return ({gens[g] for g in split}, tuple(eqs),
-            tuple((k, k.read(e)) for e in eqs))
+    return {gens[g] for g in split}, tuple(eqs)

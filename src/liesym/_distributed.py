@@ -18,8 +18,8 @@ only such nodes are stored, so a node that occurs once costs no memory.
 First visits keep their order, and so does the numbering of generators.
 
 :func:`liesym.expr.collect` and :func:`liesym.detsys.solve_determining` read
-the monomials of ``expand(e)`` from the kernel (:meth:`_Poly.read` of the
-fixed point) and build trees only for what they return.
+the monomials of ``expand(e)`` from the kernel (:meth:`_Poly.monomials`) and
+build trees only for what they return.
 """
 from __future__ import annotations
 
@@ -65,6 +65,7 @@ _CONST_POW_BITS = 1 << 20
 # fold into something else once its exponent changes.
 _PLAIN, _SUM, _ODD = 0, 1, 2
 _ATOMS = (Var, Jet, Param, Const)
+_FLAT = (Var, Jet, Param)
 
 
 def _num(q):
@@ -304,6 +305,21 @@ class _Poly:
             e = nxt
         raise SimplificationIncomplete(
             f"expand reached no fixed point within {max_rounds} rounds")
+
+    def monomials(self, e: Expr) -> dict:
+        """The polynomial of ``expand(e)``.  A flat ``e`` (each term a
+        constant or a product of powers of variables, jets, parameters and
+        unknown functions of atoms) is its own expansion: it is read as it
+        stands, which registers the generators a round would, in its order."""
+        for t in e.terms if type(e) is Add else (e,):
+            if type(t) is Const:
+                continue
+            for f in t.factors if type(t) is Mul else (t,):
+                b = f.base if type(f) is Pow else f
+                if not (type(b) in _FLAT or type(b) is UFunc
+                        and all(type(a) in _ATOMS for a in b.args)):
+                    return self.read(self.fixed_point(e))
+        return self.read(e)
 
     def expand_once(self, e: Expr) -> dict:
         """Multiply out products and integer powers of sums, bottom-up, with

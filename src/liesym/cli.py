@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -123,9 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise LiesymError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def _load(path: str) -> Problem:
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    return parse_problem(_read_text(path))
 
 
 def _pick(table: dict, name: str, what: str):
@@ -275,8 +284,7 @@ def _char_system(args, prob: Problem) -> tuple[dict, int]:
 
 def _pi(args, prob: Problem | None) -> tuple[dict, int]:
     if args.csv:
-        with open(args.csv, encoding="utf-8") as fh:
-            model = parse_dimension_csv(fh.read())
+        model = parse_dimension_csv(_read_text(args.csv))
     elif args.dimmatrix and prob:
         model = _pick(prob.dim_models, args.dimmatrix, "dimension matrix")
     else:
@@ -350,11 +358,30 @@ def _emit_plain(report: dict, out) -> None:
     walk(report["result"])
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor, if any, at os.devnull for the last flush."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, status = _run(args)
+        if args.plain:
+            _emit_plain(report, sys.stdout)
+        else:
+            json.dump(report, sys.stdout, indent=2)
+            print()
+        sys.stdout.flush()
     except (LiesymError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            _drop_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -366,11 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    if args.plain:
-        _emit_plain(report, sys.stdout)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        print()
     return status
 
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import ratla
 from ._diffring import _Fallback, ring_determining
-from ._distributed import _ANSATZ_COLUMN_CAP, _cap_error
+from ._distributed import _ANSATZ_COLUMN_CAP, _Poly, _cap_error
 from .errors import (
     InvalidSample,
     LiesymError,
@@ -29,7 +29,6 @@ from .expr import (
     UFunc,
     Var,
     ZERO,
-    _expand_monomials,
     _split,
     _term,
     add,
@@ -211,24 +210,13 @@ def check_symmetry(v: VectorField, sys: DiffSystem,
 
 @dataclass(frozen=True)
 class DeterminingSystem:
-    """Coefficient equations that the infinitesimal coefficients must satisfy.
-
-    One built by :func:`determining_equations` on the differential
-    polynomial ring also holds, outside ``==``, ``hash`` and ``repr``, the
-    monomials of each equation on the ring's generator table, for
-    :func:`solve_determining` to read.  A system built by hand or through
-    :func:`dataclasses.replace` holds none, and is read from its trees.
-    """
+    """Coefficient equations that the infinitesimal coefficients must satisfy."""
 
     ctx: Context              # extended with the unknown coefficient functions
     xi_names: tuple[str, ...]
     phi_names: tuple[str, ...]
     equations: tuple[Expr, ...]
     splitting_vars: tuple[Jet, ...]
-    # ((kernel, monomials), ...) of the equations, set only by
-    # determining_equations: dataclasses.replace leaves it None
-    _polys: tuple | None = field(default=None, init=False, compare=False,
-                                 repr=False)
 
 
 def generic_vector_field(ctx: Context, xi_names: Sequence[str],
@@ -258,12 +246,9 @@ def determining_equations(sys: DiffSystem,
     monomials of order >= 1; the coefficient of each monomial must vanish.
 
     A polynomial system takes the differential polynomial ring of
-    ``liesym._diffring``: every right-hand side expands to a polynomial in
-    variables, jets and parameters with non-negative integral exponents and
-    keeps every jet of its tree, and every lead has order >= 1.  There the
+    ``liesym._diffring`` (its docstring says which systems do), where the
     defects are ``{monomial: coefficient}`` dicts, deduplicated as dicts,
-    only the returned equations are built as trees, and the result keeps
-    their monomials for :func:`solve_determining`.  Any other system (a
+    and only the returned equations are built as trees.  Any other system (a
     function such as ``exp(u)``, a negative or fractional power), and any
     system whose reduction would pass the order cap, takes the tree path:
     :func:`symmetry_defect`, then :func:`~liesym.expr.collect` of each
@@ -279,20 +264,15 @@ def determining_equations(sys: DiffSystem,
     ext, v = generic_vector_field(ctx, xi_names, phi_names)
     ext_sys = DiffSystem(ext, sys.equations)
     try:
-        ring = ring_determining(ext_sys, v.xi, v.phi, _order_cap(sys, order_cap),
-                                lambda j: _reduction(j, ext_sys))
+        split, eqs = ring_determining(ext_sys, v.xi, v.phi,
+                                      _order_cap(sys, order_cap),
+                                      lambda j: _reduction(j, ext_sys))
     except _Fallback:
-        ring = None
-    if ring is None:
         defects = symmetry_defect(v, ext_sys, order_cap)
         split = {j for d in defects for j in jets_of(d) if j.order >= 1}
-        eqs, polys = _distinct(_tree_coefficients(defects, split, ext)), None
-    else:
-        split, eqs, polys = ring
+        eqs = _distinct(_tree_coefficients(defects, split, ext))
     split_t = tuple(sorted(split, key=lambda j: (j.dep, len(j.idx), j.idx)))
-    ds = DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
-    object.__setattr__(ds, "_polys", polys)
-    return ds
+    return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
 
 
 def _tree_coefficients(defects: list[Expr], split: set[Jet], ctx: Context):
@@ -417,22 +397,20 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     Each unknown F is the sum over its monomials m_k of c_k*m_k, so a
     derivative D(F) is a fixed linear map from the c_k to base monomials.
     Rows are assembled from those maps, tabulated once per derivative, one row
-    per (equation, base monomial).  The monomials of each equation come from
-    the ring that built ``ds`` when it holds them (see
-    :class:`DeterminingSystem`), and from ``expand`` of its tree otherwise.
-    Raises :class:`NotPolynomial` when a term that survives instantiation is
-    not polynomial in the base variables or not linear homogeneous in the
-    c_k.
+    per (equation, base monomial).  Raises :class:`NotPolynomial` when a
+    term that survives instantiation is not polynomial in the base variables
+    or not linear homogeneous in the c_k.
     """
     ctx = ds.ctx
     base_slot, unknowns, ncols, table = _columns(ds, ansatz)
     base_atoms = tuple(base_slot)
     width = len(base_atoms)
-    polys = ds._polys or map(_expand_monomials, ds.equations)
+    k = _Poly()
+    gens = k.gens
 
     rows: list[dict[int, Fraction]] = []
-    for k, poly in polys:
-        gens = k.gens
+    for eq in ds.equations:
+        poly = k.monomials(eq)
         # (base exponents, other (generator, exponent) pairs) -> row
         acc: dict[tuple, dict[int, Fraction]] = {}
         nonlinear = False

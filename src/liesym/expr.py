@@ -878,12 +878,6 @@ def expand(e: Expr, max_rounds: int = 12) -> Expr:
     return _Poly().fixed_point(e, max_rounds)
 
 
-def _expand_monomials(e: Expr) -> tuple[_Poly, dict]:
-    """The kernel that expanded ``e`` and the monomials of ``expand(e)``."""
-    k = _Poly()
-    return k, k.read(k.fixed_point(e))
-
-
 def is_zero(e: Expr) -> bool:
     """True iff the expression is provably the constant zero.
 
@@ -912,7 +906,8 @@ def collect(e: Expr, variables: Iterable[Expr]) -> dict[Expr, Expr]:
     ``expr``.
     """
     vars_ = set(variables)
-    k, poly = _expand_monomials(e)
+    k = _Poly()
+    poly = k.monomials(e)
     out: dict[tuple, dict] = {}
     for m, c in poly.items():
         mono, rest, bad = [], [], []

@@ -1,6 +1,9 @@
 """Command-line interface: report shape, determinism, exit codes."""
 import hashlib
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -335,6 +338,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ansatz parameter count ")
         assert err.endswith(" exceeds the limit 100000\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["determine", "--file", "{}", "--system", "s"],
+        ["pi", "--csv", "{}"],
+    ], ids=["determine", "pi"])
+    def test_input_not_utf8(self, capsys, tmp_path, argv):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"\xff\xfeindep x\n")
+        assert main([a.format(p) for a in argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {p}: not UTF-8 text at byte 0\n")
+
+    @pytest.mark.parametrize("plain", [[], ["--plain"]], ids=["json", "plain"])
+    def test_closed_stdout(self, capsys, monkeypatch, tmp_path, heat_file, plain):
+        """A report written to a closed pipe ends in one error line, and
+        the stdout descriptor then points at os.devnull."""
+        with open(tmp_path / "out.txt", "wb") as fh:
+            class ClosedPipe(io.StringIO):
+                def write(self, _):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return fh.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            status = main([*plain, "determine", "--file", heat_file,
+                           "--system", "heat"])
+            os.write(fh.fileno(), b"lost")
+        monkeypatch.undo()
+        assert status == 2
+        assert capsys.readouterr() == ("", "error: [Errno 32] Broken pipe\n")
+        assert (tmp_path / "out.txt").read_bytes() == b""
 
     def test_noether_not_symmetry(self, capsys, curve_file):
         p = curve_file

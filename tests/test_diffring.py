@@ -9,13 +9,15 @@ errors.
 """
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 import liesym as ls
 from liesym import Ansatz, Jet, UFunc, Var, detsys, ratla
 from liesym._diffring import _Ring, ring_determining
-from liesym.expr import _expand_monomials, _term_order, expand, partials
+from liesym._distributed import _Poly
+from liesym.expr import _term_order, expand, partials
 from liesym.jet import total_derivative
 
 from conftest import rand_poly, ref_determining_equations
@@ -157,57 +159,104 @@ def test_random_polynomial_systems():
         same(outcome(ls.determining_equations, sys_), want)
 
 
-# --- the handoff to solve_determining ---------------------------------------
+# --- from the equations to solve_determining --------------------------------
 
 HANDOFF = POLYNOMIAL + [(n, parsed(t)) for n, t in RING_SYSTEMS.items()]
-
-
-def read_back(k, poly):
-    """The monomials of ``poly`` by generator, in order, so that kernels
-    that number their generators differently compare equal."""
-    return [({k.gens[g]: e for g, e in m}, c) for m, c in poly.items()]
 
 
 @pytest.mark.parametrize("name,sys_", HANDOFF,
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_solve_reads_the_ring(monkeypatch, name, sys_):
-    """A ring-built system, one rebuilt by hand and one with its equations
-    reversed give the matrix of their own equations and the same basis; only
-    the first reads its rows from the ring."""
+    """Solving a ring-built system, one rebuilt by hand and one with its
+    equations reversed gives the matrix of their own equations and the same
+    basis; the ring-built system holds its five fields and nothing else."""
     ds = ls.determining_equations(sys_)
+    assert list(vars(ds)) == [f.name for f in dataclasses.fields(ds)] == [
+        "ctx", "xi_names", "phi_names", "equations", "splitting_vars"]
     by_hand = ls.DeterminingSystem(ds.ctx, ds.xi_names, ds.phi_names,
                                    ds.equations, ds.splitting_vars)
     assert by_hand == ds and hash(by_hand) == hash(ds)
     assert repr(by_hand) == repr(ds)
     turned = dataclasses.replace(ds, equations=ds.equations[::-1])
-    assert by_hand._polys is None and turned._polys is None
-    for eq, (k, poly) in zip(ds.equations, ds._polys, strict=True):
-        assert read_back(k, poly) == read_back(*_expand_monomials(eq)), name
-    matrices, reads = [], []
-    kernel_basis, expand_monomials = ratla.kernel_basis, detsys._expand_monomials
+    matrices = []
+    kernel_basis = ratla.kernel_basis
     monkeypatch.setattr(ratla, "kernel_basis",
                         lambda m: matrices.append(m) or kernel_basis(m))
-    monkeypatch.setattr(detsys, "_expand_monomials",
-                        lambda e: reads.append(e) or expand_monomials(e))
     for degree in (2, 3):
         bases = []
         for d in (ds, by_hand, turned):
             matrices.clear()
-            reads.clear()
             basis = outcome(ls.solve_determining, d, Ansatz(degree))
             ref = outcome(ref_matrix, d, Ansatz(degree))
             if isinstance(ref, ratla.RatMatrix):
                 assert matrices == [ref], (name, degree)
             else:
                 assert basis == ref, (name, degree)
-            if d is ds:
-                assert reads == [], name
-            elif isinstance(basis, list):
-                assert reads == list(d.equations), name
             bases.append(basis)
         assert bases[0] == bases[1], (name, degree)
         if isinstance(bases[0], list):
             assert bases[2] == bases[0], (name, degree)
+
+
+def rounds_taken(monkeypatch):
+    """Record each expression ``_Poly.fixed_point`` runs its rounds on."""
+    calls = []
+    fixed_point = _Poly.fixed_point
+    monkeypatch.setattr(_Poly, "fixed_point",
+                        lambda k, e, *a: calls.append(e) or fixed_point(k, e, *a))
+    return calls
+
+
+def same_read(e):
+    """``monomials(e)`` and ``read(fixed_point(e))`` in fresh kernels give
+    the same dict, in the same order, on the same generator table."""
+    flat, rounds = _Poly(), _Poly()
+    got, want = flat.monomials(e), rounds.read(rounds.fixed_point(e))
+    assert list(got.items()) == list(want.items()), e
+    assert flat.gens == rounds.gens and flat.kind == rounds.kind, e
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_flat_equations_are_read_as_they_stand(monkeypatch, name, sys_):
+    eqs = ls.determining_equations(sys_).equations
+    for e in eqs:
+        same_read(e)
+    calls = rounds_taken(monkeypatch)
+    for e in eqs:
+        _Poly().monomials(e)
+    assert calls == [], name
+
+
+def test_flat_read_of_random_polynomials(monkeypatch):
+    rng = random.Random(4204)
+    args = (Var(1), Var(2), Jet(1, ()))
+    atoms = [*args, Jet(1, (1,)), ls.Param("c"), UFunc("f", args),
+             UFunc("f", args, (0, 2)), UFunc("g", (Var(1), ls.Const(2))),
+             ls.pow_(Var(1), -1), ls.pow_(Jet(1, (1, 1)), Fraction(1, 2)),
+             ls.pow_(UFunc("f", args), Fraction(-3, 2))]
+    trees = [rand_poly(rng, atoms, degree=4, terms=5) for _ in range(300)]
+    for e in trees:
+        same_read(e)
+    calls = rounds_taken(monkeypatch)
+    for e in trees:
+        _Poly().monomials(e)
+    assert calls == []
+
+
+def test_other_trees_take_the_rounds(monkeypatch):
+    args = (Var(1), Var(2), Jet(1, ()))
+    xi, xi_x = UFunc("xi", args), UFunc("xi", args, (0,))
+    x, u = Var(1), Jet(1, ())
+    for e in (ls.mul(ls.pow_(ls.add(1, x), 2), xi_x),
+              ls.mul(ls.func("exp", u), xi),
+              ls.mul(ls.pow_(ls.Const(2), Fraction(1, 2)), x),
+              ls.add(x, UFunc("f", (ls.add(x, u),)))):
+        same_read(e)
+        calls = rounds_taken(monkeypatch)
+        _Poly().monomials(e)
+        assert calls == [e]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name,sys_", HANDOFF,
@@ -224,7 +273,7 @@ def test_dict_dedup_is_distinct(name, sys_):
     def reduction(j):
         return detsys._reduction(j, ext_sys)
 
-    _, eqs, _ = ring_determining(ext_sys, v.xi, v.phi, cap, reduction)
+    _, eqs = ring_determining(ext_sys, v.xi, v.phi, cap, reduction)
     ring = _Ring(ext_sys.equations, ext.p, cap, reduction)
     defects = ring.defects(ext_sys.equations, v.xi, v.phi)
     gens = ring.k.gens
@@ -288,7 +337,7 @@ def test_read_refuses_what_the_ring_cannot_hold():
         assert ring.read(ls.parse_expr(text, ctx)) is None, text
     for text in ("(u + u_x)^2", "c*u_xx + 3", "x^2*t"):
         e = ls.parse_expr(text, ctx)
-        _, want = _expand_monomials(e)
+        want = _Poly().monomials(e)
         got = ring.read(e)
         assert got is not None and ring.k.tree(got) == expand(e), text
         assert len(got) == len(want)
