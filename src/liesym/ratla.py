@@ -1,15 +1,20 @@
 """Exact rational linear algebra: RREF, rank, kernel bases, solving.
 
 ``RatMatrix`` stores only its nonzeros, one sorted tuple of
-``(column, Fraction)`` pairs per row, and every elimination runs on those
-rows as ``{column: Fraction}`` dicts, so cost follows the nonzeros rather than
-rows x columns.  The determining matrices of the polynomial-ansatz solve are
-well under 1 % dense.
+``(column, Fraction)`` pairs per row, so cost follows the nonzeros rather
+than rows x columns; the determining matrices of the polynomial-ansatz solve
+are well under 1 % dense.  Every routine runs one fraction-free elimination
+core on those rows in integer arithmetic: rows are cleared to primitive
+integer rows, a presolve pivots out singleton rows, the rest are eliminated
+forward, and one back-substitution pass gives the RREF, whose entries become
+Fractions only at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArityError
@@ -88,55 +93,127 @@ class RatMatrix:
         return [sum((x * vv[j] for j, x in row), Fraction(0)) for row in self.data]
 
 
-def _subtract(dst: dict[int, Fraction], f: Fraction,
-              src: Mapping[int, Fraction], skip: int) -> None:
-    """dst -= f * src on every column but ``skip``, dropping zeros."""
-    for c, v in src.items():
-        if c != skip:
-            x = dst.get(c, 0) - f * v
-            if x:
-                dst[c] = x
-            else:
-                del dst[c]
+def _primitive(r: dict[int, int], lead: int) -> dict[int, int]:
+    """``r`` divided by the gcd of its entries, signed so that ``r[lead] > 0``."""
+    g = gcd(*r.values())
+    if r[lead] < 0:
+        g = -g
+    return r if g == 1 else {c: x // g for c, x in r.items()}
 
 
-def _reduce_rows(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Sparse Gauss-Jordan elimination: the nonzero rows of the RREF, keyed by
-    their pivot column.  ``rows`` hold no zero entries and are consumed.
+def _reduce_rows(rows: Iterable[Sequence[tuple[int, Fraction]]]) -> dict[int, dict[int, int]]:
+    """Fraction-free sparse elimination: the nonzero rows of the RREF, keyed by
+    their pivot column.  Each input row is a sequence of nonzero
+    ``(column, value)`` pairs sorted by column.  Each output row holds
+    integers whose gcd is 1; dividing it by its (positive) pivot entry gives
+    the RREF row.
 
-    Each incoming row is reduced against the pivot rows found so far; a
-    nonzero remainder is scaled so its leading entry is 1 and becomes a pivot
-    row, after which its pivot column is cleared from the earlier pivot rows.
-    Pivot rows therefore stay fully reduced against one another, and sorted by
-    pivot column they form the (unique) reduced row echelon form.
+    Rows become primitive integer rows, and repeated rows are dropped.  A
+    singleton row ``{j: v}`` makes ``j`` a pivot with row e_j, and column j
+    is deleted from every row holding it, which may leave new singletons; a
+    column index and a worklist touch each nonzero once.  The remaining rows
+    are eliminated forward by increasing leading column, the shortest row of
+    each becoming its pivot row, by cross-multiplication: ``a*r - b*q``
+    with ``a/b = q[p]/r[p]`` in lowest terms.  One back-substitution pass in
+    decreasing pivot order then clears every pivot column from the rows
+    above it, so sorted by pivot column the rows form the (unique) reduced
+    row echelon form.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for r in rows:
-        for p in [c for c in r if c in pivots]:
-            _subtract(r, r.pop(p), pivots[p], p)
-        if not r:
+    unique: dict[tuple, None] = {}
+    for row in rows:
+        if len(row) == 1:
+            unique[((row[0][0], 1),)] = None
+        elif row:
+            den = lcm(*[x.denominator for _, x in row])
+            r = {c: x.numerator * (den // x.denominator) for c, x in row}
+            unique[tuple(_primitive(r, row[0][0]).items())] = None
+    work = [dict(t) for t in unique]
+
+    pivots: dict[int, dict[int, int]] = {}
+    singles = [r for r in work if len(r) == 1]
+    if singles:
+        holders: dict[int, list[dict[int, int]]] = {}
+        for r in work:
+            for c in r:
+                holders.setdefault(c, []).append(r)
+        while singles:
+            r = singles.pop()
+            if len(r) == 1:
+                p = next(iter(r))
+                pivots[p] = {p: 1}
+                for s in holders[p]:
+                    if p in s:
+                        del s[p]
+                        if len(s) == 1:
+                            singles.append(s)
+        work = [r for r in work if r]
+
+    leading: dict[int, list[dict[int, int]]] = {}
+    for r in work:
+        lead = min(r)
+        leading.setdefault(lead, []).append(_primitive(r, lead))
+    heap = sorted(leading)
+    while heap:
+        p = heappop(heap)
+        group = leading.pop(p)
+        q = pivots[p] = min(group, key=len)
+        for r in group:
+            if r is q:
+                continue
+            g = gcd(q[p], r[p])
+            a, b = q[p] // g, r.pop(p) // g
+            if a != 1:
+                r = {c: a * x for c, x in r.items()}
+            for c, y in q.items():
+                if c != p:
+                    x = r.get(c, 0) - b * y
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+            if r:
+                lead = min(r)
+                if lead not in leading:
+                    heappush(heap, lead)
+                    leading[lead] = []
+                leading[lead].append(_primitive(r, lead))
+
+    for p in sorted(pivots, reverse=True):
+        r = pivots[p]
+        hits = [c for c in r if c != p and c in pivots]
+        if not hits:
             continue
-        p = min(r)
-        inv = 1 / r[p]
-        r = {c: v * inv for c, v in r.items()}
-        for q in pivots.values():
-            f = q.pop(p, None)
-            if f is not None:
-                _subtract(q, f, r, p)
-        pivots[p] = r
+        den = lcm(*[pivots[c][c] // gcd(pivots[c][c], r[c]) for c in hits])
+        out = {c: den * x for c, x in r.items() if c == p or c not in pivots}
+        for c in hits:
+            q = pivots[c]
+            f = r[c] * den // q[c]
+            for k, y in q.items():
+                if k != c:
+                    x = out.get(k, 0) - f * y
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
+        pivots[p] = _primitive(out, p)
     return pivots
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form with the list of pivot columns."""
-    reduced = _reduce_rows(map(dict, m.data))
-    order = sorted(reduced)
-    rows = [reduced[p] for p in order] + [{}] * (m.rows - len(order))
-    return RatMatrix.from_sparse(rows, m.cols), tuple(order)
+    reduced = _reduce_rows(m.data)
+    order = tuple(sorted(reduced))
+    data, one = [], Fraction(1)
+    for p in order:
+        r = reduced[p]
+        lead = r.pop(p)
+        data.append(((p, one), *((c, Fraction(r[c], lead)) for c in sorted(r))))
+    data += [()] * (m.rows - len(order))
+    return RatMatrix(m.rows, m.cols, tuple(data)), order
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_reduce_rows(map(dict, m.data)))
+    return len(_reduce_rows(m.data))
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
@@ -161,17 +238,16 @@ def solve(m: RatMatrix, b: Sequence) -> list[Fraction] | None:
     """One solution of M x = b, or None if inconsistent."""
     if len(b) != m.rows:
         raise ArityError(f"rhs length {len(b)} does not match {m.rows} rows")
-    aug = list(map(dict, m.data))
-    for row, bi in zip(aug, b):
+    aug = []
+    for row, bi in zip(m.data, b):
         bi = Fraction(bi)
-        if bi:
-            row[m.cols] = bi
+        aug.append(row + ((m.cols, bi),) if bi else row)
     reduced = _reduce_rows(aug)
     if m.cols in reduced:
         return None
     x = [Fraction(0)] * m.cols
     for p, row in reduced.items():
-        x[p] = row.get(m.cols, Fraction(0))
+        x[p] = Fraction(row.get(m.cols, 0), row[p])
     return x
 
 

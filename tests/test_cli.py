@@ -452,6 +452,30 @@ class TestSolveGolden:
         assert hashlib.sha256(compact.encode()).hexdigest() == digest
 
 
+class TestLargeSolveGolden:
+    """``solve`` on the largest determining matrices, pinned like
+    :class:`TestSolveGolden`: 2-D heat at degree 5 and the Boussinesq
+    system (two dependent variables) at degree 3."""
+
+    @pytest.mark.parametrize("prob,name,degree,dimension,digest", [
+        ("indep x y t\ndep u\nsystem heat2d: u_t = u_xx + u_yy\n",
+         "heat2d", "5", 30,
+         "c85d5c367020ec0f542326e7e37b7715da6f40c539da95965db41b6ad2f4f652"),
+        ("indep x t\ndep u v\nsystem bouss: u_t = v_x; v_t = u_x + 2*u*u_x + u_xxx\n",
+         "bouss", "3", 4,
+         "e4d52f6099fc9a9a948c1dc0085c687135c89ee1a16272d864d63c44adc4a957"),
+    ])
+    def test_large(self, capsys, tmp_path, prob, name, degree, dimension, digest):
+        p = tmp_path / f"{name}.prob"
+        p.write_text(prob)
+        status, report = run_json(capsys, [
+            "solve", "--file", str(p), "--system", name, "--degree", degree])
+        assert status == 0
+        assert report["result"]["dimension"] == dimension
+        compact = json.dumps(report["result"], separators=(",", ":"))
+        assert hashlib.sha256(compact.encode()).hexdigest() == digest
+
+
 class TestFifthOrderGolden:
     """``determine`` (86 equations) and degree-3 ``solve`` (dimension 3) on
     a fifth-order equation, pinned like :class:`TestSolveGolden`; the

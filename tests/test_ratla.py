@@ -166,6 +166,103 @@ class TestSparseAgainstDense:
             assert rref(m)[0].to_rows() == ref
 
 
+def check_against_dense(a, cols):
+    """rref, pivots, kernel and rank of the rows ``a`` all agree with the
+    dense reference, and every RREF entry is a Fraction."""
+    m = RatMatrix.from_rows(a)
+    ref, ref_piv = dense_rref(a, cols)
+    r, piv = rref(m)
+    assert piv == tuple(ref_piv)
+    assert r == RatMatrix.from_rows(ref)
+    assert all(type(x) is Fraction for row in r.data for _, x in row)
+    assert kernel_basis(m) == dense_kernel(ref, ref_piv, cols)
+    assert rank(m) == len(ref_piv)
+
+
+def chain(n, square):
+    """Bidiagonal rows ``x_i - x_{i+1}``: n rows over n + 1 columns, or,
+    when ``square``, n columns with the last row the singleton ``x_{n-1}``."""
+    one = Fraction(1)
+    rows = [((i, one), (i + 1, -one)) for i in range(n - square)]
+    if square:
+        rows.append(((n - 1, one),))
+    return RatMatrix(n, n + (not square), tuple(rows))
+
+
+class TestFractionFreeCore:
+    """Cases aimed at the integer core: the singleton presolve, clearing
+    denominators, the sign and scale of rows, and large integers."""
+
+    def test_singleton_cascade(self, rng):
+        # a shuffled chain e_0, e_0 + e_1, ..., each link a singleton once
+        # the link before it is a pivot, among random rows over all columns
+        cols = 20
+        for _ in range(15):
+            a = rand_sparse_rows(rng, 12, cols, 0.08)
+            links = rng.sample(range(cols), 8)
+            for prev, col in zip([None] + links, links):
+                row = [Fraction(0)] * cols
+                row[col] = Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 4]))
+                if prev is not None:
+                    row[prev] = Fraction(rng.choice([-1, 7]))
+                a.append(row)
+            rng.shuffle(a)
+            check_against_dense(a, cols)
+
+    def test_mixed_denominators(self, rng):
+        for _ in range(10):
+            a = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 35]))
+                  if rng.random() < 0.4 else Fraction(0) for _ in range(9)]
+                 for _ in range(7)]
+            check_against_dense(a, 9)
+
+    def test_negative_leading_entries(self, rng):
+        for _ in range(10):
+            a = rand_sparse_rows(rng, 8, 10, 0.3)
+            for row in a:
+                lead = next((j for j, x in enumerate(row) if x), None)
+                if lead is not None and row[lead] > 0:
+                    row[lead] = -row[lead]
+            check_against_dense(a, 10)
+
+    def test_duplicates_up_to_scale_and_sign(self, rng):
+        for _ in range(10):
+            a = rand_sparse_rows(rng, 5, 8, 0.3)
+            for row in list(a):
+                k = Fraction(rng.choice([-1, -3, 7, 2]), rng.choice([1, 5, 2]))
+                a.append([k * x for x in row])
+            rng.shuffle(a)
+            check_against_dense(a, 8)
+
+    def test_entries_near_1e30(self, rng):
+        big = 10 ** 30
+        for _ in range(10):
+            a = [[Fraction(big + rng.randint(-50, 50), rng.choice([1, big - 1, 3]))
+                  * rng.choice([-1, 1]) if rng.random() < 0.4 else Fraction(0)
+                  for _ in range(7)] for _ in range(6)]
+            check_against_dense(a, 7)
+
+    def test_presolve_alone(self):
+        # a permuted triangular cascade: every pivot comes from a singleton
+        rows = [[0, 0, 3, 1], [0, 0, 0, 5], [2, -1, 4, 0], [0, 7, -2, 1]]
+        m = RatMatrix.from_rows(rows)
+        assert rref(m) == (RatMatrix.identity(4), (0, 1, 2, 3))
+        assert kernel_basis(m) == []
+        sol = solve(m, [1, 2, 3, 4])
+        assert m.matvec(sol) == [Fraction(k) for k in (1, 2, 3, 4)]
+
+    def test_solve_singleton_in_augmented_column(self):
+        m = RatMatrix.from_rows([[1, 2], [0, 0], [3, 6]])
+        assert solve(m, [1, 5, 3]) is None
+        assert solve(m, [1, 0, 3]) == [Fraction(1), Fraction(0)]
+
+    @pytest.mark.parametrize("square", [True, False], ids=["cascade", "back-substitution"])
+    def test_long_chain(self, square):
+        short = chain(40, square)
+        check_against_dense(short.to_rows(), short.cols)
+        assert rank(chain(20000, square)) == 20000
+
+
 class TestSparseFormat:
     @pytest.mark.parametrize("zero", [0, "0", Fraction(0), "0/5", 0.0],
                              ids=["int", "str", "Fraction", "ratio-str", "float"])
