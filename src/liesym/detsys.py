@@ -397,9 +397,12 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     Each unknown F is the sum over its monomials m_k of c_k*m_k, so a
     derivative D(F) is a fixed linear map from the c_k to base monomials.
     Rows are assembled from those maps, tabulated once per derivative, one row
-    per (equation, base monomial).  Raises :class:`NotPolynomial` when a
-    term that survives instantiation is not polynomial in the base variables
-    or not linear homogeneous in the c_k.
+    per (equation, base monomial).  The kernel stays sparse from the RREF
+    on, and each vector is instantiated through a column -> (unknown,
+    monomial) table built once per solve, so that work follows the kernel's
+    nonzeros rather than its dimension times the column count.  Raises
+    :class:`NotPolynomial` when a term that survives instantiation is not
+    polynomial in the base variables or not linear homogeneous in the c_k.
     """
     ctx = ds.ctx
     base_slot, unknowns, ncols, table = _columns(ds, ansatz)
@@ -408,7 +411,7 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     k = _Poly()
     gens = k.gens
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[tuple[tuple[int, Fraction], ...]] = []
     for eq in ds.equations:
         poly = k.monomials(eq)
         # (base exponents, other (generator, exponent) pairs) -> row
@@ -441,7 +444,7 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                 row = acc.setdefault(key, {})
                 row[col] = row.get(col, 0) + c * a
         for (exps, rest_t), row in acc.items():
-            row = {col: Fraction(v) for col, v in row.items() if v}
+            row = tuple(sorted((col, Fraction(v)) for col, v in row.items() if v))
             if not row:
                 continue
             for b, e in zip(base_atoms, exps):
@@ -470,32 +473,25 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                         f"{', '.join(sorted(params))})")
             raise NotPolynomial(why)
 
-    kernel = ratla.kernel_basis(ratla.RatMatrix.from_sparse(rows, ncols))
-
-    # argument atoms -> {monomial exponent vector: the monomial's factors}
-    monomials: dict[tuple[Expr, ...], dict] = {}
-
-    def instantiate(name: str, vec: dict[int, Fraction]) -> Expr:
-        first, args, index = unknowns[name]
-        factors = monomials.setdefault(args, {})
-        terms = []
-        for exps, k in index.items():
-            c = vec.get(first + k)
-            if c is not None:
-                fs = factors.get(exps)
-                if fs is None:
-                    fs = factors[exps] = _split(_monomial(args, exps))[1]
-                terms.append(_term(c, fs))
-        return add(*terms)
+    # column -> (unknown name, argument atoms, monomial exponent vector)
+    owner: list[tuple] = [None] * ncols
+    for name, (first, args, index) in unknowns.items():
+        for exps, col in index.items():
+            owner[first + col] = (name, args, exps)
+    factors: dict[int, tuple] = {}      # column -> the monomial's factors
 
     out = []
-    for vec in kernel:
-        vec = {col: x for col, x in enumerate(vec) if x}
-        lead = next(iter(vec.values()), 1)
-        if lead != 1:
-            vec = {col: x / lead for col, x in vec.items()}
-        xi = tuple(instantiate(n, vec) for n in ds.xi_names)
-        phi = tuple(instantiate(n, vec) for n in ds.phi_names)
+    for vec in ratla._kernel(ratla.RatMatrix(len(rows), ncols, tuple(rows))):
+        lead = next(iter(vec.values()))
+        terms: dict[str, list] = {}
+        for col, x in vec.items():
+            name, args, exps = owner[col]
+            fs = factors.get(col)
+            if fs is None:
+                fs = factors[col] = _split(_monomial(args, exps))[1]
+            terms.setdefault(name, []).append(_term(x if lead == 1 else x / lead, fs))
+        xi = tuple(add(*terms.get(n, ())) for n in ds.xi_names)
+        phi = tuple(add(*terms.get(n, ())) for n in ds.phi_names)
         out.append(VectorField(ctx, xi, phi))
     return out
 

@@ -7,7 +7,9 @@ are well under 1 % dense.  Every routine runs one fraction-free elimination
 core on those rows in integer arithmetic: rows are cleared to primitive
 integer rows, a presolve pivots out singleton rows, the rest are eliminated
 forward, and one back-substitution pass gives the RREF, whose entries become
-Fractions only at the end.
+Fractions only at the end.  Kernel vectors are read off the RREF's pivot rows
+as sparse ``{column: Fraction}`` dicts (``_kernel``); ``kernel_basis`` is
+their dense view.
 """
 from __future__ import annotations
 
@@ -46,16 +48,15 @@ class RatMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ArityError("ragged rows")
-        return RatMatrix.from_sparse(
-            [dict(enumerate(map(Fraction, row))) for row in rows], c
-        )
+        return RatMatrix.from_sparse([dict(enumerate(row)) for row in rows], c)
 
     @staticmethod
     def from_sparse(rows: Sequence[Mapping[int, Fraction]], cols: int) -> "RatMatrix":
-        """Matrix whose row i holds ``rows[i][j]`` in column j, zero elsewhere;
-        the values must already be Fractions, and zero values are dropped."""
+        """Matrix whose row i holds ``Fraction(rows[i][j])`` in column j, zero
+        elsewhere; values that convert to zero are dropped."""
         return RatMatrix(len(rows), cols, tuple(
-            tuple(sorted((j, x) for j, x in row.items() if x)) for row in rows
+            tuple(sorted((j, x) for j, x in zip(row, map(Fraction, row.values())) if x))
+            for row in rows
         ))
 
     @staticmethod
@@ -125,7 +126,8 @@ def _reduce_rows(rows: Iterable[Sequence[tuple[int, Fraction]]]) -> dict[int, di
             unique[((row[0][0], 1),)] = None
         elif row:
             den = lcm(*[x.denominator for _, x in row])
-            r = {c: x.numerator * (den // x.denominator) for c, x in row}
+            r = ({c: x.numerator for c, x in row} if den == 1 else
+                 {c: x.numerator * (den // x.denominator) for c, x in row})
             unique[tuple(_primitive(r, row[0][0]).items())] = None
     work = [dict(t) for t in unique]
 
@@ -216,22 +218,38 @@ def rank(m: RatMatrix) -> int:
     return len(_reduce_rows(m.data))
 
 
-def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
-    """Basis of the right null space, one vector per free column.
-
-    Free coordinates follow the canonical RREF unit pattern, so the output is
-    deterministic and directly comparable in golden tests.  A pivot row's
-    first pair is its pivot; every later pair lies in a free column.
-    """
+def _kernel(m: RatMatrix) -> list[dict[int, Fraction]]:
+    """Sparse basis of the right null space: for each free column f, in
+    increasing f, the vector ``{p: -x for each pivot row p holding x in
+    column f, f: 1}`` with its keys in increasing order.  A pivot row's
+    first pair is its pivot; every later pair lies in a free column."""
     r, pivots = rref(m)
     pivot_set = set(pivots)
-    basis = {f: [Fraction(0)] * m.cols for f in range(m.cols) if f not in pivot_set}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
+    basis: dict[int, dict[int, Fraction]] = {
+        f: {} for f in range(m.cols) if f not in pivot_set}
     for p, row in zip(pivots, r.data):
         for f, x in row[1:]:
             basis[f][p] = -x
+    one = Fraction(1)
+    for f, v in basis.items():
+        v[f] = one
     return list(basis.values())
+
+
+def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
+    """Basis of the right null space, one vector per free column: the dense
+    view of :func:`_kernel`.
+
+    Free coordinates follow the canonical RREF unit pattern, so the output is
+    deterministic and directly comparable in golden tests.
+    """
+    out = []
+    for v in _kernel(m):
+        dense = [Fraction(0)] * m.cols
+        for j, x in v.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def solve(m: RatMatrix, b: Sequence) -> list[Fraction] | None:

@@ -454,8 +454,10 @@ class TestSolveGolden:
 
 class TestLargeSolveGolden:
     """``solve`` on the largest determining matrices, pinned like
-    :class:`TestSolveGolden`: 2-D heat at degree 5 and the Boussinesq
-    system (two dependent variables) at degree 3."""
+    :class:`TestSolveGolden`: 2-D heat at degree 5, the Boussinesq system
+    (two dependent variables) at degree 3 and 3-D heat at degree 4; and two
+    equations with non-integral coefficients, whose rows reach the
+    elimination core as ``Fraction``s."""
 
     @pytest.mark.parametrize("prob,name,degree,dimension,digest", [
         ("indep x y t\ndep u\nsystem heat2d: u_t = u_xx + u_yy\n",
@@ -464,6 +466,15 @@ class TestLargeSolveGolden:
         ("indep x t\ndep u v\nsystem bouss: u_t = v_x; v_t = u_x + 2*u*u_x + u_xxx\n",
          "bouss", "3", 4,
          "e4d52f6099fc9a9a948c1dc0085c687135c89ee1a16272d864d63c44adc4a957"),
+        ("indep x t\ndep u\nsystem kdv: u_t = u_xxx + (3/2)*u*u_x\n",
+         "kdv", "3", 4,
+         "e2be35a9d3fe74285f5ccf6423765fca49a01ba3a610a3e6c4b8360299ca2f07"),
+        ("indep x t\ndep u\nsystem burgers: u_t = (1/3)*u_xx + u*u_x/2\n",
+         "burgers", "4", 5,
+         "ae1643c9edccad245a299c4acb1093e0cefaf4297e1d4f9c1de6ca35abf1204d"),
+        ("indep x y z t\ndep u\nsystem heat3d: u_t = u_xx + u_yy + u_zz\n",
+         "heat3d", "4", 48,
+         "65436a0923b7d0674be3984ed61a23de7f0675c6c9ada601bb5e2a0446ae6b23"),
     ])
     def test_large(self, capsys, tmp_path, prob, name, degree, dimension, digest):
         p = tmp_path / f"{name}.prob"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liesym import ArityError, RatMatrix, kernel_basis, rank, rref
-from liesym.ratla import in_span, solve
+from liesym.ratla import _kernel, in_span, solve
 
 from conftest import rand_rational
 
@@ -263,6 +263,61 @@ class TestFractionFreeCore:
         assert rank(chain(20000, square)) == 20000
 
 
+class TestSparseKernel:
+    """``_kernel``'s sparse vectors against the dense reference and their
+    dense view ``kernel_basis``."""
+
+    @staticmethod
+    def check(a, cols):
+        m = RatMatrix.from_rows(a) if a else RatMatrix.zero(0, cols)
+        ref, ref_piv = dense_rref(a, cols)
+        vectors = _kernel(m)
+        dense = [[v.get(j, Fraction(0)) for j in range(cols)] for v in vectors]
+        assert dense == dense_kernel(ref, ref_piv, cols) == kernel_basis(m)
+        free = [c for c in range(cols) if c not in ref_piv]
+        assert len(vectors) == len(free)
+        for v, f in zip(vectors, free):
+            keys = list(v)
+            assert keys == sorted(keys)
+            assert keys[-1] == f and type(v[f]) is Fraction and v[f] == 1
+            assert all(x and type(x) is Fraction for x in v.values())
+        return vectors
+
+    @pytest.mark.parametrize("rows,cols", [(60, 25), (25, 60), (40, 40), (1, 30), (30, 1)])
+    @pytest.mark.parametrize("density", [0.01, 0.05])
+    def test_random_sparse(self, rng, rows, cols, density):
+        for _ in range(3):
+            self.check(rand_sparse_rows(rng, rows, cols, density), cols)
+
+    def test_mixed_denominators(self, rng):
+        for _ in range(10):
+            a = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 35]))
+                  if rng.random() < 0.4 else Fraction(0) for _ in range(9)]
+                 for _ in range(7)]
+            self.check(a, 9)
+
+    def test_integral_rows(self, rng):
+        # every row's denominators have lcm 1
+        for _ in range(10):
+            a = [[Fraction(rng.randint(-6, 6)) if rng.random() < 0.3 else Fraction(0)
+                  for _ in range(12)] for _ in range(8)]
+            self.check(a, 12)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 4), (0, 5), (2, 1)])
+    def test_zero_matrix(self, rows, cols):
+        vectors = self.check([[Fraction(0)] * cols for _ in range(rows)], cols)
+        assert vectors == [{f: Fraction(1)} for f in range(cols)]
+
+    def test_full_rank(self, rng):
+        assert _kernel(RatMatrix.identity(4)) == []
+        assert _kernel(TAYLOR.transpose()) == []
+        for n in (1, 3, 6):
+            a = [[Fraction(rng.randint(1, 5)) if i == j else
+                  Fraction(rng.randint(-3, 3)) if j > i else Fraction(0)
+                  for j in range(n)] for i in range(n)]
+            assert self.check(a, n) == []
+
+
 class TestSparseFormat:
     @pytest.mark.parametrize("zero", [0, "0", Fraction(0), "0/5", 0.0],
                              ids=["int", "str", "Fraction", "ratio-str", "float"])
@@ -274,6 +329,21 @@ class TestSparseFormat:
         assert a.data == b.data == want
         assert a == b and hash(a) == hash(b)
         assert RatMatrix.from_rows([[zero] * 2] * 2) == RatMatrix.zero(2, 2)
+
+    @pytest.mark.parametrize("value,want", [
+        (2, Fraction(2)), ("3/4", Fraction(3, 4)), (0.5, Fraction(1, 2)),
+        (Fraction(-1, 3), Fraction(-1, 3))], ids=["int", "str", "float", "Fraction"])
+    def test_values_become_fractions(self, value, want):
+        m = RatMatrix.from_sparse([{1: value, 0: "0", 2: 0.0}], 3)
+        assert m.data == (((1, want),),)
+        assert type(m.data[0][0][1]) is Fraction
+        assert m == RatMatrix.from_rows([[0, want, 0]])
+
+    def test_non_fraction_kernel(self):
+        # a float entry used to reach the integer core unconverted
+        m = RatMatrix.from_sparse([{0: 0.5, 1: 1}], 2)
+        assert kernel_basis(m) == [[Fraction(-2), Fraction(1)]]
+        assert RatMatrix.from_sparse([{0: 2}], 1).data == (((0, Fraction(2)),),)
 
     def test_rows_sorted_by_column(self):
         m = RatMatrix.from_sparse([{3: Fraction(2), 0: Fraction(-1)}], 4)
