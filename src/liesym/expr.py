@@ -75,10 +75,16 @@ bases meet does :func:`mul` build the term.  The prolongations in
 build the terms ``u_{J,i} * d`` of their total derivatives the same way.
 :func:`jets_of`, :func:`jet_order` and :func:`contains` also visit each
 distinct node once.
-Sums and unknown functions cache their structural hash on first use, because :func:`add`,
-:func:`mul` and that memo key dicts on them and on factor tuples that
-contain them; the cache takes no part in equality, ``repr``, pickling or
-``dataclasses.replace``.
+Independent variables and jet coordinates are interned: ``Var`` and ``Jet``
+return the one node of a coordinate per process, so equal coordinates are
+the same object, compare by identity, hash through a slot and order without
+comparing equal fields.  Their tables are bounded by the coordinates a
+process uses; pickling and copying return the interned node.  Sums and
+unknown functions cache their structural hash on first use, because
+:func:`add`, :func:`mul` and that memo key dicts on them and on factor
+tuples that contain them; the cache takes no part in equality, ``repr``,
+pickling or ``dataclasses.replace``.  Constants, powers and products hash
+as the dataclass would, an integral rational through its numerator.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -172,23 +178,86 @@ def _reduce_fields(self):
 class Const(Expr):
     value: Fraction
 
+    def __hash__(self):
+        v = self.value
+        return hash((v.numerator if v.denominator == 1 else v,))
 
-@dataclass(frozen=True, slots=True)
+
+# Var and Jet are interned (see the module docstring): a private table maps
+# each argument form a class was asked for to the one node of the coordinate.
+def _intern(cls, table: dict, key, fields: tuple):
+    """The node of ``cls`` with the canonical ``fields``, registered in
+    ``table`` under the canonical ``key``, its ``_hash`` the dataclass hash."""
+    node = table.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_hash", hash(fields))
+        # of two threads that race here, both get the node registered first
+        node = table.setdefault(key, node)
+    return node
+
+
+def _identical(self, other):
+    return self is other if type(other) is type(self) else NotImplemented
+
+
+def _interned_hash(self) -> int:
+    return self._hash
+
+
+_VARS: dict = {}
+_JETS: dict = {}
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Expr):
-    """Independent variable x^index, 1-based."""
+    """Independent variable x^index, 1-based; interned."""
 
     index: int
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __new__(cls, index):
+        try:
+            return _VARS[index]
+        except KeyError:
+            pass
+        if index < 1:
+            raise UnknownSymbol(f"no independent variable has index {index}")
+        return _intern(cls, _VARS, index, (index,))
+
+    __eq__ = _identical
+    __hash__ = _interned_hash
+    __reduce__ = _reduce_fields
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Jet(Expr):
-    """Jet coordinate u^dep_idx; ``idx`` is the sorted multi-index tuple."""
+    """Jet coordinate u^dep_idx; ``idx`` is the sorted multi-index tuple.
+    Interned; ``idx`` may be given in any order."""
 
     dep: int
     idx: tuple[int, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "idx", tuple(sorted(self.idx)))
+    def __new__(cls, dep, idx):
+        try:
+            return _JETS[dep, idx]
+        except (KeyError, TypeError):   # a miss, or a multi-index list
+            pass
+        key = (dep, tuple(sorted(idx)))
+        if dep < 1 or key[1] and key[1][0] < 1:
+            raise UnknownSymbol(f"no jet coordinate has dependent variable "
+                                f"{dep} and multi-index {key[1]}")
+        node = _intern(cls, _JETS, key, key)
+        if type(idx) is tuple:
+            _JETS.setdefault((dep, idx), node)
+        return node
+
+    __eq__ = _identical
+    __hash__ = _interned_hash
+    __reduce__ = _reduce_fields
 
     @property
     def order(self) -> int:
@@ -235,6 +304,10 @@ class Pow(Expr):
     base: Expr
     exp: Fraction
 
+    def __hash__(self):
+        e = self.exp
+        return hash((self.base, e.numerator if e.denominator == 1 else e))
+
 
 @dataclass(frozen=True, slots=True)
 class Mul(Expr):
@@ -242,6 +315,10 @@ class Mul(Expr):
 
     coeff: Fraction
     factors: tuple[Expr, ...]
+
+    def __hash__(self):
+        c = self.coeff
+        return hash((c.numerator if c.denominator == 1 else c, self.factors))
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,18 +464,23 @@ def _cmp(a: Expr, b: Expr) -> int:
     ta, tb = type(a), type(b)
     if ta is not tb:
         return _sign(_RANK[ta], _RANK[tb])
-    if ta is Add:
-        return _cmp_seq(a.terms, b.terms)
     if ta is Mul:
         return _cmp_seq(a.factors, b.factors) or _sign(a.coeff, b.coeff)
+    if ta is Jet:
+        # interned: two jet objects differ in a field
+        if a.dep != b.dep:
+            return -1 if a.dep < b.dep else 1
+        x, y = a.idx, b.idx
+        if len(x) != len(y):
+            return -1 if len(x) < len(y) else 1
+        return -1 if x < y else 1
+    if ta is Add:
+        return _cmp_seq(a.terms, b.terms)
     if ta is Pow:
         x, y = a.base, b.base
         return (0 if x is y or x == y else _cmp(x, y)) or _sign(a.exp, b.exp)
-    if ta is Jet:
-        return (_sign(a.dep, b.dep) or _sign(len(a.idx), len(b.idx))
-                or _sign(a.idx, b.idx))
     if ta is Var:
-        return _sign(a.index, b.index)
+        return -1 if a.index < b.index else 1
     if ta is Const:
         return _sign(a.value, b.value)
     if ta is Func:

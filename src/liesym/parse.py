@@ -358,10 +358,13 @@ def _fmt_const(v: Fraction, prec: int) -> str:
 
 
 def _jet_name(j: Jet, ctx: Context) -> str:
-    dep = ctx.dep[j.dep - 1]
-    if j.order == 0:
+    try:
+        dep = ctx.dep[j.dep - 1]
+        names = [ctx.indep[i - 1] for i in j.idx]
+    except IndexError:
+        raise UnknownSymbol(f"{j!r} is not a jet coordinate of the context") from None
+    if not names:
         return dep
-    names = [ctx.indep[i - 1] for i in j.idx]
     if all(len(n) == 1 for n in ctx.indep):
         return dep + "_" + "".join(names)
     return "D(" + dep + ", " + ", ".join(names) + ")"
@@ -377,25 +380,40 @@ def _ufunc_name(u: UFunc, ctx: Context) -> str:
     return u.name + "_{" + ",".join(names) + "}"
 
 
-def _flip_sign(c: Fraction, fs: tuple[Expr, ...]) -> Expr:
-    """``neg`` of the canonical term with coefficient ``c`` and factors
-    ``fs``, built without going through :func:`mul` again."""
+def _fmt_product(c: Fraction, fs: tuple[Expr, ...], ctx: Context, memo: dict) -> str:
+    """The text of the product of ``c`` and the factors ``fs``, unparenthesized."""
+    body = "*".join([_fmt(f, ctx, _MUL, memo) if not isinstance(f, Add)
+                     else _paren(_fmt(f, ctx, _ADD, memo)) for f in fs])
+    if c == 1:
+        return body
+    if c == -1:
+        return "-" + body
+    return _fmt_const(c, _MUL) + "*" + body
+
+
+def _fmt_negated(c: Fraction, fs: tuple[Expr, ...], ctx: Context, memo: dict) -> str:
+    """The text of the negated sum term with coefficient ``c < 0`` and
+    factors ``fs``, as :func:`_fmt` prints ``neg`` of it after a minus sign,
+    built from ``-c`` and ``fs`` without a new node."""
     if not fs:
-        return Const(-c)
+        return _fmt_const(-c, _ADD)
     if c == -1 and len(fs) == 1:
-        return fs[0]
-    return Mul(-c, fs)
+        f = fs[0]
+        return _fmt(f, ctx, _MUL if isinstance(f, Add) else _ADD, memo)
+    return _fmt_product(-c, fs, ctx, memo)
 
 
 def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
     """The text of ``e`` at precedence ``prec``.  ``memo`` maps
     ``(id(node), prec)`` to ``(node, text)``; holding the node keeps its id
-    from passing to a temporary built later in the call, such as a term
-    whose sign the sum printer flips."""
+    from passing to a node built later in the batch."""
     if isinstance(e, Const):
         return _fmt_const(e.value, prec)
     if isinstance(e, Var):
-        return ctx.indep[e.index - 1]
+        try:
+            return ctx.indep[e.index - 1]
+        except IndexError:
+            raise UnknownSymbol(f"{e!r} is not a variable of the context") from None
     if isinstance(e, Param):
         return e.name
     key = (id(e), prec)
@@ -419,15 +437,7 @@ def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
         else:
             s = f"{base}^({exp})"
     elif isinstance(e, Mul):
-        parts = [_fmt(f, ctx, _MUL, memo) if not isinstance(f, Add)
-                 else _paren(_fmt(f, ctx, _ADD, memo)) for f in e.factors]
-        body = "*".join(parts)
-        if e.coeff == 1:
-            s = body
-        elif e.coeff == -1:
-            s = "-" + body
-        else:
-            s = _fmt_const(e.coeff, _MUL) + "*" + body
+        s = _fmt_product(e.coeff, e.factors, ctx, memo)
         if prec >= _POW or (prec > _ADD and s.startswith("-")):
             s = _paren(s)
     elif isinstance(e, Add):
@@ -435,9 +445,7 @@ def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
         for t in e.terms[1:]:
             c, fs = _split(t)
             if c < 0:
-                u = _flip_sign(c, fs)
-                s += " - " + _fmt(u, ctx, _ADD if not isinstance(u, Add) else _MUL,
-                                  memo)
+                s += " - " + _fmt_negated(c, fs, ctx, memo)
             else:
                 s += " + " + _fmt(t, ctx, _ADD, memo)
         if prec > _ADD:

@@ -1,12 +1,20 @@
 """Core expression engine: canonicalization, differentiation, substitution,
 zero testing, collection, exact evaluation."""
+import copy
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 from fractions import Fraction
 from typing import Iterable
 
@@ -509,6 +517,121 @@ class TestUFuncHash:
         assert other == UFunc("G", (x, u), (0,))
         assert hash(other) == hash(("G", (x, u), (0,)))
         assert dataclasses.replace(f) == f
+
+
+class TestInternedAtoms:
+    """``Var`` and ``Jet`` are interned: equal coordinates are one object,
+    which compares by identity and hashes as the tuple of its fields."""
+
+    def test_one_object_per_coordinate(self):
+        j = Jet(1, (2, 1))
+        assert j is Jet(1, [1, 2]) and j is Jet(1, (1, 2))
+        assert j.idx == (1, 2) and j.order == 2
+        assert Var(2) is Var(2)
+        assert Jet(1, ()) is u and Var(1) is x
+
+    def test_copies_return_the_node(self):
+        j, v = Jet(1, (2, 1, 1)), Var(2)
+        for node in (j, v):
+            assert pickle.loads(pickle.dumps(node)) is node
+            assert copy.copy(node) is node
+            assert copy.deepcopy(node) is node
+        assert dataclasses.replace(j, idx=(2,)) is Jet(1, (2,))
+        assert dataclasses.replace(v, index=3) is Var(3)
+        assert dataclasses.replace(j) is j
+        assert repr(j) == "Jet(dep=1, idx=(1, 1, 2))" and repr(v) == "Var(index=2)"
+        assert Jet.__match_args__ == ("dep", "idx")
+        assert Var.__match_args__ == ("index",)
+
+    def test_hash_of_fields(self):
+        for j in (u, ux, Jet(2, (2, 1)), Jet(1, (1, 1, 2, 2))):
+            assert hash(j) == hash((j.dep, j.idx))
+        for v in (x, Var(2), Var(7)):
+            assert hash(v) == hash((v.index,))
+
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(3), Fraction(-2),
+                                   Fraction(1, 2), Fraction(-7, 3)])
+    def test_fraction_fields_hash_as_the_dataclass(self, q):
+        nodes = [Const(q), Pow(ls.add(x, u), q), Mul(q, (x, ux))]
+        if q.denominator == 1:
+            nodes.append(Const(int(q)))
+        for e in nodes:
+            assert hash(e) == hash(tuple(getattr(e, f) for f in e.__match_args__))
+
+    def test_compares_only_to_itself(self):
+        j = Jet(1, (1,))
+        assert (j == 1) is False and (j != 1) is True
+        assert j != Var(1) and Var(1) != Jet(1, ()) and Var(1) != 1
+        assert j.__eq__(1) is NotImplemented
+        assert j == Jet(1, (1,)) and j != Jet(1, (2,))
+
+    def test_threads_build_one_object(self):
+        # rounds of coordinates no other test builds, so that the threads
+        # race on misses; in each, every thread builds the same 200 jets
+        def work(t, keys, start, built):
+            start.wait()
+            built[t] = [Jet(d, i[::-1] if t % 2 else list(i)) for d, i in keys]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(10):
+                keys = [(1000 + 50 * r + k % 50, (k // 50 + 1, 1)) for k in range(200)]
+                start, built = threading.Barrier(8), [None] * 8
+                threads = [threading.Thread(target=work, args=(t, keys, start, built))
+                           for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for k, (d, i) in enumerate(keys):
+                    assert len({id(b[k]) for b in built}) == 1
+                    assert built[0][k] is Jet(d, tuple(sorted(i)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Jet(0, ()), lambda: Jet(-1, (1,)), lambda: Jet(1, (0,)),
+        lambda: Jet(1, (2, 0)), lambda: Var(0), lambda: Var(-1),
+    ])
+    def test_no_coordinate_below_one(self, build):
+        with pytest.raises(ls.UnknownSymbol):
+            build()
+
+    @pytest.mark.parametrize("e", [Jet(1, (3,)), Jet(2, ()), Jet(2, (1,)),
+                                   Var(3), ls.add(x, Jet(1, (1, 3)))])
+    def test_atom_beyond_the_context_is_rejected(self, e):
+        ctx = ls.Context(("x", "t"), ("u",))
+        with pytest.raises(ls.UnknownSymbol):
+            ls.format_expr(e, ctx)
+        assert ls.format_expr(ls.add(Var(2), Jet(1, (2, 1))), ctx) == "t + u_xt"
+
+    def test_golden_digest_after_reverse_builds(self):
+        # a process that interns the jets in another order prints the same
+        import test_cli
+
+        generic = Path(test_cli.MINIMAL_PROB).parent / "generic.prob"
+        script = (
+            "import itertools, sys\n"
+            "from liesym import Jet\n"
+            "from liesym.cli import main\n"
+            "for n in range(7, -1, -1):\n"
+            "    for idx in reversed(list(itertools.combinations_with_replacement((1, 2), n))):\n"
+            "        Jet(1, idx[::-1])\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(ls.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run(
+            [sys.executable, "-c", script, "prolong", "--file", str(generic),
+             "--vf", "generic", "--order", "6"],
+            capture_output=True, text=True, env=env, timeout=120, check=True)
+        result = json.loads(out.stdout)["result"]
+        compact = json.dumps(result, separators=(",", ":"))
+        assert hashlib.sha256(compact.encode()).hexdigest() == \
+            test_cli.TestProlongGolden.DIGEST
 
 
 def fresh(e):

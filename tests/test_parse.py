@@ -11,8 +11,8 @@ from liesym import Const, Jet, ParseError, Pow, Var, format_expr, parse_expr, pa
 
 from liesym.expr import Add, Func, Mul, Param, UFunc, _split, neg, subterms
 from liesym.parse import (
-    _ADD, _MAX_NESTING, _MUL, _POW, _flip_sign, _fmt_const, _jet_name, _paren,
-    _ufunc_name,
+    _ADD, _MAX_NESTING, _MUL, _POW, _fmt, _fmt_const, _fmt_negated, _jet_name,
+    _paren, _ufunc_name,
 )
 
 from conftest import rand_expr, rand_poly
@@ -317,9 +317,12 @@ class TestNegativeTerms:
                 for t in s.terms:
                     c, fs = _split(t)
                     if c < 0:
-                        got = _flip_sign(c, fs)
-                        assert got == neg(t) and repr(got) == repr(neg(t))
-                        kinds.add(type(got).__name__ if isinstance(got, (Const, Mul))
+                        # the text of neg(t), printed without building it
+                        u = neg(t)
+                        want = _fmt(u, ctx, _MUL if isinstance(u, Add) else _ADD, {})
+                        assert _fmt_negated(c, fs, ctx, {}) == want
+                        assert repr(_flip_sign(c, fs)) == repr(u)
+                        kinds.add(type(u).__name__ if isinstance(u, (Const, Mul))
                                   else "factor")
         assert kinds == {"Const", "Mul", "factor"}
 
@@ -330,6 +333,17 @@ class TestNegativeTerms:
             assert text == ref_fmt(e, ctx, _ADD)
             negative += " - " in text
         assert negative > 100
+
+
+def _flip_sign(c, fs):
+    """``neg`` of the canonical term with coefficient ``c`` and factors
+    ``fs``, built without going through ``mul`` again: how the reference
+    printer below prints a negative sum term."""
+    if not fs:
+        return Const(-c)
+    if c == -1 and len(fs) == 1:
+        return fs[0]
+    return Mul(-c, fs)
 
 
 # format_expr as it was before it printed each shared subtree once per call,
