@@ -49,10 +49,8 @@ from .expr import (
 from .jet import (
     VectorField,
     _dj_table,
-    _jets_read,
     _prefix_closure,
-    _prolong_for,
-    apply_prolonged,
+    _prolonged_action,
     lie_bracket,
 )
 
@@ -67,14 +65,6 @@ def _count_vector(j: Jet, p: int) -> tuple[int, ...]:
 
 def _rank_key(j: Jet, p: int):
     return (_count_vector(j, p), j.dep)
-
-
-def _contains_as_submultiset(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    i = 0
-    for b in big:
-        if i < len(small) and small[i] == b:
-            i += 1
-    return i == len(small)
 
 
 @dataclass(frozen=True)
@@ -120,10 +110,12 @@ class DiffSystem:
 
 def _reducible_by(j: Jet, lead: Jet) -> tuple[int, ...] | None:
     """Extra indices K with j = D_K(lead), or None."""
-    if j.dep != lead.dep or not _contains_as_submultiset(lead.idx, j.idx):
+    if j.dep != lead.dep:
         return None
     extra = list(j.idx)
     for i in lead.idx:
+        if i not in extra:
+            return None
         extra.remove(i)
     return tuple(extra)
 
@@ -144,63 +136,43 @@ def _order_cap(sys: DiffSystem, order_cap: int | None) -> int:
 def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) -> Expr:
     """Eliminate every lead derivative and all its prolongations from ``e``.
 
-    Each reducible jet D_K(lead) is replaced by D_K(rhs) until none remains.
-    The D_K(rhs) of each equation come from one prefix table per call, so
-    D_x(rhs) is built once for u_tx, u_txx, ...  After the first round only
-    the jets of the replacements just made can be reducible, so only they
-    are looked at; a round in which one of them would exceed the cap scans
-    every jet of ``e`` instead, so the error names the jet a full scan meets
-    first.  ``order_cap`` bounds the jet order any replacement may reach
-    (default: system order + 4).
+    Each round scans the jets of ``e`` and replaces every reducible jet
+    D_K(lead) by D_K(rhs), until none remains.  The D_K(rhs) of each
+    equation come from one prefix table per call, so D_x(rhs) is built once
+    for u_tx, u_txx, ...  ``order_cap`` bounds the jet order any replacement
+    may reach (default: system order + 4); the error names the first jet of
+    the scan whose replacement passes it.
     """
     cap = _order_cap(sys, order_cap)
     memo: dict = {}
     tables = [{(): rhs} for _, rhs in sys.equations]
-
-    def replacement(j: Jet) -> Expr | None:
-        hit = _reduction(j, sys)
-        if hit is None:
-            return None
-        n, extra = hit
-        return _dj_table(sys.equations[n][1], _prefix_closure((extra,)), memo,
-                         table=tables[n])[extra]
-
-    jets, full = jets_of(e), True
     while True:
         bindings: dict[Expr, Expr] = {}
-        over = None
-        for j in jets:
-            repl = replacement(j)
-            if repl is None:
+        for j in jets_of(e):
+            hit = _reduction(j, sys)
+            if hit is None:
                 continue
+            n, extra = hit
+            repl = _dj_table(sys.equations[n][1], _prefix_closure((extra,)), memo,
+                             table=tables[n])[extra]
             if jet_order(repl) > cap:
-                over = j
-                break
-            bindings[j] = repl
-        if over is not None:
-            if full:
                 raise _printed(OrderCapExceeded(
-                    f"reducing {{}} needs jets beyond order {cap}", over), sys.ctx)
-            # the jet may have cancelled out of e: decide on a full scan
-            jets, full = jets_of(e), True
-            continue
+                    f"reducing {{}} needs jets beyond order {cap}", j), sys.ctx)
+            bindings[j] = repl
         if not bindings:
             return e
         e = substitute(e, bindings)
-        jets, full = set().union(*map(jets_of, bindings.values())), False
 
 
 def symmetry_defect(v: VectorField, sys: DiffSystem,
                     order_cap: int | None = None) -> list[Expr]:
     """Prolonged action on each residual, reduced modulo the system.
 
-    The field is prolonged only to the jets of order >= 1 the residuals
-    read, each coefficient the node ``prolong(v, sys.order)`` holds.
+    The action is that of ``prolong(v, sys.order)``, lifted only to the jets
+    the residuals read.
     """
-    residuals = sys.residuals()
-    pv = _prolong_for(v, sys.order, _jets_read(residuals, sys.order))
-    return [reduce_mod_system(apply_prolonged(pv, r), sys, order_cap)
-            for r in residuals]
+    return [reduce_mod_system(d, sys, order_cap)
+            for d in _prolonged_action(v, sys.order, sys.residuals())]
 
 
 def check_symmetry(v: VectorField, sys: DiffSystem,
@@ -270,20 +242,13 @@ def determining_equations(sys: DiffSystem,
     except _Fallback:
         defects = symmetry_defect(v, ext_sys, order_cap)
         split = {j for d in defects for j in jets_of(d) if j.order >= 1}
-        eqs = _distinct(_tree_coefficients(defects, split, ext))
+        try:
+            eqs = _distinct(expand(c) for d in defects
+                            for c in collect(d, split).values())
+        except NotPolynomial as exc:
+            raise _printed(exc, ext) from None
     split_t = tuple(sorted(split, key=lambda j: (j.dep, len(j.idx), j.idx)))
     return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
-
-
-def _tree_coefficients(defects: list[Expr], split: set[Jet], ctx: Context):
-    """The expanded coefficients of each defect over the monomials in the
-    jets ``split``."""
-    for d in defects:
-        try:
-            coeffs = collect(d, split)
-        except NotPolynomial as exc:
-            raise _printed(exc, ctx) from None
-        yield from map(expand, coeffs.values())
 
 
 def _distinct(coeffs) -> tuple[Expr, ...]:

@@ -1018,12 +1018,7 @@ def evaluate(e: Expr, env: Mapping[Expr, Fraction]) -> Fraction:
     """Evaluate to an exact rational under an atom assignment."""
     if isinstance(e, Const):
         return e.value
-    if isinstance(e, (Var, Jet, Param)):
-        try:
-            return Fraction(env[e])
-        except KeyError:
-            raise EvaluationError(f"no value assigned to {e!r}") from None
-    if isinstance(e, UFunc):
+    if isinstance(e, (Var, Jet, Param, UFunc)):
         try:
             return Fraction(env[e])
         except KeyError:

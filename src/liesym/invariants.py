@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from .errors import DegenerateDenominator, OrderError
 from .expr import Expr, div, is_zero, jet_order
-from .jet import (
-    VectorField,
-    _jets_read,
-    _prolong_for,
-    apply_prolonged,
-    total_derivative,
-)
+from .jet import VectorField, _prolonged_action, total_derivative
 
 
 def invariance_defect(v: VectorField, f: Expr) -> Expr:
@@ -23,7 +17,8 @@ def invariance_defect(v: VectorField, f: Expr) -> Expr:
 def differential_invariant_check(v: VectorField, n: int, eta: Expr) -> bool:
     """True iff the prolonged action of v annihilates eta.  Only the
     coefficients of the jets eta reads are built."""
-    return is_zero(apply_prolonged(_prolong_for(v, n, _jets_read([eta], n)), eta))
+    (action,) = _prolonged_action(v, n, [eta])
+    return is_zero(action)
 
 
 def next_invariant(eta: Expr, zeta: Expr) -> Expr:

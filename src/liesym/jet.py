@@ -194,11 +194,8 @@ class Characteristic:
 class ProlongedVectorField:
     """Lift of a vector field to the order-n jet space.
 
-    ``phi`` holds the order-0 coefficients and ``coeffs`` maps jet
-    coordinates of order 1..n to their coefficients: every one of them in
-    the public prolongations' results.  A lift built for the jets one
-    expression reads (``symmetry_defect`` builds those) holds only those,
-    and applies to that expression only.
+    ``phi`` holds the order-0 coefficients and ``coeffs`` maps every jet
+    coordinate of order 1..n to its coefficient.
     """
 
     ctx: Context
@@ -246,6 +243,14 @@ def _prolong_for(v: VectorField, n: int, jets: Sequence[Jet]) -> ProlongedVector
         for j, d in _evolutionary_coeffs(characteristic_of(v), jets).items()
     }
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
+
+
+def _prolonged_action(v: VectorField, n: int, exprs: Sequence[Expr]) -> list[Expr]:
+    """pr^(n) v applied to each of ``exprs``.  The lift holds only the
+    coefficients of the jets of order 1..n that ``exprs`` read, so it never
+    leaves this function."""
+    pv = _prolong_for(v, n, _jets_read(exprs, n))
+    return [apply_prolonged(pv, e) for e in exprs]
 
 
 def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:

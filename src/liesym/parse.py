@@ -371,10 +371,14 @@ def _jet_name(j: Jet, ctx: Context) -> str:
 
 
 def _ufunc_name(u: UFunc, ctx: Context) -> str:
+    arg_names = ctx.unknown_args(u.name)
     if not u.deriv:
         return u.name
-    arg_names = ctx.unknown_args(u.name)
-    names = [arg_names[k] for k in u.deriv]
+    try:
+        names = [arg_names[k] for k in u.deriv]
+    except IndexError:
+        raise UnknownSymbol(
+            f"{u!r} differentiates beyond the arguments of {u.name!r}") from None
     if len(names) == 1 and len(names[0]) == 1:
         return u.name + "_" + names[0]
     return u.name + "_{" + ",".join(names) + "}"
@@ -415,6 +419,8 @@ def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
         except IndexError:
             raise UnknownSymbol(f"{e!r} is not a variable of the context") from None
     if isinstance(e, Param):
+        if e.name not in ctx.params:
+            raise UnknownSymbol(f"{e!r} is not a parameter of the context")
         return e.name
     key = (id(e), prec)
     hit = memo.get(key)

@@ -28,9 +28,7 @@ from .expr import (
 from .jet import (
     Characteristic,
     VectorField,
-    _jets_read,
-    _prolong_for,
-    apply_prolonged,
+    _prolonged_action,
     multi_indices,
     total_derivative_multi,
     total_divergence,
@@ -82,12 +80,8 @@ def euler_lagrange(lag: Lagrangian) -> list[Expr]:
 def variational_symmetry_defect(v: VectorField, lag: Lagrangian) -> Expr:
     """pr v(L) + L * Div(xi); zero iff v generates a variational symmetry.
     Only the coefficients of the jets L reads are built."""
-    n = max(lag.order, 1)
-    pv = _prolong_for(v, n, _jets_read([lag.L], n))
-    return add(
-        apply_prolonged(pv, lag.L),
-        mul(lag.L, total_divergence(v.xi, lag.ctx.p)),
-    )
+    (action,) = _prolonged_action(v, max(lag.order, 1), [lag.L])
+    return add(action, mul(lag.L, total_divergence(v.xi, lag.ctx.p)))
 
 
 def divergence_symmetry_check(v: VectorField, lag: Lagrangian,

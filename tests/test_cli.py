@@ -379,6 +379,82 @@ class TestExitCodes:
         assert status == 0
 
 
+CURRENTS_PROB = """\
+indep x t
+dep u
+system heat: u_t = u_xx
+current null: u_t, -u_x
+current flux: -u_x, u
+"""
+
+
+class TestHandlers:
+    """Each handler's report and status, including its error paths."""
+
+    @pytest.fixture
+    def currents_file(self, tmp_path):
+        p = tmp_path / "currents.prob"
+        p.write_text(CURRENTS_PROB)
+        return str(p)
+
+    @pytest.mark.parametrize("current,ok", [("null", True), ("flux", False)])
+    def test_null_div(self, capsys, currents_file, current, ok):
+        status, rep = run_json(capsys, [
+            "null-div", "--file", currents_file, "--current", current])
+        assert rep["result"] == {"null_divergence": ok}
+        assert status == (0 if ok else 1)
+
+    @pytest.mark.parametrize("expr,ok,order", [
+        ("(x*u_x - u)/(x + u*u_x)", True, 1),
+        ("x", False, 0),
+    ])
+    def test_check_invariant(self, capsys, curve_file, expr, ok, order):
+        status, rep = run_json(capsys, [
+            "check-invariant", "--file", curve_file, "--vf", "rot",
+            "--expr", expr])
+        assert rep["result"] == {"invariant": ok, "order": order}
+        assert status == (0 if ok else 1)
+
+    def test_noether_not_a_symmetry(self, capsys, tmp_path):
+        p = tmp_path / "mechanics.prob"
+        p.write_text(Path(MINIMAL_PROB).with_name("mechanics.prob").read_text()
+                     + "vf sx: phi[x] = x\n")
+        status, rep = run_json(capsys, [
+            "noether", "--file", str(p), "--vf", "sx",
+            "--lagrangian", "harmonic"])
+        assert status == 1
+        assert rep["result"] == {
+            "error": "the defect of v is not the total divergence of the given B"}
+
+    def test_plain_solve_lists_the_fields(self, capsys, currents_file):
+        status, out = run(capsys, [
+            "--plain", "solve", "--file", currents_file, "--system", "heat",
+            "--degree", "1"])
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["command: solve", "dimension: 6", "fields:"]
+        assert lines[3:10] == ["    xi:", "      x: 1", "      t: 0",
+                               "    phi:", "      u: 0", "    xi:", "      x: 0"]
+        assert lines.count("    xi:") == lines.count("    phi:") == 6
+
+    def test_pi_needs_a_table(self, capsys):
+        assert main(["pi"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: pi needs --csv or --file with --dimmatrix\n")
+
+    @pytest.mark.parametrize("sample,message", [
+        ("x", "sample entry 'x' is not name=value"),
+        ("x=1/0", "bad rational '1/0': Fraction(1, 0)"),
+        ("xi=1", "1:1: undeclared identifier 'xi'"),
+        ("x^2=1", "sample key 'x^2' is not a variable"),
+    ])
+    def test_rank_probe_bad_sample(self, capsys, currents_file, sample, message):
+        status = main(["rank-probe", "--file", currents_file, "--system", "heat",
+                       "--sample", sample])
+        assert status == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestDeterminism:
     def test_byte_identical(self, capsys, heat_file):
         _, out1 = run(capsys, [

@@ -11,7 +11,7 @@ import pytest
 
 import liesym as ls
 from liesym import Ansatz, DiffSystem, Jet, Var, ratla
-from liesym.detsys import _columns, _printed
+from liesym.detsys import _columns, _printed, generic_vector_field
 from liesym.errors import NotPolynomial, UnknownSymbol
 from liesym.expr import (
     Add,
@@ -64,6 +64,10 @@ class TestDiffSystem:
     def test_lead_in_rhs_rejected(self, ctx_heat):
         with pytest.raises(ls.NotSolvedForm):
             DiffSystem(ctx_heat, ((ut, ls.mul(u, ut)),))
+
+    def test_equal_leads_rejected(self, ctx_heat):
+        with pytest.raises(ls.NotSolvedForm, match="must be distinct"):
+            DiffSystem(ctx_heat, ((ut, uxx), (ut, ls.mul(2, uxx))))
 
     def test_no_equations_rejected(self, ctx_heat):
         with pytest.raises(ls.NotSolvedForm, match="at least one equation"):
@@ -250,6 +254,29 @@ class TestSolveDeterminingErrors:
     def test_not_polynomial(self, decl, rhs, message):
         with pytest.raises(ls.NotPolynomial, match=message):
             ls.solve_determining(self.determining(decl, rhs), Ansatz(2))
+
+    @staticmethod
+    def hand_built(ctx_xu, make):
+        """A determining system whose one equation is ``make(ctx, xi, phi)``."""
+        ext, v = generic_vector_field(ctx_xu, ["xi"], ["phi"])
+        eq = make(ext, v.xi[0], v.phi[0])
+        return ls.DeterminingSystem(ext, ("xi",), ("phi",), (eq,), (ux,))
+
+    @pytest.mark.parametrize("make", [
+        lambda ext, xi, phi: ls.mul(xi, phi),
+        lambda ext, xi, phi: ls.add(ext.ufunc("xi", "x"), x),
+    ], ids=["product-of-unknowns", "term-without-unknown"])
+    def test_hand_built_not_linear_homogeneous(self, ctx_xu, make):
+        ds = self.hand_built(ctx_xu, make)
+        with pytest.raises(ls.NotPolynomial, match="not linear homogeneous"):
+            ls.solve_determining(ds, Ansatz(2))
+
+    def test_hand_built_product_annihilated_by_ansatz(self, ctx_xu):
+        # the third derivative of a degree-2 coefficient vanishes, so the
+        # product leaves no row and every ansatz column is free
+        ds = self.hand_built(
+            ctx_xu, lambda ext, xi, phi: ls.mul(ext.ufunc("xi", "x", "x", "x"), phi))
+        assert len(ls.solve_determining(ds, Ansatz(2))) == 12
 
     def test_term_vanishing_under_ansatz(self):
         # every term carrying nu also carries a derivative of a coefficient,

@@ -977,6 +977,26 @@ class TestEvaluate:
             ls.evaluate(e, {x: Fraction(2)})
         assert ls.evaluate(e, {x: Fraction(10**400 - 3)}) == 10**200
 
+    def test_unknown_function_value(self):
+        f = UFunc("f", (x, u), (1,))
+        assert ls.evaluate(ls.mul(2, f), {f: Fraction(3)}) == 6
+        with pytest.raises(ls.EvaluationError, match="no value assigned"):
+            ls.evaluate(f, {x: Fraction(1)})
+
+    def test_function_has_no_exact_value(self):
+        with pytest.raises(ls.EvaluationError, match="cannot evaluate exp exactly"):
+            ls.evaluate(ls.func("exp", x), {x: Fraction(0)})
+
+
+class TestOperators:
+    def test_operators_equal_constructors(self):
+        assert x + 1 == ls.add(x, 1)
+        assert 1 - x == ls.sub(1, x)
+        assert 2 * x == ls.mul(2, x)
+        assert x / 2 == ls.div(x, 2)
+        assert 2 / x == ls.div(2, x)
+        assert -x == ls.neg(x)
+
 
 class TestExpand:
     def test_integer_power_of_sum(self):
@@ -1026,6 +1046,14 @@ class TestExpand:
         with pytest.raises(ls.SimplificationIncomplete,
                            match="exponent 65 exceeds"):
             ls.is_zero(ls.mul(u, ls.pow_(ls.add(1, x), 65)))
+        # (y + 1)*r - r is y*r for the root r of 1 + x, so multiplying out
+        # its 130th power meets (1 + x)^65 as a factor of a product
+        root = ls.pow_(ls.add(1, x), Fraction(1, 2))
+        e = ls.pow_(ls.sub(ls.mul(ls.add(Var(2), 1), root), root), 130)
+        with pytest.raises(ls.SimplificationIncomplete) as info:
+            ls.expand(ls.mul(x, e))
+        assert str(info.value) == ("power of a sum with exponent 65 exceeds "
+                                   "the expansion limit 64")
         with pytest.raises(ls.SimplificationIncomplete,
                            match="exponent of 4772 digits exceeds"):
             ls.expand(ls.pow_(ls.add(1, x), 3 ** 10000))

@@ -100,6 +100,21 @@ class TestFormatExpr:
             e = ls.normalize(rand_expr(rng, atoms))
             assert parse_expr(format_expr(e, ctx), ctx) == e
 
+    def test_derivative_beyond_the_arguments_refused(self, ctx):
+        xi = UFunc("xi", (Var(1), Var(2), Jet(1, ())), (5,))
+        with pytest.raises(ls.UnknownSymbol, match="beyond the arguments"):
+            format_expr(xi, ctx)
+
+    def test_undeclared_unknown_function_refused(self, ctx):
+        for deriv in ((), (0,)):
+            with pytest.raises(ls.UnknownSymbol, match="'eta'"):
+                format_expr(UFunc("eta", (Var(1),), deriv), ctx)
+
+    def test_undeclared_parameter_refused(self, ctx):
+        with pytest.raises(ls.UnknownSymbol, match="not a parameter"):
+            format_expr(ls.add(Var(1), Param("zz")), ctx)
+        assert parse_expr(format_expr(Param("c"), ctx), ctx) == Param("c")
+
 
 class TestRefusedConstants:
     @pytest.mark.parametrize("text,message", [

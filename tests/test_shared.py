@@ -227,7 +227,7 @@ def test_walkers_agree_with_subterms(rng):
 # --- the batch printer ----------------------------------------------------------
 
 def test_batch_prints_what_each_call_prints(rng):
-    ctx = ls.Context(("x", "y"), ("u",))
+    ctx = ls.Context(("x", "y"), ("u",), ("c",))
     atoms = [x, y, u, ux, uxx, Param("c")]
     shared = chain(5, ls.add(ls.mul(-2, u), ls.pow_(ls.add(x, ux), Fraction(-1, 2))))
     exprs = [shared, ls.neg(shared), ls.mul(shared, shared), *shared.terms]
