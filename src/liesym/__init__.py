@@ -11,7 +11,6 @@ from .errors import (
     DegenerateDenominator,
     DegenerateExpression,
     EvaluationError,
-    InvalidSample,
     LiesymError,
     NotASymmetry,
     NotPolynomial,
@@ -75,7 +74,6 @@ from .detsys import (
     DiffSystem,
     check_symmetry,
     determining_equations,
-    rank_probe,
     reduce_mod_system,
     solve_determining,
     symmetry_defect,
@@ -105,7 +103,6 @@ from .invariants import (
 from .buckpi import (
     DimensionalModel,
     PiBasis,
-    check_dimensionless,
     pi_basis,
     power_products,
 )

@@ -58,7 +58,3 @@ def power_products(basis: PiBasis, names: Sequence[str]) -> list[str]:
         factors = [n + _exp_str(e) for n, e in pos + negv]
         out.append(" · ".join(factors) if factors else "1")
     return out
-
-
-def check_dimensionless(model: DimensionalModel, exponents: Sequence) -> bool:
-    return all(x == 0 for x in model.a.matvec(exponents))

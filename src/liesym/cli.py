@@ -12,12 +12,11 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Iterator
 
 from . import buckpi, claws, detsys, invariants, varcalc
 from .errors import LiesymError, NotASymmetry
-from .expr import Context, Expr, Jet, Var, is_zero, jet_order
+from .expr import Context, is_zero, jet_order
 from .jet import VectorField, lie_bracket, prolong
 from .parse import (
     Problem,
@@ -116,11 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="name of a dimmatrix item in the problem file")
     c.add_argument("--csv", default=None, help="dimension table as CSV")
 
-    c = cmd("rank-probe")
-    c.add_argument("--system", required=True)
-    c.add_argument("--sample", action="append", required=True,
-                   help="comma-separated assignments, e.g. 'x=1,u_xx=0'")
-
     return ap
 
 
@@ -157,26 +151,6 @@ def _vf_json(v: VectorField, texts: Iterator[str]) -> dict:
 def _fields_json(vs: list[VectorField], ctx: Context) -> list[dict]:
     texts = iter(format_exprs([e for v in vs for e in v.xi + v.phi], ctx))
     return [_vf_json(v, texts) for v in vs]
-
-
-def _frac(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LiesymError(f"bad rational {s!r}: {exc}") from None
-
-
-def _parse_sample(text: str, ctx: Context) -> dict[Expr, Fraction]:
-    out: dict[Expr, Fraction] = {}
-    for piece in text.split(","):
-        if "=" not in piece:
-            raise LiesymError(f"sample entry {piece!r} is not name=value")
-        name, val = piece.split("=", 1)
-        atom = parse_expr(name.strip(), ctx)
-        if not isinstance(atom, (Var, Jet)):
-            raise LiesymError(f"sample key {name.strip()!r} is not a variable")
-        out[atom] = _frac(val.strip())
-    return out
 
 
 def _prolong(args, prob: Problem) -> tuple[dict, int]:
@@ -299,13 +273,6 @@ def _pi(args, prob: Problem | None) -> tuple[dict, int]:
     }, 0
 
 
-def _rank_probe(args, prob: Problem) -> tuple[dict, int]:
-    sys_ = _pick(prob.systems, args.system, "system")
-    samples = [_parse_sample(s, prob.ctx) for s in args.sample]
-    ok = detsys.rank_probe(sys_, samples)
-    return {"maximal_rank": ok}, 0 if ok else 1
-
-
 # Each handler maps (arguments, loaded problem or None) to (result, status).
 _HANDLERS = {
     "prolong": _prolong,
@@ -323,7 +290,6 @@ _HANDLERS = {
     "next-invariant": _next_invariant,
     "char-system": _char_system,
     "pi": _pi,
-    "rank-probe": _rank_probe,
 }
 
 

@@ -7,13 +7,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import ratla
 from ._diffring import _Fallback, ring_determining
 from ._distributed import _ANSATZ_COLUMN_CAP, _Poly, _cap_error
 from .errors import (
-    InvalidSample,
     LiesymError,
     NotPolynomial,
     NotSolvedForm,
@@ -35,14 +34,12 @@ from .expr import (
     atoms_of,
     collect,
     contains,
-    evaluate,
     expand,
     is_zero,
     jet_order,
     jets_of,
     mul,
     neg,
-    partials,
     sub,
     substitute,
 )
@@ -376,11 +373,11 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     k = _Poly()
     gens = k.gens
 
-    rows: list[tuple[tuple[int, Fraction], ...]] = []
+    rows: list[tuple[tuple[int, int | Fraction], ...]] = []
     for eq in ds.equations:
         poly = k.monomials(eq)
         # (base exponents, other (generator, exponent) pairs) -> row
-        acc: dict[tuple, dict[int, Fraction]] = {}
+        acc: dict[tuple, dict[int, int | Fraction]] = {}
         nonlinear = False
         params: set[str] = set()     # system parameters in surviving terms
         for m, c in poly.items():
@@ -409,7 +406,7 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                 row = acc.setdefault(key, {})
                 row[col] = row.get(col, 0) + c * a
         for (exps, rest_t), row in acc.items():
-            row = tuple(sorted((col, Fraction(v)) for col, v in row.items() if v))
+            row = tuple(sorted((col, v) for col, v in row.items() if v))
             if not row:
                 continue
             for b, e in zip(base_atoms, exps):
@@ -466,38 +463,4 @@ def verify_lie_closure(basis: Sequence[VectorField], sys: DiffSystem) -> bool:
         for w in basis[i + 1:]:
             if not check_symmetry(lie_bracket(v, w), sys):
                 return False
-    return True
-
-
-def rank_probe(sys: DiffSystem, samples: Sequence[Mapping[Expr, Fraction]]) -> bool:
-    """Exact Jacobian rank of the residuals at sample jet points.
-
-    Atoms absent from a sample default to 0.  Samples must satisfy every
-    equation exactly.
-    """
-    residuals = sys.residuals()
-    variables: list[Expr] = []
-    seen = set()
-    for r in residuals:
-        for a in atoms_of(r):
-            if isinstance(a, (Var, Jet)) and a not in seen:
-                seen.add(a)
-                variables.append(a)
-    variables.sort(key=lambda a: (0, a.index, ()) if isinstance(a, Var)
-                   else (1, a.dep, a.idx))
-    grads = [[g.get(v, ZERO) for v in variables] for g in map(partials, residuals)]
-    for sample in samples:
-        env = dict(sample)
-        def val(e: Expr) -> Fraction:
-            full = {a: env.get(a, Fraction(0)) for a in atoms_of(e)}
-            full.update({k: v for k, v in env.items()})
-            return evaluate(e, full)
-        for r in residuals:
-            if val(r) != 0:
-                raise InvalidSample("sample does not satisfy the system")
-        m = ratla.RatMatrix.from_rows(
-            [[val(g) for g in row] for row in grads]
-        )
-        if ratla.rank(m) != len(residuals):
-            return False
     return True

@@ -61,10 +61,6 @@ class OrderCapExceeded(_NamesExpressions):
     """Raised when reduction modulo a system needs prolongations beyond the cap."""
 
 
-class InvalidSample(LiesymError):
-    """Raised when a rank-probe sample does not lie on the system variety."""
-
-
 class NotASymmetry(LiesymError):
     """Raised when a conserved current is requested for a non-symmetry."""
 

@@ -110,13 +110,7 @@ from .errors import (
     UnknownSymbol,
 )
 
-Rat = Fraction
-
 FUNC_NAMES = ("exp", "log", "sin", "cos")
-
-
-def rat(num, den=1) -> Fraction:
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

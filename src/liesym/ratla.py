@@ -28,7 +28,9 @@ class RatMatrix:
 
     ``data`` holds one tuple per row of ``(column, value)`` pairs, sorted by
     column, with zeros omitted; the constructors keep it in that form, so
-    equal matrices compare and hash equal.
+    equal matrices compare and hash equal.  ``from_rows`` and ``from_sparse``
+    store Fractions; a matrix built directly may also hold ints, which
+    compare and hash like the equal Fractions.
     """
 
     rows: int
@@ -102,12 +104,12 @@ def _primitive(r: dict[int, int], lead: int) -> dict[int, int]:
     return r if g == 1 else {c: x // g for c, x in r.items()}
 
 
-def _reduce_rows(rows: Iterable[Sequence[tuple[int, Fraction]]]) -> dict[int, dict[int, int]]:
+def _reduce_rows(rows: Iterable[Sequence[tuple[int, int | Fraction]]]) -> dict[int, dict[int, int]]:
     """Fraction-free sparse elimination: the nonzero rows of the RREF, keyed by
     their pivot column.  Each input row is a sequence of nonzero
-    ``(column, value)`` pairs sorted by column.  Each output row holds
-    integers whose gcd is 1; dividing it by its (positive) pivot entry gives
-    the RREF row.
+    ``(column, value)`` pairs sorted by column, each value an int or a
+    Fraction.  Each output row holds integers whose gcd is 1; dividing it by
+    its (positive) pivot entry gives the RREF row.
 
     Rows become primitive integer rows, and repeated rows are dropped.  A
     singleton row ``{j: v}`` makes ``j`` a pivot with row e_j, and column j

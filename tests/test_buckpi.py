@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import liesym as ls
-from liesym import DimensionalModel, RatMatrix, check_dimensionless, pi_basis, power_products
+from liesym import DimensionalModel, RatMatrix, pi_basis, power_products
 from liesym.ratla import in_span
 
 from conftest import rand_rational
@@ -30,7 +30,7 @@ class TestPiBasis:
         basis = pi_basis(BLAST)
         for k in range(basis.b.cols):
             col = [basis.b[j, k] for j in range(basis.b.rows)]
-            assert check_dimensionless(BLAST, col)
+            assert not any(BLAST.a.matvec(col))
 
     def test_known_products_in_span(self):
         basis = pi_basis(BLAST)
@@ -78,8 +78,8 @@ class TestPowerProducts:
 
 class TestCheckDimensionless:
     def test_examples(self):
-        assert check_dimensionless(BLAST, [-2, 6, -3, 5, 0])
-        assert not check_dimensionless(BLAST, [1, 0, 0, 0, 0])
+        assert not any(BLAST.a.matvec([-2, 6, -3, 5, 0]))
+        assert any(BLAST.a.matvec([1, 0, 0, 0, 0]))
 
     def test_random_kernel_members(self, rng):
         for _ in range(20):
@@ -95,4 +95,4 @@ class TestCheckDimensionless:
             assert basis.b.cols == cols - basis.s
             for k in range(basis.b.cols):
                 col = [basis.b[j, k] for j in range(basis.b.rows)]
-                assert check_dimensionless(model, col)
+                assert not any(model.a.matvec(col))

@@ -1,5 +1,5 @@
 """Solved-form systems: reduction, symmetry checks, determining equations,
-linear solving, rank probing."""
+linear solving, maximal rank."""
 import itertools
 import math
 import operator
@@ -11,11 +11,12 @@ import pytest
 
 import liesym as ls
 from liesym import Ansatz, DiffSystem, Jet, Var, ratla
-from liesym.detsys import _columns, _printed, generic_vector_field
+from liesym.detsys import _columns, _printed, _rank_key, generic_vector_field
 from liesym.errors import NotPolynomial, UnknownSymbol
 from liesym.expr import (
     Add,
     Expr,
+    ONE,
     Param,
     UFunc,
     _split,
@@ -449,7 +450,7 @@ class TestRowsAgainstReference:
                     continue
                 (m,) = seen
                 assert m == ref, (name, degree)
-                assert all(type(v) is Fraction for row in m.data for _, v in row)
+                assert all(type(v) is int for row in m.data for _, v in row)
                 assert kernel_basis(m) == kernel_basis(ref)
                 assert len(basis) == len(kernel_basis(ref))
                 solved.add(name)
@@ -526,24 +527,22 @@ class TestLieClosure:
         assert not ls.verify_lie_closure(fields, heat_system)
 
 
-class TestRankProbe:
-    def test_heat_constant_row(self, heat_system):
-        sample = {ut: Fraction(1), uxx: Fraction(1)}
-        assert ls.rank_probe(heat_system, [sample])
 
-    def test_laplace_solved_form(self, ctx_xy):
-        uyy = Jet(1, (2, 2))
-        sys_ = DiffSystem(ctx_xy, ((uyy, ls.neg(uxx)),))
-        samples = [
-            {uyy: Fraction(-2), uxx: Fraction(2)},
-            {uyy: Fraction(0), uxx: Fraction(0)},
-        ]
-        assert ls.rank_probe(sys_, samples)
+class TestMaximalRank:
+    """In rank order, each residual lead - rhs has derivative 1 by its own
+    lead and none by a higher-ranked lead, so the lead columns of the
+    Jacobian are unit lower-triangular and its rank is the number of
+    equations at every point."""
 
-    def test_off_variety_sample(self, heat_system):
-        with pytest.raises(ls.InvalidSample):
-            ls.rank_probe(heat_system, [{ut: Fraction(1), uxx: Fraction(0)}])
-
-    def test_nonlinear_system(self, ctx_xu):
-        sys_ = DiffSystem(ctx_xu, ((ux, ls.pow_(u, 2)),))
-        assert ls.rank_probe(sys_, [{ux: Fraction(4), u: Fraction(2)}])
+    def test_lead_columns_unit_lower_triangular(self):
+        names = []
+        for name, sys_ in systems():
+            p = sys_.ctx.p
+            eqs = sorted(sys_.equations, key=lambda eq: _rank_key(eq[0], p))
+            leads = [lead for lead, _ in eqs]
+            for i, (lead, rhs) in enumerate(eqs):
+                grad = ls.partials(ls.sub(lead, rhs))
+                assert grad.get(lead) == ONE, (name, lead)
+                assert not any(j in grad for j in leads[i + 1:]), (name, lead)
+            names.append(name)
+        assert len(names) == 13
