@@ -9,13 +9,13 @@ reaches as far as a walk that distributes over the tree node by node would.
 A fractional exponent is stored as one :class:`_Exp` per value and kernel,
 whose hash is computed once; trees get plain fractions back.
 
-A round expands each distinct subtree once.  The prolongations and the
-partials memo return one node object for equal subtrees, so a tree such as
-``D_x zeta / D_x eta`` reaches some nodes many times, and its unfolded size
-doubles with each level of nesting.  A sum, product or power reached a
-second time, by object identity, gets the dict of its first visit back;
-only such nodes are stored, so a node that occurs once costs no memory.
-First visits keep their order, and so does the numbering of generators.
+A round expands each distinct subtree once.  Nodes are interned, so equal
+subtrees are one node, and a tree such as ``D_x zeta / D_x eta`` reaches
+some nodes many times; its unfolded size doubles with each level of
+nesting.  A sum, product or power reached a second time gets the dict of
+its first visit back; only such nodes are stored, so a node that occurs
+once costs no memory.  First visits keep their order, and so does the
+numbering of generators.
 
 :func:`liesym.expr.collect` and :func:`liesym.detsys.solve_determining` read
 the monomials of ``expand(e)`` from the kernel (:meth:`_Poly.monomials`) and
@@ -131,18 +131,14 @@ class _Poly:
         self.gens: list[Expr] = []
         self.index: dict[Expr, int] = {}
         self.kind: list[int] = []
-        # id(node) -> (node, its tree after one round), for power bases and
-        # function arguments, which recur across terms and rounds; holding
-        # the node keeps its id unique
-        self.subtrees: dict[int, tuple[Expr, Expr]] = {}
-        # id(node) -> (node, its polynomial after one round), for a sum,
-        # product or power reached a second time, as a shared subtree is;
-        # holding the node keeps its id unique.  ``seen`` holds the ids of
-        # those reached once, so a node that occurs once keeps no entry; an
-        # id that a dead node left there only makes the next node at that
-        # address stored on its first visit
-        self.rounds: dict[int, tuple[Expr, dict]] = {}
-        self.seen: set[int] = set()
+        # node -> its tree after one round, for power bases and function
+        # arguments, which recur across terms and rounds
+        self.subtrees: dict[Expr, Expr] = {}
+        # node -> its polynomial after one round, for a sum, product or power
+        # reached a second time, as a shared subtree is; ``seen`` holds those
+        # reached once, so a node that occurs once keeps no entry
+        self.rounds: dict[Expr, dict] = {}
+        self.seen: set[Expr] = set()
         # (sum generator, k) -> (its terms to the k-th power, stirred); the
         # merge multiplies the same shift into many terms
         self.powers: dict[tuple[int, int], tuple[dict, bool]] = {}
@@ -332,10 +328,9 @@ class _Poly:
         is, returns the dict of its first visit, which no caller changes."""
         t = type(e)
         if t is Add or t is Mul or t is Pow:
-            i = id(e)
-            hit = self.rounds.get(i)
+            hit = self.rounds.get(e)
             if hit is not None:
-                return hit[1]
+                return hit
             if t is Add:
                 out: dict = {}
                 zeros = []
@@ -353,10 +348,10 @@ class _Poly:
                 out = self._product(e)
             else:
                 out = self._power(e)
-            if i in self.seen:
-                self.rounds[i] = (e, out)
+            if e in self.seen:
+                self.rounds[e] = out
             else:
-                self.seen.add(i)
+                self.seen.add(e)
             return out
         if t is Const:
             return self.read(e)
@@ -500,10 +495,10 @@ class _Poly:
                                    else Pow(gens[g], k) for g, k in m))
         # atoms, functions and sums to distinct bases: mul would only raise
         # each to its exponent and sort
-        fs = [gens[g] if k == 1 else Pow(gens[g], Fraction(k)) for g, k in m]
+        fs = [gens[g] if k == 1 else Pow(gens[g], k) for g, k in m]
         if len(fs) > 1:
             fs.sort(key=_factor_order)
-        return _term(c if type(c) is Fraction else Fraction(c), tuple(fs))
+        return _term(c, tuple(fs))
 
     def first(self, pairs) -> tuple:
         """Of one monomial's pairs, the one whose factor a product lists first."""
@@ -516,7 +511,7 @@ class _Poly:
         return add(*(self.product(m, c) for m, c in poly.items()))
 
     def subtree(self, e: Expr) -> Expr:
-        hit = self.subtrees.get(id(e))
-        if hit is None or hit[0] is not e:
-            hit = self.subtrees[id(e)] = (e, self.tree(self.expand_once(e)))
-        return hit[1]
+        hit = self.subtrees.get(e)
+        if hit is None:
+            hit = self.subtrees[e] = self.tree(self.expand_once(e))
+        return hit

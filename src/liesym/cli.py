@@ -15,7 +15,7 @@ import sys
 from typing import Iterator
 
 from . import buckpi, claws, detsys, invariants, varcalc
-from .errors import LiesymError, NotASymmetry
+from .errors import ArityError, LiesymError, NotASymmetry
 from .expr import Context, is_zero, jet_order
 from .jet import VectorField, lie_bracket, prolong
 from .parse import (
@@ -245,6 +245,9 @@ def _check_invariant(args, prob: Problem) -> tuple[dict, int]:
 
 
 def _next_invariant(args, prob: Problem) -> tuple[dict, int]:
+    if prob.ctx.p != 1:
+        raise ArityError(f"next-invariant needs one independent variable, "
+                         f"the problem declares {prob.ctx.p}")
     eta = parse_expr(args.eta, prob.ctx)
     zeta = parse_expr(args.zeta, prob.ctx)
     out = invariants.next_invariant(eta, zeta)

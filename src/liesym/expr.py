@@ -8,7 +8,7 @@ powers and the elementary functions exp/log/sin/cos.
 All constructors canonicalize: sums and products are flattened, like terms are
 collected with exact rational coefficients, powers of a common base are merged,
 and rational constants are folded.  Two expressions built from the same
-mathematical content through the constructors compare equal structurally.
+mathematical content through the constructors are one node.
 Powers of sums are *not* expanded automatically; :func:`expand` does that on
 demand, and additionally merges powers of a common sum base whose exponents
 differ by integers (the step that makes rational-function cancellations such as
@@ -17,17 +17,13 @@ differ by integers (the step that makes rational-function cancellations such as
 Contract: compound nodes must be built with :func:`add`, :func:`mul`,
 :func:`pow_`, :func:`div` and :func:`func` (or the operators, which call them);
 a tree so built is canonical, and no operation here re-canonicalizes its
-input.  :func:`add` and :func:`mul` keep each input term or factor that
-meets no like one and that they would only rebuild equal, so the nodes of
-canonical input pass into the result as the same objects.  A product holds
-one factor per base: where the exponents of one base sum so that
-:func:`pow_` folds the power to another base (``((1+x)^2)^(1/2)`` twice is
-``(1+x)^2``), :func:`mul` merges the result with the factors of that base,
-so every constructor result is a fixed point of :func:`mul` and
-:func:`normalize`.  The node
-dataclasses are exported for ``isinstance`` checks and
-atoms; a tree assembled from the raw compound dataclasses must first go
-through :func:`normalize`.
+input.  A product holds one factor per base: where the exponents of one base
+sum so that :func:`pow_` folds the power to another base
+(``((1+x)^2)^(1/2)`` twice is ``(1+x)^2``), :func:`mul` merges the result
+with the factors of that base, so every constructor result is a fixed point
+of :func:`mul` and :func:`normalize`.  The node dataclasses are exported for
+``isinstance`` checks and atoms; a tree assembled from the raw compound
+dataclasses must first go through :func:`normalize`.
 
 Canonical order: the terms of a sum and the factors of a product are sorted.
 Nodes of different kinds order as constant < independent variable < jet
@@ -66,25 +62,27 @@ bits raises as well.
 :func:`partials` differentiates by every atom in one walk of the tree;
 :func:`diff` is the single-atom view of it.  The walk keeps a memo from each
 node to its partials for the length of the call, so a subtree that occurs
-more than once, as the same object or as equal trees built separately, is
-differentiated once per call.  The product rule builds each term
-``c * d * (the other factors)`` by merging the sorted factors of the partial
-``d`` with the other factors, sorted already, in one pass; only where two
-bases meet does :func:`mul` build the term.  The prolongations in
+more than once is differentiated once per call.  The product rule builds
+each term ``c * d * (the other factors)`` by merging the sorted factors of
+the partial ``d`` with the other factors, sorted already, in one pass; only
+where two bases meet does :func:`mul` build the term.  The prolongations in
 ``liesym.jet`` share one such memo across all the walks of one call, and
 build the terms ``u_{J,i} * d`` of their total derivatives the same way.
 :func:`jets_of`, :func:`jet_order` and :func:`contains` also visit each
 distinct node once.
-Independent variables and jet coordinates are interned: ``Var`` and ``Jet``
-return the one node of a coordinate per process, so equal coordinates are
-the same object, compare by identity, hash through a slot and order without
-comparing equal fields.  Their tables are bounded by the coordinates a
-process uses; pickling and copying return the interned node.  Sums and
-unknown functions cache their structural hash on first use, because
-:func:`add`, :func:`mul` and that memo key dicts on them and on factor
-tuples that contain them; the cache takes no part in equality, ``repr``,
-pickling or ``dataclasses.replace``.  Constants, powers and products hash
-as the dataclass would, an integral rational through its numerator.
+
+Every node is interned (hash-consed: E. Goto 1974; Filliâtre & Conchon
+2006).  Each node class returns from ``__new__`` the one live node of its
+kind with the given fields, so equal trees are one object, equality is
+identity whatever their size, and two distinct nodes of one kind differ in
+a field.  A node's hash is computed once, when it is made, from a tag for
+its kind and its fields.  The rational fields ``Const.value``, ``Pow.exp``
+and ``Mul.coeff`` are always ``Fraction``s; an ``int`` is converted and
+anything else raises ``TypeError``.  Independent variables and jet
+coordinates stay in their tables for the life of the process; every other
+node is held weakly and leaves its table with its last reference.
+Pickling, copying and ``dataclasses.replace`` return the interned node,
+and ``repr`` shows the fields only.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -98,7 +96,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -118,9 +118,20 @@ FUNC_NAMES = ("exp", "log", "sin", "cos")
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class; all concrete nodes are immutable dataclasses."""
+    """Base class of the node kinds, immutable and interned dataclasses."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "__weakref__")
+
+    # object's comparison: True for the node itself, NotImplemented otherwise
+    __eq__ = object.__eq__
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __new__, so unpickling and copying give the
+        # interned node, with the hash of its process
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -151,66 +162,77 @@ class Expr:
         return pow_(self, exponent)
 
 
-# Sums and unknown functions are the compound keys add, mul and the partials
-# memo hash most often, so they cache their structural hash, the hash of the
-# tuple of their fields, in a ``_hash`` slot on first use.  The dataclass
-# keeps a ``__hash__`` its class body sets.
-def _cached_hash(self) -> int:
-    h = self._hash
-    if h is None:
-        h = hash(self.__reduce__()[1])
-        object.__setattr__(self, "_hash", h)
-    return h
+# A node's key is its kind's rank in _RANK and its fields, a rational as its
+# numerator and denominator (faster to hash than a Fraction); its children
+# are interned, so a lookup compares them by identity.  A node hashes as its
+# key.  A dead entry goes by _remove_dead_weakref, the atomic delete-if-dead
+# of WeakValueDictionary.
+_node = dataclass(frozen=True, slots=True, init=False, eq=False)
+_new, _set = object.__new__, object.__setattr__
+_NODES: dict = {}       # key -> _Ref to the node, for all kinds but Var and Jet
 
 
-def _reduce_fields(self):
-    # string hashes differ between processes, so a pickle omits the cache
-    return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-
-@dataclass(frozen=True, slots=True)
-class Const(Expr):
-    value: Fraction
-
-    def __hash__(self):
-        v = self.value
-        return hash((v.numerator if v.denominator == 1 else v,))
-
-
-# Var and Jet are interned (see the module docstring): a private table maps
-# each argument form a class was asked for to the one node of the coordinate.
-def _intern(cls, table: dict, key, fields: tuple):
-    """The node of ``cls`` with the canonical ``fields``, registered in
-    ``table`` under the canonical ``key``, its ``_hash`` the dataclass hash."""
-    node = table.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls.__match_args__, fields):
-            object.__setattr__(node, name, value)
-        object.__setattr__(node, "_hash", hash(fields))
-        # of two threads that race here, both get the node registered first
-        node = table.setdefault(key, node)
+def _make(cls, key: tuple, fields: tuple):
+    node = _new(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        _set(node, name, value)
+    _set(node, "_hash", hash(key))
     return node
 
 
-def _identical(self, other):
-    return self is other if type(other) is type(self) else NotImplemented
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
 
-def _interned_hash(self) -> int:
-    return self._hash
+def _forget(ref, _nodes=_NODES, _remove=_remove_dead_weakref):
+    # the defaults outlive the module's globals at exit
+    _remove(_nodes, ref.key)
 
 
+def _intern(cls, key: tuple, *fields):
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = _make(cls, key, fields)
+        ref = _Ref(node, _forget)
+        ref.key = key
+        # racing threads all get the node registered first; a dead entry is
+        # dropped, atomically, so no live node is ever replaced
+        while (old := _NODES.setdefault(key, ref)) is not ref:
+            if (live := old()) is not None:
+                return live
+            _remove_dead_weakref(_NODES, key)
+    return node
+
+
+def _rational(q) -> Fraction:
+    if type(q) is Fraction:
+        return q
+    if isinstance(q, (int, Fraction)):
+        return Fraction(q)
+    raise TypeError(f"cannot treat {q!r} as an expression")
+
+
+@_node
+class Const(Expr):
+    value: Fraction
+
+    def __new__(cls, value):
+        q = _rational(value)
+        return _intern(cls, (0, q.numerator, q.denominator), q)
+
+
+# Var and Jet stay in their tables for the life of the process, each under
+# every argument form it was asked for.
 _VARS: dict = {}
 _JETS: dict = {}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_node
 class Var(Expr):
-    """Independent variable x^index, 1-based; interned."""
+    """Independent variable x^index, 1-based."""
 
     index: int
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __new__(cls, index):
         try:
@@ -219,21 +241,16 @@ class Var(Expr):
             pass
         if index < 1:
             raise UnknownSymbol(f"no independent variable has index {index}")
-        return _intern(cls, _VARS, index, (index,))
-
-    __eq__ = _identical
-    __hash__ = _interned_hash
-    __reduce__ = _reduce_fields
+        return _VARS.setdefault(index, _make(cls, (1, index), (index,)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_node
 class Jet(Expr):
-    """Jet coordinate u^dep_idx; ``idx`` is the sorted multi-index tuple.
-    Interned; ``idx`` may be given in any order."""
+    """Jet coordinate u^dep_idx; ``idx`` is the sorted multi-index tuple and
+    may be given in any order."""
 
     dep: int
     idx: tuple[int, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __new__(cls, dep, idx):
         try:
@@ -244,96 +261,90 @@ class Jet(Expr):
         if dep < 1 or key[1] and key[1][0] < 1:
             raise UnknownSymbol(f"no jet coordinate has dependent variable "
                                 f"{dep} and multi-index {key[1]}")
-        node = _intern(cls, _JETS, key, key)
+        node = _JETS.setdefault(key, _make(cls, (2, *key), key))
         if type(idx) is tuple:
             _JETS.setdefault((dep, idx), node)
         return node
-
-    __eq__ = _identical
-    __hash__ = _interned_hash
-    __reduce__ = _reduce_fields
 
     @property
     def order(self) -> int:
         return len(self.idx)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Param(Expr):
     """Unknown ansatz constant."""
 
     name: str
 
+    def __new__(cls, name):
+        return _intern(cls, (3, name), name)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class UFunc(Expr):
     """Derivative of a declared unknown function.
 
     ``args`` are the atoms the function depends on (independent variables and
     order-0 jets); ``deriv`` is the sorted multiset of argument positions the
-    function has been differentiated by.  Empty ``deriv`` is the function
-    itself.
+    function has been differentiated by, given in any order.  Empty ``deriv``
+    is the function itself.
     """
 
     name: str
     args: tuple[Expr, ...]
-    deriv: tuple[int, ...] = ()
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    deriv: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "deriv", tuple(sorted(self.deriv)))
-
-    __hash__ = _cached_hash
-    __reduce__ = _reduce_fields
+    def __new__(cls, name, args, deriv=()):
+        deriv = tuple(sorted(deriv))
+        return _intern(cls, (4, name, args, deriv), name, args, deriv)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Func(Expr):
     fname: str
     arg: Expr
 
+    def __new__(cls, fname, arg):
+        return _intern(cls, (5, fname, arg), fname, arg)
 
-@dataclass(frozen=True, slots=True)
+
+@_node
 class Pow(Expr):
     base: Expr
     exp: Fraction
 
-    def __hash__(self):
-        e = self.exp
-        return hash((self.base, e.numerator if e.denominator == 1 else e))
+    def __new__(cls, base, exp):
+        e = _rational(exp)
+        return _intern(cls, (6, base, e.numerator, e.denominator), base, e)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     """coeff * factors[0] * factors[1] * ...; factors sorted, coeff != 0."""
 
     coeff: Fraction
     factors: tuple[Expr, ...]
 
-    def __hash__(self):
-        c = self.coeff
-        return hash((c.numerator if c.denominator == 1 else c, self.factors))
+    def __new__(cls, coeff, factors):
+        c = _rational(coeff)
+        return _intern(cls, (7, c.numerator, c.denominator, factors), c, factors)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expr):
     terms: tuple[Expr, ...]
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
-    __hash__ = _cached_hash
-    __reduce__ = _reduce_fields
+    def __new__(cls, terms):
+        return _intern(cls, (8, terms), terms)
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
+ZERO = Const(0)
+ONE = Const(1)
 
 
 def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
-    raise TypeError(f"cannot treat {x!r} as an expression")
+    return x if isinstance(x, Expr) else Const(x)
 
 
 def const(x) -> Const:
@@ -428,8 +439,8 @@ class Context:
 # canonical ordering
 # ---------------------------------------------------------------------------
 
-# Node kinds in canonical order; within a kind, nodes compare field by field
-# as the module docstring lists.
+# Node kinds in canonical order, each rank also the tag of the kind's keys;
+# within a kind, nodes compare field by field as the module docstring lists.
 _RANK = {Const: 0, Var: 1, Jet: 2, Param: 3, UFunc: 4, Func: 5, Pow: 6,
          Mul: 7, Add: 8}
 
@@ -441,18 +452,17 @@ def _sign(a, b) -> int:
 
 
 def _cmp_seq(xs: tuple[Expr, ...], ys: tuple[Expr, ...]) -> int:
-    """Lexicographic order of child sequences, a proper prefix first; only
-    the first pair of children that differ is compared recursively."""
+    """Lexicographic order of child sequences, a proper prefix first; the
+    first pair of children that are distinct nodes decides."""
     for x, y in zip(xs, ys):
         if x is not y:
-            s = _cmp(x, y)
-            if s:
-                return s
+            return _cmp(x, y)
     return _sign(len(xs), len(ys))
 
 
 def _cmp(a: Expr, b: Expr) -> int:
     """Three-way comparison in canonical order: -1, 0 or 1."""
+    # interned: two distinct nodes of one kind differ in a field
     if a is b:
         return 0
     ta, tb = type(a), type(b)
@@ -461,7 +471,6 @@ def _cmp(a: Expr, b: Expr) -> int:
     if ta is Mul:
         return _cmp_seq(a.factors, b.factors) or _sign(a.coeff, b.coeff)
     if ta is Jet:
-        # interned: two jet objects differ in a field
         if a.dep != b.dep:
             return -1 if a.dep < b.dep else 1
         x, y = a.idx, b.idx
@@ -471,15 +480,13 @@ def _cmp(a: Expr, b: Expr) -> int:
     if ta is Add:
         return _cmp_seq(a.terms, b.terms)
     if ta is Pow:
-        x, y = a.base, b.base
-        return (0 if x is y or x == y else _cmp(x, y)) or _sign(a.exp, b.exp)
+        return _cmp(a.base, b.base) or _sign(a.exp, b.exp)
     if ta is Var:
         return -1 if a.index < b.index else 1
     if ta is Const:
         return _sign(a.value, b.value)
     if ta is Func:
-        x, y = a.arg, b.arg
-        return _sign(a.fname, b.fname) or (0 if x is y or x == y else _cmp(x, y))
+        return _sign(a.fname, b.fname) or _cmp(a.arg, b.arg)
     if ta is Param:
         return _sign(a.name, b.name)
     if ta is UFunc:
@@ -492,7 +499,7 @@ def _cmp_factor(f: Expr, g: Expr) -> int:
     """Order of product factors: by base, then by exponent."""
     bf, ef = (f.base, f.exp) if type(f) is Pow else (f, _Q1)
     bg, eg = (g.base, g.exp) if type(g) is Pow else (g, _Q1)
-    return (0 if bf is bg or bf == bg else _cmp(bf, bg)) or _sign(ef, eg)
+    return (0 if bf is bg else _cmp(bf, bg)) or _sign(ef, eg)
 
 
 _term_order = functools.cmp_to_key(_cmp)
@@ -506,9 +513,7 @@ _factor_order = functools.cmp_to_key(_cmp_factor)
 def _split(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
     """Split into (rational coefficient, unit factor tuple)."""
     if isinstance(e, Const):
-        # a Const built directly from an int still yields a Fraction
-        v = e.value
-        return (v if type(v) is Fraction else Fraction(v)), ()
+        return e.value, ()
     if isinstance(e, Mul):
         return e.coeff, e.factors
     return _Q1, (e,)
@@ -543,8 +548,6 @@ def add(*args) -> Expr:
                     t = None
             elif tt is Const:
                 c, fs = t.value, ()
-                if type(c) is not Fraction:
-                    c, t = Fraction(c), None
             else:
                 c, fs = _Q1, (t,)
             prev = acc.get(fs)
@@ -575,7 +578,7 @@ def mul(*args) -> Expr:
             v = a.value
             if not v:
                 return ZERO
-            coeff = v if coeff is _Q1 and type(v) is Fraction else coeff * v
+            coeff = v if coeff is _Q1 else coeff * v
             continue
         if ta is Mul:
             coeff = a.coeff if coeff is _Q1 else coeff * a.coeff
@@ -590,8 +593,7 @@ def mul(*args) -> Expr:
         # pow_ would rebuild a lone power equal, unless it folds the base or
         # normalizes the exponent
         if f is None or type(f) is Pow and (
-                type(e) is not Fraction or e == 1 or not e
-                or type(b) not in _POW_BASES_KEPT):
+                e == 1 or not e or type(b) not in _POW_BASES_KEPT):
             if not e:
                 continue
             f = pow_(b, e)
@@ -700,7 +702,7 @@ def pow_(base, exponent) -> Expr:
     if e == 1:
         return base
     if isinstance(base, Const):
-        v = _split(base)[0]  # a Const built from an int still yields a Fraction
+        v = base.value
         if not v:
             if e < 0:
                 raise DegenerateExpression("0 raised to a negative power")
@@ -799,16 +801,14 @@ def atoms_of(e: Expr) -> Iterator[Expr]:
 
 
 def _distinct(e: Expr) -> Iterator[Expr]:
-    """Each distinct node of ``e`` once, with a set of the node ids seen, so
-    a shared subtree is walked once.  ``e`` keeps every node alive, so no
-    id is reused."""
-    seen, stack = {id(e)}, [e]
+    """Each distinct node of ``e`` once, so a shared subtree is walked once."""
+    seen, stack = {e}, [e]
     while stack:
         x = stack.pop()
         yield x
         for k in _kids(x):
-            if id(k) not in seen:
-                seen.add(id(k))
+            if k not in seen:
+                seen.add(k)
                 stack.append(k)
 
 

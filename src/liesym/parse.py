@@ -181,7 +181,7 @@ class _ExprParser:
                 t = mul(t, self.unary())
             elif self.s.accept("op", "/"):
                 d = self.unary()
-                if d == Const(Fraction(0)):
+                if d is ZERO:
                     self.s.error("division by zero")
                 t = div(t, d)
             else:
@@ -225,7 +225,7 @@ class _ExprParser:
         t = s.peek()
         if t.kind == "num":
             s.next()
-            return Const(Fraction(_int(t)))
+            return Const(_int(t))
         if s.accept("op", "("):
             self.open_group(t)
             e = self.sum()
@@ -409,8 +409,7 @@ def _fmt_negated(c: Fraction, fs: tuple[Expr, ...], ctx: Context, memo: dict) ->
 
 def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
     """The text of ``e`` at precedence ``prec``.  ``memo`` maps
-    ``(id(node), prec)`` to ``(node, text)``; holding the node keeps its id
-    from passing to a node built later in the batch."""
+    ``(node, prec)`` to the node's text."""
     if isinstance(e, Const):
         return _fmt_const(e.value, prec)
     if isinstance(e, Var):
@@ -422,10 +421,10 @@ def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
         if e.name not in ctx.params:
             raise UnknownSymbol(f"{e!r} is not a parameter of the context")
         return e.name
-    key = (id(e), prec)
+    key = (e, prec)
     hit = memo.get(key)
     if hit is not None:
-        return hit[1]
+        return hit
     if isinstance(e, Jet):
         s = _jet_name(e, ctx)
     elif isinstance(e, UFunc):
@@ -458,7 +457,7 @@ def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
             s = _paren(s)
     else:
         raise TypeError(type(e))
-    memo[key] = (e, s)
+    memo[key] = s
     return s
 
 

@@ -76,7 +76,7 @@ class TestPowerProducts:
             power_products(pi_basis(BLAST), ("a", "b"))
 
 
-class TestCheckDimensionless:
+class TestPiKernelThroughMatvec:
     def test_examples(self):
         assert not any(BLAST.a.matvec([-2, 6, -3, 5, 0]))
         assert any(BLAST.a.matvec([1, 0, 0, 0, 0]))

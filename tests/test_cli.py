@@ -229,6 +229,14 @@ class TestExitCodes:
         assert "constant of 4772 digits is too long to print" in \
             capsys.readouterr().err
 
+    def test_next_invariant_needs_one_independent_variable(self, capsys, heat_file):
+        status = main(["next-invariant", "--file", heat_file,
+                       "--eta", "u_t", "--zeta", "u_x"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err == ("error: next-invariant needs one independent variable, "
+                       "the problem declares 2\n")
+
     def test_log_zero(self, capsys, tmp_path):
         p = tmp_path / "log0.prob"
         p.write_text("indep x\ndep u\nvf v: xi[x] = log(0)")

@@ -3,6 +3,7 @@ zero testing, collection, exact evaluation."""
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from fractions import Fraction
 from typing import Iterable
@@ -27,6 +29,7 @@ from liesym.expr import (
     ZERO,
     Expr,
     NotPolynomial,
+    _NODES,
     _Poly,
     _cmp,
     _cmp_factor,
@@ -469,59 +472,47 @@ class TestAddHash:
         s2 = ls.add(ls.mul(2, ux), ls.add(u, x))
         s3 = ls.sub(ls.add(x, u, ux, ux, ux), ux)
         for s in (s2, s3):
-            assert s == s1 and s is not s1
-            assert hash(s) == hash(s1)
-        for s in (s1, s2, s3):
-            assert isinstance(s, Add)
-            assert hash(s) == hash((s.terms,))
-            assert s._hash == hash((s.terms,))       # filled on first use
-            assert hash(ls.mul(2, ls.pow_(s, 3))) == hash(ls.mul(ls.pow_(s1, 3), 2))
+            assert s is s1 and hash(s) == hash(s1)
+        assert isinstance(s1, Add)
+        assert hash(s1) == s1._hash == hash((8, s1.terms))
+        assert ls.mul(2, ls.pow_(s3, 3)) is ls.mul(ls.pow_(s1, 3), 2)
 
     def test_repr_and_pickle_omit_cache(self):
         s = ls.add(x, u)
-        hash(s)
         assert repr(s) == "Add(terms=(Var(index=1), Jet(dep=1, idx=())))"
-        back = pickle.loads(pickle.dumps(s))
-        assert back == s and back._hash is None
-        assert hash(back) == hash(s)
+        assert s.__reduce__() == (Add, (s.terms,))
+        assert pickle.loads(pickle.dumps(s)) is s
 
 
 class TestUFuncHash:
     def test_hash_of_fields(self):
         f = UFunc("F", (x, u), (1, 0))
-        assert f._hash is None
-        assert hash(f) == hash(("F", (x, u), (0, 1)))
-        assert f._hash == hash(("F", (x, u), (0, 1)))       # filled on first use
+        assert f.deriv == (0, 1)
+        assert hash(f) == f._hash == hash((4, "F", (x, u), (0, 1)))
 
     def test_equal_functions_hash_equal(self):
         f1 = UFunc("F", (x, u), (0, 1))
         f2 = UFunc("F", (Var(1), Jet(1, ())), (1, 0))
         f3 = ls.diff(ls.diff(UFunc("F", (x, u)), u), x)
         for f in (f2, f3):
-            assert f == f1 and f is not f1
-            assert hash(f) == hash(f1)
-        assert hash(ls.mul(2, ls.pow_(f3, 3))) == hash(ls.mul(ls.pow_(f1, 3), 2))
+            assert f is f1 and hash(f) == hash(f1)
+        assert ls.mul(2, ls.pow_(f3, 3)) is ls.mul(ls.pow_(f1, 3), 2)
 
     def test_cache_takes_no_part(self):
         f = UFunc("F", (x, u), (0,))
-        g = UFunc("F", (x, u), (0,))
-        hash(f)
-        assert f == g and g._hash is None
-        assert repr(f) == repr(g) == (
+        assert "_hash" not in repr(f) and dataclasses.fields(f)[-1].name == "deriv"
+        assert repr(f) == (
             "UFunc(name='F', args=(Var(index=1), Jet(dep=1, idx=())), deriv=(0,))")
-        back = pickle.loads(pickle.dumps(f))
-        assert back == f and back._hash is None
-        assert hash(back) == hash(f)
+        assert pickle.loads(pickle.dumps(f)) is f
         other = dataclasses.replace(f, name="G")
-        assert other._hash is None
-        assert other == UFunc("G", (x, u), (0,))
-        assert hash(other) == hash(("G", (x, u), (0,)))
-        assert dataclasses.replace(f) == f
+        assert other is UFunc("G", (x, u), (0,))
+        assert hash(other) == hash((4, "G", (x, u), (0,)))
+        assert dataclasses.replace(f) is f
 
 
 class TestInternedAtoms:
     """``Var`` and ``Jet`` are interned: equal coordinates are one object,
-    which compares by identity and hashes as the tuple of its fields."""
+    which compares by identity and hashes as its kind's tag and its fields."""
 
     def test_one_object_per_coordinate(self):
         j = Jet(1, (2, 1))
@@ -545,18 +536,9 @@ class TestInternedAtoms:
 
     def test_hash_of_fields(self):
         for j in (u, ux, Jet(2, (2, 1)), Jet(1, (1, 1, 2, 2))):
-            assert hash(j) == hash((j.dep, j.idx))
+            assert hash(j) == hash((2, j.dep, j.idx))
         for v in (x, Var(2), Var(7)):
-            assert hash(v) == hash((v.index,))
-
-    @pytest.mark.parametrize("q", [Fraction(0), Fraction(3), Fraction(-2),
-                                   Fraction(1, 2), Fraction(-7, 3)])
-    def test_fraction_fields_hash_as_the_dataclass(self, q):
-        nodes = [Const(q), Pow(ls.add(x, u), q), Mul(q, (x, ux))]
-        if q.denominator == 1:
-            nodes.append(Const(int(q)))
-        for e in nodes:
-            assert hash(e) == hash(tuple(getattr(e, f) for f in e.__match_args__))
+            assert hash(v) == hash((1, v.index))
 
     def test_compares_only_to_itself(self):
         j = Jet(1, (1,))
@@ -634,9 +616,148 @@ class TestInternedAtoms:
             test_cli.TestProlongGolden.DIGEST
 
 
-def fresh(e):
-    """An equal tree that shares no node with ``e``."""
-    return pickle.loads(pickle.dumps(e))
+class TestInterning:
+    """Every node kind is interned: equal nodes are one object, and the
+    nodes other than coordinates leave their table with their last
+    reference."""
+
+    NODES = [Const(Fraction(-7, 3)), Param("c"), UFunc("F", (x, u), (1,)),
+             ls.func("sin", ls.add(x, u)), ls.pow_(ls.add(x, u), Fraction(1, 2)),
+             ls.mul(3, x, ux), ls.add(x, ls.mul(2, u))]
+
+    def test_one_identity_model(self):
+        assert {type(e) for e in self.NODES} == {Const, Param, UFunc, Func, Pow,
+                                                 Mul, Add}
+        for cls in (Const, Var, Jet, Param, UFunc, Func, Pow, Mul, Add):
+            for name in ("__eq__", "__hash__", "__reduce__"):
+                assert getattr(cls, name) is getattr(Expr, name), (cls, name)
+
+    def test_copies_return_the_node(self):
+        for e in self.NODES:
+            text = repr(e)
+            for c in (pickle.loads(pickle.dumps(e)), copy.copy(e),
+                      copy.deepcopy(e), dataclasses.replace(e)):
+                assert c is e and repr(c) == text
+        assert dataclasses.replace(ls.mul(3, x, ux), coeff=5) is ls.mul(5, x, ux)
+        assert repr(ls.mul(3, x, ux)) == (
+            "Mul(coeff=Fraction(3, 1), factors=(Var(index=1), Jet(dep=1, idx=(1,))))")
+
+    def test_chains_built_apart_are_one_node(self):
+        a, b = ls.add(u, 1), ls.add(1, u)
+        for _ in range(30):
+            a = ls.add(ls.mul(ux, a), ls.mul(x, a))
+            b = ls.add(ls.mul(b, x), ls.mul(b, ux))
+        assert a is b
+
+        def compare():
+            t = time.perf_counter()
+            assert a == b and not a != b
+            return time.perf_counter() - t
+
+        assert min(compare() for _ in range(5)) < 1e-3
+
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(3), Fraction(-2),
+                                   Fraction(1, 2), Fraction(-7, 3)])
+    def test_rational_fields_hash_by_ratio(self, q):
+        b = ls.add(x, u)
+        n, d = q.numerator, q.denominator
+        assert hash(Const(q)) == hash((0, n, d))
+        assert hash(Pow(b, q)) == hash((6, b, n, d))
+        assert hash(Mul(q, (x, ux))) == hash((7, n, d, (x, ux)))
+        if d == 1:
+            assert Const(n) is Const(q) and Pow(b, n) is Pow(b, q)
+            assert Mul(n, (x, ux)) is Mul(q, (x, ux))
+        assert Pow(b, _Exp(q)) is Pow(b, q)
+        for e, name in ((Const(n), "value"), (Pow(b, n), "exp"),
+                        (Mul(n, (x,)), "coeff"), (Pow(b, _Exp(q)), "exp")):
+            assert type(getattr(e, name)) is Fraction
+
+    @pytest.mark.parametrize("build", [
+        lambda: Const(0.5), lambda: Pow(x, 0.5), lambda: Mul(0.5, (x,)),
+        lambda: ls.mul(Const(0.1), x), lambda: x * 0.5, lambda: ls.add(x, 0.1),
+        lambda: Const("1/2"),
+    ])
+    def test_a_float_is_refused(self, build):
+        with pytest.raises(TypeError, match="cannot treat"):
+            build()
+
+    def test_exact_results_are_fractions(self):
+        for e, env, want in ((Const(2), {}, 2),
+                             (ls.mul(Const(Fraction(1, 2)), x), {x: 2}, 1),
+                             (ls.add(x, Const(Fraction(1, 10))), {x: Fraction(1, 5)},
+                              Fraction(3, 10))):
+            got = ls.evaluate(e, env)
+            assert got == want and type(got) is Fraction
+        s = ls.add(Const(1), Const(Fraction(1, 10)), Const(Fraction(1, 5)))
+        assert s is Const(Fraction(13, 10))
+        ctx = ls.Context(("x",), ("u",))
+        assert ls.format_expr(ls.mul(Const(Fraction(1, 10)), x), ctx) == "(1/10)*x"
+
+    def test_threads_build_one_node_of_every_kind(self):
+        # rounds of nodes no other test builds, so that the threads race on
+        # misses; in each, every thread builds the same nodes of every kind,
+        # odd threads from other argument forms
+        def nodes(r, k, odd):
+            p = Param(f"race{r}.{k}")
+            c = Const(1000 * r + k if odd else Fraction(1000 * r + k))
+            f = UFunc(p.name, (x, u), (1, 0) if odd else [0, 1])
+            return [p, c, f, Func("exp", Add((c, p))), Pow(f, k + 2),
+                    Mul(Fraction(k + 2, 3), (p, f)), Add((c, p, f))]
+
+        def work(t, r, start, built):
+            start.wait()
+            built[t] = [n for k in range(30) for n in nodes(r, k, t % 2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(10):
+                start, built = threading.Barrier(8), [None] * 8
+                threads = [threading.Thread(target=work, args=(t, r, start, built))
+                           for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                want = [n for k in range(30) for n in nodes(r, k, 0)]
+                assert {type(n) for n in want} == {Const, Param, UFunc, Func, Pow,
+                                                   Mul, Add}
+                for k, n in enumerate(want):
+                    assert all(b[k] is n for b in built)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_dead_entry_is_replaced(self):
+        # a reference whose node is gone, still in the table
+        class Gone:
+            pass
+
+        key = (3, "dead entry")
+        obj = Gone()
+        _NODES[key] = weakref.ref(obj)
+        del obj
+        p = Param("dead entry")
+        assert _NODES[key]() is p and Param("dead entry") is p
+
+    def test_a_dropped_tree_leaves_the_table(self):
+        def build():
+            c = Param("dropped")
+            e = ls.add(u, c)
+            for _ in range(30):
+                e = ls.add(ls.mul(ux, e), ls.mul(x, e), c)
+            assert len(_NODES) > before + 60
+            assert ls.expand(ls.sub(e, e)) is ZERO
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(_NODES)
+            build()
+            assert len(_NODES) == before
+        finally:
+            gc.enable()
+        assert (3, "dropped") not in _NODES
 
 
 class TestCanonicalOrder:
@@ -668,19 +789,6 @@ class TestCanonicalOrder:
         for a, b in itertools.product(self.SAMPLES, repeat=2):
             self.check_pair(a, b)
 
-    def test_equal_subtrees_that_are_different_objects(self):
-        for a, b in itertools.product(self.SAMPLES, repeat=2):
-            self.check_pair(a, fresh(b))
-        for a in self.SAMPLES:
-            b = fresh(a)
-            assert _cmp(a, b) == 0 and _cmp_factor(a, b) == 0
-        # equal leading children that are distinct objects, then a difference
-        s = ls.add(x, ls.pow_(ls.add(u, ux), 2))
-        t = fresh(ls.add(x, ls.pow_(ls.add(u, ux), 3)))
-        assert s.terms[1].base == t.terms[1].base
-        assert s.terms[1].base is not t.terms[1].base
-        assert _cmp(s, t) == -1 and _cmp(t, s) == 1
-
     def test_prefix_sorts_first(self):
         pairs = [(ls.add(x, u), ls.add(x, u, ux)),
                  (ls.mul(x, u), ls.mul(x, u, ux)),
@@ -691,7 +799,7 @@ class TestCanonicalOrder:
             assert b[:len(a)] == a and len(b) > len(a)
             assert _cmp(short, long) == -1 and _cmp(long, short) == 1
             self.check_pair(short, long)
-            self.check_pair(long, fresh(short))
+            self.check_pair(long, short)
 
     def test_products_differing_only_in_coefficient(self):
         ms = [ls.mul(c, x, ls.func("cos", u)) for c in (3, Fraction(-1, 2), 2, -4)]
@@ -708,7 +816,7 @@ class TestCanonicalOrder:
     def test_random_lists_sort_like_reference(self, rng):
         trees = self.trees(rng, 150)
         pool = [s for t in trees for s in subterms(t)]
-        pool += [fresh(s) for s in pool[::3]]
+        pool += pool[::3]
         for items in (trees, pool):
             for cmp, key in ((_cmp, sort_key), (_cmp_factor, factor_key)):
                 assert sorted(items, key=functools.cmp_to_key(cmp)) == \
@@ -721,7 +829,7 @@ class TestCanonicalOrder:
             by_kind.setdefault(type(s), []).append(s)
         pick = random.Random(rng.random())
         for _ in range(4000):
-            self.check_pair(pick.choice(pool), fresh(pick.choice(pool)))
+            self.check_pair(pick.choice(pool), pick.choice(pool))
             same = by_kind[type(pick.choice(pool))]
             self.check_pair(pick.choice(same), pick.choice(same))
 

@@ -26,8 +26,9 @@ def test_normalize_idempotent(rng):
 
 
 def rebuilt(e, rng):
-    """An equal tree rebuilt through the constructors from fresh atoms, with
-    the children of every sum and product passed in shuffled order."""
+    """An equal tree rebuilt through the constructors, its atoms through a
+    pickle, with the children of every sum and product passed in shuffled
+    order."""
     if isinstance(e, ls.Add):
         parts = [rebuilt(t, rng) for t in e.terms]
         rng.shuffle(parts)
