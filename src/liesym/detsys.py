@@ -28,6 +28,7 @@ from .expr import (
     UFunc,
     Var,
     ZERO,
+    _jet_key,
     _split,
     _term,
     add,
@@ -70,7 +71,9 @@ class DiffSystem:
 
     Jets are ranked lexicographically on their index-count vectors with the
     highest independent-variable index most significant; every jet appearing
-    in a right-hand side must rank strictly below the corresponding lead.
+    in a right-hand side must rank strictly below the corresponding lead;
+    the error names the first jet that does not, in canonical order
+    (dependent variable, order, multi-index).
     """
 
     ctx: Context
@@ -87,7 +90,7 @@ class DiffSystem:
         p = self.ctx.p
         for lead, rhs in eqs:
             lk = _rank_key(lead, p)
-            for j in jets_of(rhs):
+            for j in sorted(jets_of(rhs), key=_jet_key):
                 if _rank_key(j, p) >= lk:
                     raise _printed(NotSolvedForm(
                         "right-hand side contains {} which does not rank "
@@ -133,19 +136,20 @@ def _order_cap(sys: DiffSystem, order_cap: int | None) -> int:
 def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) -> Expr:
     """Eliminate every lead derivative and all its prolongations from ``e``.
 
-    Each round scans the jets of ``e`` and replaces every reducible jet
-    D_K(lead) by D_K(rhs), until none remains.  The D_K(rhs) of each
-    equation come from one prefix table per call, so D_x(rhs) is built once
-    for u_tx, u_txx, ...  ``order_cap`` bounds the jet order any replacement
-    may reach (default: system order + 4); the error names the first jet of
-    the scan whose replacement passes it.
+    Each round scans the jets of ``e``, from the highest down in canonical
+    order, and replaces every reducible jet D_K(lead) by D_K(rhs), until
+    none remains.  The D_K(rhs) of each equation come from one prefix table
+    per call, so D_x(rhs) is built once for u_tx, u_txx, ...  ``order_cap``
+    bounds the jet order any replacement may reach (default: system order +
+    4); the error names the first jet of the scan whose replacement passes
+    it.
     """
     cap = _order_cap(sys, order_cap)
     memo: dict = {}
     tables = [{(): rhs} for _, rhs in sys.equations]
     while True:
         bindings: dict[Expr, Expr] = {}
-        for j in jets_of(e):
+        for j in sorted(jets_of(e), key=_jet_key, reverse=True):
             hit = _reduction(j, sys)
             if hit is None:
                 continue
@@ -244,7 +248,7 @@ def determining_equations(sys: DiffSystem,
                             for c in collect(d, split).values())
         except NotPolynomial as exc:
             raise _printed(exc, ext) from None
-    split_t = tuple(sorted(split, key=lambda j: (j.dep, len(j.idx), j.idx)))
+    split_t = tuple(sorted(split, key=_jet_key))
     return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
 
 

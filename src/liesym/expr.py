@@ -75,14 +75,16 @@ Every node is interned (hash-consed: E. Goto 1974; Filliâtre & Conchon
 2006).  Each node class returns from ``__new__`` the one live node of its
 kind with the given fields, so equal trees are one object, equality is
 identity whatever their size, and two distinct nodes of one kind differ in
-a field.  A node's hash is computed once, when it is made, from a tag for
-its kind and its fields.  The rational fields ``Const.value``, ``Pow.exp``
-and ``Mul.coeff`` are always ``Fraction``s; an ``int`` is converted and
-anything else raises ``TypeError``.  Independent variables and jet
-coordinates stay in their tables for the life of the process; every other
-node is held weakly and leaves its table with its last reference.
-Pickling, copying and ``dataclasses.replace`` return the interned node,
-and ``repr`` shows the fields only.
+a field.  A node hashes by identity too (``object.__hash__``), which agrees
+with equality since equal nodes are one object.  Such a hash differs from
+run to run, so no output may follow the order of a set of nodes: a scan
+whose result depends on its order sorts first.  The rational fields
+``Const.value``, ``Pow.exp`` and ``Mul.coeff`` are always ``Fraction``s; an
+``int`` is converted and anything else raises ``TypeError``.  Independent
+variables and jet coordinates stay in their tables for the life of the
+process; every other node is held weakly and leaves its table with its last
+reference.  Pickling, copying and ``dataclasses.replace`` return the
+interned node, and ``repr`` shows the fields only.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -120,17 +122,16 @@ FUNC_NAMES = ("exp", "log", "sin", "cos")
 class Expr:
     """Base class of the node kinds, immutable and interned dataclasses."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
 
-    # object's comparison: True for the node itself, NotImplemented otherwise
+    # object's comparison and hash: a node is equal only to itself, which
+    # interning makes agree with equal fields
     __eq__ = object.__eq__
-
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         # rebuilt through __new__, so unpickling and copying give the
-        # interned node, with the hash of its process
+        # interned node
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __add__(self, other):
@@ -164,19 +165,19 @@ class Expr:
 
 # A node's key is its kind's rank in _RANK and its fields, a rational as its
 # numerator and denominator (faster to hash than a Fraction); its children
-# are interned, so a lookup compares them by identity.  A node hashes as its
-# key.  A dead entry goes by _remove_dead_weakref, the atomic delete-if-dead
-# of WeakValueDictionary.
+# are interned, so a lookup hashes and compares them by identity.  The key
+# holds its children until its entry goes, so no child of a key is a freed
+# address reused.  A dead entry goes by _remove_dead_weakref, the atomic
+# delete-if-dead of WeakValueDictionary.
 _node = dataclass(frozen=True, slots=True, init=False, eq=False)
 _new, _set = object.__new__, object.__setattr__
 _NODES: dict = {}       # key -> _Ref to the node, for all kinds but Var and Jet
 
 
-def _make(cls, key: tuple, fields: tuple):
+def _make(cls, fields: tuple):
     node = _new(cls)
     for name, value in zip(cls.__match_args__, fields):
         _set(node, name, value)
-    _set(node, "_hash", hash(key))
     return node
 
 
@@ -193,7 +194,7 @@ def _intern(cls, key: tuple, *fields):
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
-        node = _make(cls, key, fields)
+        node = _make(cls, fields)
         ref = _Ref(node, _forget)
         ref.key = key
         # racing threads all get the node registered first; a dead entry is
@@ -241,7 +242,7 @@ class Var(Expr):
             pass
         if index < 1:
             raise UnknownSymbol(f"no independent variable has index {index}")
-        return _VARS.setdefault(index, _make(cls, (1, index), (index,)))
+        return _VARS.setdefault(index, _make(cls, (index,)))
 
 
 @_node
@@ -261,7 +262,7 @@ class Jet(Expr):
         if dep < 1 or key[1] and key[1][0] < 1:
             raise UnknownSymbol(f"no jet coordinate has dependent variable "
                                 f"{dep} and multi-index {key[1]}")
-        node = _JETS.setdefault(key, _make(cls, (2, *key), key))
+        node = _JETS.setdefault(key, _make(cls, key))
         if type(idx) is tuple:
             _JETS.setdefault((dep, idx), node)
         return node
@@ -345,10 +346,6 @@ ONE = Const(1)
 
 def _coerce(x) -> Expr:
     return x if isinstance(x, Expr) else Const(x)
-
-
-def const(x) -> Const:
-    return Const(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +693,7 @@ def _rat_power(v: Fraction, e: Fraction, error=SimplificationIncomplete):
 
 def pow_(base, exponent) -> Expr:
     base = _coerce(base)
-    e = exponent if type(exponent) is Fraction else Fraction(exponent)
+    e = _rational(exponent)
     if not e:
         return ONE
     if e == 1:
@@ -814,6 +811,12 @@ def _distinct(e: Expr) -> Iterator[Expr]:
 
 def jets_of(e: Expr) -> set[Jet]:
     return {a for a in _distinct(e) if type(a) is Jet}
+
+
+def _jet_key(j: Jet) -> tuple:
+    """Canonical order of jet coordinates: dependent variable, order,
+    multi-index."""
+    return j.dep, len(j.idx), j.idx
 
 
 def jet_order(e: Expr) -> int:

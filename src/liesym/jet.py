@@ -18,6 +18,7 @@ from .expr import (
     Var,
     ZERO,
     _Q1,
+    _jet_key,
     _merge_term,
     _partials,
     add,
@@ -92,7 +93,7 @@ def _jets_read(exprs: Iterable[Expr], n: int) -> list[Jet]:
     :func:`apply_prolonged` reads of an order-n lift, ordered by component,
     order and multi-index."""
     found = {j for e in exprs for j in jets_of(e) if 1 <= j.order <= n}
-    return sorted(found, key=lambda j: (j.dep, j.order, j.idx))
+    return sorted(found, key=_jet_key)
 
 
 def _prefix_closure(idxs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

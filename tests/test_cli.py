@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -461,6 +462,47 @@ class TestDeterminism:
             "--seed", "99", "determine", "--file", heat_file,
             "--system", "heat"])
         assert out1 == out2
+
+
+class TestAddressIndependence:
+    """Nodes hash by identity, so the order of a set of nodes follows their
+    addresses; an error that names one jet of several must name the same
+    one whatever the allocator and whatever was allocated before."""
+
+    PROBS = {
+        "three": "indep x t\ndep u\nsystem s: u_t = u_tt + u_tx + u_ttx\n",
+        "seventh": "indep x t\ndep u\nsystem s: u_t = u_xxxxxxx + u*u_x\n",
+    }
+    WANT = ("error: 3:11: right-hand side contains u_xt which does not rank "
+            "below the lead u_t\n"
+            "error: reducing u_xxxxxxt needs jets beyond order 11\n")
+    SCRIPT = (
+        "import sys\n"
+        "junk = [bytes(k % 97) for k in range(int(sys.argv[1]))]\n"
+        "from liesym.cli import main\n"
+        "for path in sys.argv[2:]:\n"
+        "    status = main(['determine', '--file', path, '--system', 's'])\n"
+        "    assert status == 2, status\n"
+    )
+
+    @pytest.mark.parametrize("malloc", ["malloc", None])
+    @pytest.mark.parametrize("garbage", [0, 1234, 56789])
+    def test_error_names_the_same_jet(self, tmp_path, malloc, garbage):
+        paths = []
+        for name, text in self.PROBS.items():
+            paths.append(tmp_path / f"{name}.prob")
+            paths[-1].write_text(text)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONMALLOC"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        if malloc:
+            env["PYTHONMALLOC"] = malloc
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(garbage),
+             *map(str, paths)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "", self.WANT)
 
 
 class TestParserOncePerProcess:

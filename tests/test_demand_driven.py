@@ -56,12 +56,15 @@ def ref_reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None
 
     Each reducible jet D_K(lead) is replaced by D_K(rhs), computed on demand,
     until none remains.  ``order_cap`` bounds the jet order any replacement may
-    reach (default: system order + 4).
+    reach (default: system order + 4); each round scans the jets from the
+    highest down in canonical order, and the error names the first whose
+    replacement passes it.
     """
     cap = order_cap if order_cap is not None else sys.order + 4
     while True:
         bindings: dict[Expr, Expr] = {}
-        for j in jets_of(e):
+        for j in sorted(jets_of(e), key=lambda j: (j.dep, len(j.idx), j.idx),
+                        reverse=True):
             for lead, rhs in sys.equations:
                 extra = _reducible_by(j, lead)
                 if extra is not None:
