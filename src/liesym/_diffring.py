@@ -38,7 +38,7 @@ from typing import Callable
 
 from ._distributed import _FLAT, _Poly, _num
 from .errors import LiesymError
-from .expr import _RANK, Const, Expr, Jet, Mul, Param, Pow, UFunc, Var, jets_of
+from .expr import Expr, Jet, UFunc, Var, jets_of
 
 
 class _Fallback(Exception):
@@ -70,20 +70,6 @@ def _nonzero(poly: dict) -> dict:
     return {m: _num(c) for m, c in poly.items() if c}
 
 
-def _atom_key(a: Expr) -> tuple:
-    """A key that orders the ring's generators as :func:`liesym.expr._cmp`
-    orders them: by node kind, then field by field, the arguments of an
-    unknown function (variables and order-0 jets) as a sequence."""
-    t = type(a)
-    if t is Var:
-        return _RANK[Var], a.index
-    if t is Jet:
-        return _RANK[Jet], a.dep, len(a.idx), a.idx
-    if t is Param:
-        return _RANK[Param], a.name
-    return _RANK[UFunc], a.name, a.deriv, tuple(map(_atom_key, a.args))
-
-
 class _Ring:
     """Differential polynomials of one determining system."""
 
@@ -95,7 +81,6 @@ class _Ring:
         self.reduction = reduction
         self.derivs: dict[tuple[int, int], dict] = {}     # (generator, i) -> D_i
         self.forms: dict[int, dict | None] = {}           # generator -> normal form
-        self.keys: dict[int, tuple] = {}                  # generator -> _atom_key
         self.rhs = [self.read(rhs) for _, rhs in equations]
         self.tables = [{(): r} for r in self.rhs]
 
@@ -274,20 +259,14 @@ class _Ring:
         factors sorted by generator, then its coefficient."""
         m, c = term
         if not m:
-            return _RANK[Const], c
-        keys = self.keys
-        pairs = []
-        for g, x in m:
-            a = keys.get(g)
-            if a is None:
-                a = keys[g] = _atom_key(self.k.gens[g])
-            pairs.append((a, x))
+            return 0, c                 # a Const's key
+        gens = self.k.gens
         # a product lists its factors by base, and the bases are distinct
-        pairs.sort()
-        fs = [a if x == 1 else (_RANK[Pow], a, x) for a, x in pairs]
+        pairs = sorted((gens[g]._ord, x) for g, x in m)
+        fs = [a if x == 1 else (6, a, x) for a, x in pairs]     # Pow's key
         if len(fs) == 1 and c == 1:
             return fs[0]
-        return _RANK[Mul], tuple(fs), c
+        return 7, tuple(fs), c          # Mul's key
 
     def coefficients(self, defect: dict, split: set[int]) -> list[dict]:
         """The coefficients of ``defect`` over the monomials in the

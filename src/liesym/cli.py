@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import buckpi, claws, detsys, invariants, varcalc
 from .errors import ArityError, LiesymError, NotASymmetry
-from .expr import Context, _jet_key, is_zero, jet_order
+from .expr import Context, _term_order, is_zero, jet_order
 from .jet import VectorField, lie_bracket, prolong
 from .parse import (
     Problem,
@@ -156,7 +156,7 @@ def _fields_json(vs: list[VectorField], ctx: Context) -> list[dict]:
 def _prolong(args, prob: Problem) -> tuple[dict, int]:
     v = _pick(prob.vfields, args.vf, "vector field")
     pv = prolong(v, args.order)
-    jets = sorted(pv.coeffs, key=_jet_key)
+    jets = sorted(pv.coeffs, key=_term_order)
     texts = iter(format_exprs([*v.xi, *v.phi, *jets,
                                *(pv.coeffs[j] for j in jets)], prob.ctx))
     report = _vf_json(v, texts)

@@ -28,9 +28,9 @@ from .expr import (
     UFunc,
     Var,
     ZERO,
-    _jet_key,
     _split,
     _term,
+    _term_order,
     add,
     atoms_of,
     collect,
@@ -90,7 +90,7 @@ class DiffSystem:
         p = self.ctx.p
         for lead, rhs in eqs:
             lk = _rank_key(lead, p)
-            for j in sorted(jets_of(rhs), key=_jet_key):
+            for j in sorted(jets_of(rhs), key=_term_order):
                 if _rank_key(j, p) >= lk:
                     raise _printed(NotSolvedForm(
                         "right-hand side contains {} which does not rank "
@@ -149,7 +149,7 @@ def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) ->
     tables = [{(): rhs} for _, rhs in sys.equations]
     while True:
         bindings: dict[Expr, Expr] = {}
-        for j in sorted(jets_of(e), key=_jet_key, reverse=True):
+        for j in sorted(jets_of(e), key=_term_order, reverse=True):
             hit = _reduction(j, sys)
             if hit is None:
                 continue
@@ -248,7 +248,7 @@ def determining_equations(sys: DiffSystem,
                             for c in collect(d, split).values())
         except NotPolynomial as exc:
             raise _printed(exc, ext) from None
-    split_t = tuple(sorted(split, key=_jet_key))
+    split_t = tuple(sorted(split, key=_term_order))
     return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
 
 

@@ -34,8 +34,11 @@ parameters by name, unknown functions by name, then derivative multiset, then
 arguments, elementary functions by name, then argument, powers by base, then
 exponent, products by factors, then coefficient, and sums by terms.  Child
 sequences compare lexicographically, a proper prefix first.  Product factors
-order by base, then exponent (1 for a factor that is no power).  A comparison
-descends only into the first pair of children that differ and builds no key.
+order by base, then exponent (1 for a factor that is no power).  Each node
+carries its canonical key, a tuple of its kind's rank and its fields whose
+order is this one, built once with the node from its children's keys; a
+key holds no node.  Sorting compares keys in C, and a comparison skips the
+sub-keys two keys share, since equal children are one node with one key.
 
 :func:`expand` works in rounds until a round reproduces its input.  A round
 reads the tree bottom-up into a sparse distributed polynomial, a dict from
@@ -95,9 +98,9 @@ answers an unconfirmed False.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
@@ -122,7 +125,7 @@ FUNC_NAMES = ("exp", "log", "sin", "cos")
 class Expr:
     """Base class of the node kinds, immutable and interned dataclasses."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_ord")
 
     # object's comparison and hash: a node is equal only to itself, which
     # interning makes agree with equal fields
@@ -163,12 +166,12 @@ class Expr:
         return pow_(self, exponent)
 
 
-# A node's key is its kind's rank in _RANK and its fields, a rational as its
-# numerator and denominator (faster to hash than a Fraction); its children
-# are interned, so a lookup hashes and compares them by identity.  The key
-# holds its children until its entry goes, so no child of a key is a freed
-# address reused.  A dead entry goes by _remove_dead_weakref, the atomic
-# delete-if-dead of WeakValueDictionary.
+# A node's key is its kind's tag, the first item of its _ord, and its
+# fields, a rational as its numerator and denominator (faster to hash than a
+# Fraction); its children are interned, so a lookup hashes and compares them
+# by identity.  The key holds its children until its entry goes, so no child
+# of a key is a freed address reused.  A dead entry goes by
+# _remove_dead_weakref, the atomic delete-if-dead of WeakValueDictionary.
 _node = dataclass(frozen=True, slots=True, init=False, eq=False)
 _new, _set = object.__new__, object.__setattr__
 _NODES: dict = {}       # key -> _Ref to the node, for all kinds but Var and Jet
@@ -178,6 +181,7 @@ def _make(cls, fields: tuple):
     node = _new(cls)
     for name, value in zip(cls.__match_args__, fields):
         _set(node, name, value)
+    _set(node, "_ord", _ORD[cls](*fields))
     return node
 
 
@@ -340,6 +344,34 @@ class Add(Expr):
         return _intern(cls, (8, terms), terms)
 
 
+# ---------------------------------------------------------------------------
+# canonical ordering
+# ---------------------------------------------------------------------------
+
+_Q1 = Fraction(1)
+
+# Each kind's canonical key (the _ord of its nodes, see the module docstring)
+# from the node's fields; a child enters as its own key.
+_term_order = operator.attrgetter("_ord")
+_ORD = {
+    Const: lambda value: (0, value),
+    Var: lambda index: (1, index),
+    Jet: lambda dep, idx: (2, dep, len(idx), idx),
+    Param: lambda name: (3, name),
+    UFunc: lambda name, args, deriv: (
+        4, name, deriv, tuple(map(_term_order, args))),
+    Func: lambda fname, arg: (5, fname, arg._ord),
+    Pow: lambda base, exp: (6, base._ord, exp),
+    Mul: lambda coeff, factors: (7, tuple(map(_term_order, factors)), coeff),
+    Add: lambda terms: (8, tuple(map(_term_order, terms))),
+}
+
+
+def _factor_order(f: Expr) -> tuple:
+    """Order of product factors: by base, then by exponent."""
+    return (f.base._ord, f.exp) if type(f) is Pow else (f._ord, _Q1)
+
+
 ZERO = Const(0)
 ONE = Const(1)
 
@@ -433,77 +465,6 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
-# canonical ordering
-# ---------------------------------------------------------------------------
-
-# Node kinds in canonical order, each rank also the tag of the kind's keys;
-# within a kind, nodes compare field by field as the module docstring lists.
-_RANK = {Const: 0, Var: 1, Jet: 2, Param: 3, UFunc: 4, Func: 5, Pow: 6,
-         Mul: 7, Add: 8}
-
-_Q1 = Fraction(1)
-
-
-def _sign(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def _cmp_seq(xs: tuple[Expr, ...], ys: tuple[Expr, ...]) -> int:
-    """Lexicographic order of child sequences, a proper prefix first; the
-    first pair of children that are distinct nodes decides."""
-    for x, y in zip(xs, ys):
-        if x is not y:
-            return _cmp(x, y)
-    return _sign(len(xs), len(ys))
-
-
-def _cmp(a: Expr, b: Expr) -> int:
-    """Three-way comparison in canonical order: -1, 0 or 1."""
-    # interned: two distinct nodes of one kind differ in a field
-    if a is b:
-        return 0
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        return _sign(_RANK[ta], _RANK[tb])
-    if ta is Mul:
-        return _cmp_seq(a.factors, b.factors) or _sign(a.coeff, b.coeff)
-    if ta is Jet:
-        if a.dep != b.dep:
-            return -1 if a.dep < b.dep else 1
-        x, y = a.idx, b.idx
-        if len(x) != len(y):
-            return -1 if len(x) < len(y) else 1
-        return -1 if x < y else 1
-    if ta is Add:
-        return _cmp_seq(a.terms, b.terms)
-    if ta is Pow:
-        return _cmp(a.base, b.base) or _sign(a.exp, b.exp)
-    if ta is Var:
-        return -1 if a.index < b.index else 1
-    if ta is Const:
-        return _sign(a.value, b.value)
-    if ta is Func:
-        return _sign(a.fname, b.fname) or _cmp(a.arg, b.arg)
-    if ta is Param:
-        return _sign(a.name, b.name)
-    if ta is UFunc:
-        return (_sign(a.name, b.name) or _sign(a.deriv, b.deriv)
-                or _cmp_seq(a.args, b.args))
-    raise TypeError(ta)
-
-
-def _cmp_factor(f: Expr, g: Expr) -> int:
-    """Order of product factors: by base, then by exponent."""
-    bf, ef = (f.base, f.exp) if type(f) is Pow else (f, _Q1)
-    bg, eg = (g.base, g.exp) if type(g) is Pow else (g, _Q1)
-    return (0 if bf is bg else _cmp(bf, bg)) or _sign(ef, eg)
-
-
-_term_order = functools.cmp_to_key(_cmp)
-_factor_order = functools.cmp_to_key(_cmp_factor)
-
-
-# ---------------------------------------------------------------------------
 # smart constructors
 # ---------------------------------------------------------------------------
 
@@ -554,7 +515,7 @@ def add(*args) -> Expr:
         return out[0] if out else ZERO
     if len(out) > 2:
         out.sort(key=_term_order)
-    elif _cmp(out[0], out[1]) > 0:
+    elif out[0]._ord > out[1]._ord:
         out.reverse()
     return Add(tuple(out))
 
@@ -606,10 +567,8 @@ def mul(*args) -> Expr:
         factors.append(f)
     if folded:
         return mul(Const(coeff), *factors, *folded)
-    if len(factors) > 2:
+    if len(factors) > 1:
         factors.sort(key=_factor_order)
-    elif len(factors) == 2 and _cmp_factor(factors[0], factors[1]) > 0:
-        factors.reverse()
     return _term(coeff, tuple(factors))
 
 
@@ -625,10 +584,11 @@ def _merge_term(c: Fraction, d: Expr, rest: tuple[Expr, ...]) -> Expr:
     i = j = 0
     while i < len(ds) and j < len(rest):
         f, g = ds[i], rest[j]
-        s = _cmp(f.base if type(f) is Pow else f, g.base if type(g) is Pow else g)
-        if not s:
+        kf = f.base._ord if type(f) is Pow else f._ord
+        kg = g.base._ord if type(g) is Pow else g._ord
+        if kf is kg:
             return mul(Const(c), d, *rest)
-        if s < 0:
+        if kf < kg:
             out.append(f)
             i += 1
         else:
@@ -810,13 +770,10 @@ def _distinct(e: Expr) -> Iterator[Expr]:
 
 
 def jets_of(e: Expr) -> set[Jet]:
+    """The jet coordinates in ``e``.  The set's iteration order follows
+    node addresses and changes from run to run, so a caller whose result
+    depends on the order sorts first, by the node key (``_term_order``)."""
     return {a for a in _distinct(e) if type(a) is Jet}
-
-
-def _jet_key(j: Jet) -> tuple:
-    """Canonical order of jet coordinates: dependent variable, order,
-    multi-index."""
-    return j.dep, len(j.idx), j.idx
 
 
 def jet_order(e: Expr) -> int:

@@ -18,9 +18,9 @@ from .expr import (
     Var,
     ZERO,
     _Q1,
-    _jet_key,
     _merge_term,
     _partials,
+    _term_order,
     add,
     jet_order,
     jets_of,
@@ -93,7 +93,7 @@ def _jets_read(exprs: Iterable[Expr], n: int) -> list[Jet]:
     :func:`apply_prolonged` reads of an order-n lift, ordered by component,
     order and multi-index."""
     found = {j for e in exprs for j in jets_of(e) if 1 <= j.order <= n}
-    return sorted(found, key=_jet_key)
+    return sorted(found, key=_term_order)
 
 
 def _prefix_closure(idxs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -2,7 +2,6 @@
 zero testing, collection, exact evaluation."""
 import copy
 import dataclasses
-import functools
 import gc
 import hashlib
 import itertools
@@ -31,11 +30,11 @@ from liesym.expr import (
     NotPolynomial,
     _NODES,
     _Poly,
-    _cmp,
-    _cmp_factor,
+    _factor_order,
     _rebuild,
     _split,
     _term,
+    _term_order,
     add,
     contains,
     expand,
@@ -121,10 +120,6 @@ def factor_key(f):
     if isinstance(f, Pow):
         return (sort_key(f.base), f.exp)
     return (sort_key(f), Fraction(1))
-
-
-def sign(n):
-    return (n > 0) - (n < 0)
 
 
 # The tree-walking expand, kept verbatim from the version of liesym.expr
@@ -814,7 +809,8 @@ class TestInterning:
 
 
 class TestCanonicalOrder:
-    """The comparators give exactly the order of the reference ``sort_key``."""
+    """Each node's cached key ``_ord`` is the reference ``sort_key``, and
+    ``_factor_order`` is the reference ``factor_key``."""
 
     F = UFunc("F", (x, u))
     SAMPLES = [
@@ -832,9 +828,17 @@ class TestCanonicalOrder:
         ls.add(x, u), ls.add(x, u, ux), ls.add(1, x), ls.add(ls.mul(2, x), u),
     ]
 
+    def check_keys(self, e):
+        assert e._ord == sort_key(e), e
+        assert _factor_order(e) == factor_key(e), e
+
     def check_pair(self, a, b):
-        assert sign(_cmp(a, b)) == key_sign(sort_key, a, b), (a, b)
-        assert sign(_cmp_factor(a, b)) == key_sign(factor_key, a, b), (a, b)
+        assert key_sign(_term_order, a, b) == key_sign(sort_key, a, b), (a, b)
+        assert key_sign(_factor_order, a, b) == key_sign(factor_key, a, b), (a, b)
+
+    def test_samples_carry_the_reference_keys(self):
+        for e in self.SAMPLES:
+            self.check_keys(e)
 
     def test_every_pair_of_kinds(self):
         assert {type(e) for e in self.SAMPLES} == \
@@ -850,7 +854,7 @@ class TestCanonicalOrder:
             fields = {Add: "terms", Mul: "factors", UFunc: "args"}[type(short)]
             a, b = getattr(short, fields), getattr(long, fields)
             assert b[:len(a)] == a and len(b) > len(a)
-            assert _cmp(short, long) == -1 and _cmp(long, short) == 1
+            assert short._ord < long._ord
             self.check_pair(short, long)
             self.check_pair(long, short)
 
@@ -859,21 +863,25 @@ class TestCanonicalOrder:
         assert len({m.factors for m in ms}) == 1
         for a, b in itertools.product(ms, repeat=2):
             self.check_pair(a, b)
-        assert sorted(ms, key=functools.cmp_to_key(_cmp)) == \
+        assert sorted(ms, key=_term_order) == \
             [ls.mul(c, x, ls.func("cos", u)) for c in (-4, Fraction(-1, 2), 2, 3)]
 
     def trees(self, rng, n):
         atoms = [x, Var(2), u, ux, uxx, Param("c"), self.F, UFunc("F", (x, u), (1,))]
         return [rand_expr(rng, atoms, depth=4) for _ in range(n)]
 
+    def test_random_subterms_carry_the_reference_keys(self, rng):
+        for t in self.trees(rng, 150):
+            for s in subterms(t):
+                self.check_keys(s)
+
     def test_random_lists_sort_like_reference(self, rng):
         trees = self.trees(rng, 150)
         pool = [s for t in trees for s in subterms(t)]
         pool += pool[::3]
         for items in (trees, pool):
-            for cmp, key in ((_cmp, sort_key), (_cmp_factor, factor_key)):
-                assert sorted(items, key=functools.cmp_to_key(cmp)) == \
-                    sorted(items, key=key)
+            for order, key in ((_term_order, sort_key), (_factor_order, factor_key)):
+                assert sorted(items, key=order) == sorted(items, key=key)
 
     def test_random_pairs_agree_in_sign(self, rng):
         pool = [s for t in self.trees(rng, 150) for s in subterms(t)]
@@ -896,6 +904,41 @@ class TestCanonicalOrder:
                 else:
                     continue
                 assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+    def test_copies_keep_the_key_object(self):
+        for e in self.SAMPLES:
+            k = e._ord
+            for c in (pickle.loads(pickle.dumps(e)), copy.copy(e),
+                      copy.deepcopy(e), dataclasses.replace(e)):
+                assert c is e and c._ord is k, e
+
+    def test_a_key_holds_no_node(self, rng):
+        def leaves(k):
+            stack = [k]
+            while stack:
+                y = stack.pop()
+                if type(y) is tuple:
+                    stack.extend(y)
+                else:
+                    yield y
+
+        for t in [*self.SAMPLES, *self.trees(rng, 50)]:
+            for s in subterms(t):
+                assert not any(isinstance(y, Expr) for y in leaves(s._ord)), s
+        assert "_ord" not in [fd.name for fd in dataclasses.fields(ls.add(x, u))]
+
+    def test_deep_chains_sort_by_their_leaves(self):
+        # the keys nest as deep as the tree; 900 levels compare as the
+        # leaves x < u do, within the default recursion limit
+        def chain(leaf):
+            for _ in range(900):
+                leaf = ls.func("exp", leaf)
+            return leaf
+
+        low, high = chain(x), chain(u)
+        assert low._ord < high._ord and not high._ord < low._ord
+        assert ls.add(high, low).terms == (low, high)
+        assert ls.mul(high, low).factors == (low, high)
 
 
 class TestSubstitute:
