@@ -63,14 +63,21 @@ the kernel, not its tree.  An exact power of a rational constant past 2^20
 bits raises as well.
 
 :func:`partials` differentiates by every atom in one walk of the tree;
-:func:`diff` is the single-atom view of it.  The walk keeps a memo from each
-node to its partials for the length of the call, so a subtree that occurs
-more than once is differentiated once per call.  The product rule builds
-each term ``c * d * (the other factors)`` by merging the sorted factors of
-the partial ``d`` with the other factors, sorted already, in one pass; only
-where two bases meet does :func:`mul` build the term.  The prolongations in
-``liesym.jet`` share one such memo across all the walks of one call, and
-build the terms ``u_{J,i} * d`` of their total derivatives the same way.
+:func:`diff` is the single-atom view of it.  Since a node is immutable, its
+partials stay valid for as long as it lives: a compound node keeps them in
+a private slot from its first walk on, so a subtree is differentiated once
+per lifetime, and differentiating it again, in any later call, is a
+lookup.  The exception is an ``exp``, ``sin`` or ``cos`` node and every
+node above one: such a partial can hold the node itself (``d exp(f) = f'
+exp(f)``), and kept on the node it would keep the node alive for good.
+Those nodes keep their partials in a memo that lives for the length of one
+call instead, so a subtree that occurs more than once is still
+differentiated once per call.  The product rule builds each term ``c * d *
+(the other factors)`` by merging the sorted factors of the partial ``d``
+with the other factors, sorted already, in one pass; only where two bases
+meet does :func:`mul` build the term.  The prolongations in ``liesym.jet``
+share one such memo across all the walks of one call, and build the terms
+``u_{J,i} * d`` of their total derivatives the same way.
 :func:`jets_of`, :func:`jet_order` and :func:`contains` also visit each
 distinct node once.
 
@@ -86,8 +93,9 @@ whose result depends on its order sorts first.  The rational fields
 ``int`` is converted and anything else raises ``TypeError``.  Independent
 variables and jet coordinates stay in their tables for the life of the
 process; every other node is held weakly and leaves its table with its last
-reference.  Pickling, copying and ``dataclasses.replace`` return the
-interned node, and ``repr`` shows the fields only.
+reference, the partials it keeps with it.  Pickling, copying and
+``dataclasses.replace`` return the interned node, and ``repr`` shows the
+fields only.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -125,7 +133,9 @@ FUNC_NAMES = ("exp", "log", "sin", "cos")
 class Expr:
     """Base class of the node kinds, immutable and interned dataclasses."""
 
-    __slots__ = ("__weakref__", "_ord")
+    # _grads: the node's partials once walked, False for a node that keeps
+    # none (see _partials); not a field, so repr, pickling and copies skip it
+    __slots__ = ("__weakref__", "_ord", "_grads")
 
     # object's comparison and hash: a node is equal only to itself, which
     # interning makes agree with equal fields
@@ -182,6 +192,7 @@ def _make(cls, fields: tuple):
     for name, value in zip(cls.__match_args__, fields):
         _set(node, name, value)
     _set(node, "_ord", _ORD[cls](*fields))
+    _set(node, "_grads", None)
     return node
 
 
@@ -804,19 +815,35 @@ def partials(e: Expr) -> dict[Expr, Expr]:
     by atom (variable, jet coordinate or parameter), in one walk of the tree
     that visits each distinct subtree once.
 
-    ``partials(e).get(v, ZERO)`` equals ``diff(e, v)`` node for node.  The
-    returned dict belongs to the caller.
+    ``partials(e).get(v, ZERO)`` equals ``diff(e, v)`` node for node.  A
+    compound node keeps its partials for as long as it lives, so a node
+    walked before, by any call, is a lookup (see :func:`_partials` for the
+    nodes that do not).  The returned dict is a copy and belongs to the
+    caller.
     """
     # the recursion stays private: the benchmark's tracer wraps every public
     # function, and a traced public recursion would open a span per node
-    return _partials(e, {})
+    return dict(_partials(e, {}))
+
+
+# A partial of exp(f), sin(f) or cos(f) can hold the node itself, at once
+# (d exp(f) = f' exp(f)) or through the partial's own partials (those of
+# cos(f) in d sin(f) hold sin(f)), and so can a partial of any node above
+# one.  Kept on the node, it would hold its own node alive through the
+# partial's key in _NODES, for the life of the process.
+_SELF_REPEATING = frozenset(("exp", "sin", "cos"))
 
 
 def _partials(e: Expr, memo: dict[Expr, dict[Expr, Expr]]) -> dict[Expr, Expr]:
-    """:func:`partials` of ``e``, sharing ``memo``: a dict from each node
-    already walked, other than an atom or a constant, to its partials.  Equal
-    subtrees share one entry, and a dict that comes from ``memo`` is
-    read-only."""
+    """:func:`partials` of ``e``, shared and read-only.
+
+    A compound node stores its partials in its ``_grads`` slot the first
+    time it is walked, and every later walk, in this call or any other,
+    reads them back.  An ``exp``, ``sin`` or ``cos`` node, or a node with
+    such a node below it, keeps none (its ``_grads`` is False):
+    its partials go to ``memo``, a dict from node to partials that lives for
+    the length of one call, so a subtree that occurs more than once is still
+    differentiated once per call."""
     # Each node applies the rule diff(node, v) would apply, for every atom v
     # below it at once; a child without v contributes a structural zero,
     # which add and mul drop, so it is skipped.
@@ -824,9 +851,20 @@ def _partials(e: Expr, memo: dict[Expr, dict[Expr, Expr]]) -> dict[Expr, Expr]:
         return {e: ONE}
     if isinstance(e, Const):
         return {}
-    out = memo.get(e)
+    out = e._grads
     if out is None:
-        out = memo[e] = _node_partials(e, memo)
+        # first walk: the children are walked, and so marked, by now
+        out = _node_partials(e, memo)
+        if (type(e) is Func and e.fname in _SELF_REPEATING
+                or any(k._grads is False for k in _kids(e))):
+            memo[e] = out
+            _set(e, "_grads", False)
+        else:
+            _set(e, "_grads", out)
+    elif out is False:
+        out = memo.get(e)
+        if out is None:
+            out = memo[e] = _node_partials(e, memo)
     return out
 
 

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import ArityError, OrderError
+from .errors import ArityError, OrderError, UnknownSymbol
 from .expr import (
     Context,
     Expr,
@@ -26,7 +26,6 @@ from .expr import (
     jets_of,
     mul,
     neg,
-    partials,
     sub,
 )
 
@@ -46,7 +45,7 @@ def total_derivative(e: Expr, i: int) -> Expr:
     terms automatically.  The prolongations derive every D_i of one
     expression from that same pass (see :func:`evolutionary_prolong`).
     """
-    return _total_derivative(partials(e), i)
+    return _total_derivative(_partials(e, {}), i)
 
 
 def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
@@ -59,9 +58,10 @@ def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
 
 
 def total_derivative_multi(e: Expr, idx: Iterable[int]) -> Expr:
-    """D_K e for the indices K in ``idx``, applied in order; the partials
-    walks along the chain share one memo, so a subtree that recurs in a
-    later derivative is walked once."""
+    """D_K e for the indices K in ``idx``, applied in order.  A subtree that
+    recurs in a later derivative is walked once: its node keeps its partials
+    (see :func:`liesym.expr._partials`), or, under an ``exp``, ``sin`` or
+    ``cos``, the walks along the chain share one memo."""
     memo: dict = {}
     out = e
     for i in idx:
@@ -113,7 +113,8 @@ def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]], memo: dict,
 
     D_{J,i} is D_i(D_J) plus, when given, the terms ``rest(J, i)``.  Each
     prefix D_J with a requested child is walked by :func:`partials` once,
-    with ``memo``, and only the requested D_i are read off that one dict.
+    with ``memo`` for the nodes that keep no partials of their own, and only
+    the requested D_i are read off that one dict.
     ``table``, when given, is a table of ``e`` to extend: its entries are
     kept, and only the missing ones are derived."""
     if table is None:
@@ -153,7 +154,7 @@ class VectorField:
         """Action on an order-0 expression (no prolongation)."""
         if jet_order(f) > 0:
             raise OrderError("expression must have jet order 0")
-        grads = partials(f)
+        grads = _partials(f, {})
         parts = [mul(x, grads.get(Var(i + 1), ZERO)) for i, x in enumerate(self.xi)]
         parts += [
             mul(p, grads.get(Jet(a + 1, ()), ZERO)) for a, p in enumerate(self.phi)
@@ -210,12 +211,29 @@ class ProlongedVectorField:
             raise OrderError(f"prolongation order {self.order} is negative")
 
     def coeff(self, j: Jet) -> Expr:
+        """The coefficient of ``d/du^a_J``.  Raises :class:`OrderError` for
+        a jet above the lift's order and :class:`UnknownSymbol` for one
+        outside the context."""
+        _check_in_context(self.ctx, (j,))
+        if j.order > self.order:
+            raise OrderError(f"jet coordinate of order {j.order} > "
+                             f"prolongation order {self.order}")
         if j.order == 0:
             return self.phi[j.dep - 1]
         return self.coeffs[j]
 
     def __call__(self, e: Expr) -> Expr:
         return apply_prolonged(self, e)
+
+
+def _check_in_context(ctx: Context, atoms: Iterable[Expr]) -> None:
+    """Raise :class:`UnknownSymbol` for an independent variable or a jet
+    coordinate among ``atoms`` that ``ctx`` does not declare."""
+    for a in atoms:
+        if (type(a) is Var and a.index > ctx.p or type(a) is Jet and (
+                a.dep > ctx.q or a.idx and a.idx[-1] > ctx.p)):
+            raise UnknownSymbol(f"{a!r} is outside a context of {ctx.p} "
+                                f"independent and {ctx.q} dependent variables")
 
 
 def characteristic_of(v: VectorField) -> Characteristic:
@@ -250,7 +268,9 @@ def _prolonged_action(v: VectorField, n: int, exprs: Sequence[Expr]) -> list[Exp
     """pr^(n) v applied to each of ``exprs``.  The lift holds only the
     coefficients of the jets of order 1..n that ``exprs`` read, so it never
     leaves this function."""
-    pv = _prolong_for(v, n, _jets_read(exprs, n))
+    jets = _jets_read(exprs, n)
+    _check_in_context(v.ctx, jets)
+    pv = _prolong_for(v, n, jets)
     return [apply_prolonged(pv, e) for e in exprs]
 
 
@@ -260,7 +280,9 @@ def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
 
     The phi^J of each component form a prefix table (see
     :func:`evolutionary_prolong`): each phi^J is walked by :func:`partials`
-    once for all its D_k, and one memo serves the whole call."""
+    once for all its D_k.  A subtree walked before, in this call or an
+    earlier one, keeps its partials on its node; one memo serves the whole
+    call for those under an ``exp``, ``sin`` or ``cos``, which keep none."""
     ctx = v.ctx
     memo: dict = {}
     dxi = {}
@@ -284,9 +306,11 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
 
     The D_J Q_a of each component form a prefix table: D_{J,i} = D_i(D_J Q_a),
     where each D_J Q_a is walked by :func:`partials` once and D_i for every
-    i from J's last index on is read off that one dict.  One memo serves the
-    whole call, so a subtree that recurs across levels and components is
-    differentiated once; it dies with the call."""
+    i from J's last index on is read off that one dict.  A subtree that
+    recurs across levels, components or calls is differentiated once, since
+    its node keeps its partials; a subtree under an ``exp``, ``sin`` or
+    ``cos`` keeps none, and for those one memo serves the whole call and
+    dies with it."""
     ctx = q.ctx
     coeffs = _evolutionary_coeffs(q, _jets_upto(ctx, n))
     return ProlongedVectorField(ctx, n, (ZERO,) * ctx.p, q.q, coeffs)
@@ -295,7 +319,8 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
 def _evolutionary_coeffs(q: Characteristic, jets: Sequence[Jet]) -> dict[Jet, Expr]:
     """{u^a_J: D_J Q_a} for the jet coordinates ``jets`` of order >= 1, in
     their order.  Each component's table holds the prefixes of its requested
-    jets only; one memo serves all components."""
+    jets only; one memo, for the nodes that keep no partials, serves all
+    components."""
     memo: dict = {}
     wanted: dict[int, list[tuple[int, ...]]] = {}
     for j in jets:
@@ -310,7 +335,8 @@ def apply_prolonged(pv: ProlongedVectorField, e: Expr) -> Expr:
         raise OrderError(
             f"expression has jet order {jet_order(e)} > prolongation order {pv.order}"
         )
-    grads = partials(e)
+    grads = _partials(e, {})
+    _check_in_context(pv.ctx, grads)
     parts = [mul(x, grads.get(Var(i + 1), ZERO)) for i, x in enumerate(pv.xi)]
     parts += [mul(p, grads.get(Jet(a + 1, ()), ZERO)) for a, p in enumerate(pv.phi)]
     for j, d in grads.items():

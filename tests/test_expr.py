@@ -808,6 +808,132 @@ class TestInterning:
         assert (3, "dropped") not in _NODES
 
 
+class TestPartialsCache:
+    """A compound node keeps its partials for as long as it lives; exp, sin
+    and cos, and every node above one, keep none."""
+
+    @staticmethod
+    def tree(name, k=4, w=ux):
+        # an algebraic tree no other test builds: sums, products, rational
+        # powers and log, all below a fresh parameter
+        c = Param(name)
+        e = ls.add(u, c)
+        for _ in range(k):
+            e = ls.add(ls.mul(w, e), ls.mul(x, ls.pow_(ls.add(e, c), Fraction(1, 2))),
+                       ls.func("log", ls.add(c, w)))
+        return e
+
+    def test_the_returned_dict_is_the_callers(self):
+        e = self.tree("caller's dict")
+        want = ls.partials(e)
+        assert type(e._grads) is dict and e._grads is not want
+        got = ls.partials(e)
+        got[x] = ZERO
+        del got[u]
+        got[uxx] = ONE
+        assert list(ls.partials(e).items()) == list(want.items())
+        assert ls.diff(e, x) is want[x] and ls.diff(e, u) is want[u]
+        assert ls.diff(e, uxx) is ZERO
+
+    def test_matches_reference_cold_and_warm(self, rng):
+        from test_dj_table import ref_partials
+
+        atoms = [x, u, ux, Param("c"), UFunc("F", (x, u)), UFunc("F", (x, u), (1,))]
+        for k in range(60):
+            fresh = Param(f"cold{k}")
+            cold = ls.mul(fresh, rand_expr(rng, atoms + [fresh], depth=4))
+            assert cold._grads is None
+            assert list(ls.partials(cold).items()) == list(ref_partials(cold).items())
+            warm = ls.add(Param(f"warm{k}"), rand_expr(rng, atoms, depth=4))
+            nodes = list(subterms(warm))
+            rng.shuffle(nodes)
+            for s in nodes:
+                ls.partials(s)
+            assert list(ls.partials(warm).items()) == list(ref_partials(warm).items())
+
+    @staticmethod
+    def assert_leaves_the_table(build):
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(_NODES)
+            build()
+            assert len(_NODES) == before
+        finally:
+            gc.enable()
+
+    def test_a_dropped_prolonged_tree_leaves_the_table(self):
+        ctx = ls.Context(("x",), ("u",))
+
+        def build():
+            e = self.tree("prolonged", w=u)
+            v = ls.VectorField(ctx, (ls.mul(e, u),), (ls.add(e, x),))
+            pv = ls.prolong(v, 3)
+            assert ls.is_zero(ls.sub(ls.prolong_recursive(v, 3).coeffs[uxx],
+                                     pv.coeffs[uxx]))
+            assert type(e._grads) is dict and len(_NODES) > before + 100
+
+        before = len(_NODES)
+        self.assert_leaves_the_table(build)
+        assert (3, "prolonged") not in _NODES
+
+    def test_a_dropped_tree_with_exp_sin_and_cos_leaves_the_table(self):
+        def build():
+            c = Param("transcendental")
+            inner = self.tree("transcendental", 3)
+            # d/dx of c*x*exp(x) holds the product itself
+            e = ls.add(ls.func("exp", ls.mul(x, ls.pow_(u, 2))), ls.mul(3, x, u),
+                       ls.mul(c, x, ls.func("exp", x)),
+                       ls.mul(inner, ls.func("sin", ls.add(c, ux))),
+                       ls.func("cos", ls.mul(c, x)))
+            for a in (x, u, ux, c):
+                for b in (x, u, ux, c):
+                    ls.diff(ls.diff(e, a), b)
+            assert ls.total_derivative_multi(e, (1, 1)) is not ZERO
+            assert type(inner._grads) is dict
+            assert len(_NODES) > before + 100
+
+        before = len(_NODES)
+        self.assert_leaves_the_table(build)
+        assert (3, "transcendental") not in _NODES
+
+    def test_copies_neither_show_nor_carry_the_partials(self):
+        e = self.tree("copied")
+        fields = {f.name for f in dataclasses.fields(e)}
+        text, data, reduced = repr(e), pickle.dumps(e), e.__reduce__()
+        ls.partials(e)
+        assert type(e._grads) is dict and "_grads" not in fields
+        for c in (pickle.loads(data), copy.copy(e), copy.deepcopy(e),
+                  dataclasses.replace(e)):
+            assert c is e and repr(c) == text and "_grads" not in repr(c)
+        assert pickle.dumps(e) == data and e.__reduce__() == reduced
+
+    def test_threads_get_equal_dicts(self):
+        from test_dj_table import ref_partials
+
+        e = self.tree("threads", 6)
+        want = list(ref_partials(e).items())
+        start, got = threading.Barrier(8), [None] * 8
+
+        def work(k):
+            start.wait()
+            got[k] = list(ls.partials(e).items())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == want for g in got)
+        assert list(e._grads.items()) == want
+
+
 class TestCanonicalOrder:
     """Each node's cached key ``_ord`` is the reference ``sort_key``, and
     ``_factor_order`` is the reference ``factor_key``."""

@@ -222,6 +222,37 @@ class TestApplyProlonged:
             ls.apply_prolonged(ls.prolong(rotation, 1), uxx)
 
 
+class TestOutOfRange:
+    """A jet above the lift's order raises OrderError, and an atom outside
+    the context raises UnknownSymbol, never a bare KeyError, IndexError or
+    a silent zero."""
+
+    def test_coeff_above_the_order(self, rotation):
+        pv = ls.prolong(rotation, 2)
+        assert pv.coeff(uxx) == pv.coeffs[uxx] and pv.coeff(u) == rotation.phi[0]
+        with pytest.raises(ls.OrderError, match="order 3 > prolongation order 2"):
+            pv.coeff(Jet(1, (1, 1, 1)))
+
+    @pytest.mark.parametrize("jet", [Jet(2, ()), Jet(2, (1,)), Jet(1, (2,))])
+    def test_coeff_outside_the_context(self, rotation, jet):
+        with pytest.raises(ls.UnknownSymbol, match="outside a context"):
+            ls.prolong(rotation, 2).coeff(jet)
+
+    @pytest.mark.parametrize("e", [
+        Jet(2, (1,)), Jet(2, ()), Var(3), Jet(1, (2,)),
+        ls.add(ls.mul(x, ux), Var(2)), ls.mul(u, Jet(2, ()))])
+    def test_action_outside_the_context(self, rotation, e):
+        pv = ls.prolong(rotation, 2)
+        with pytest.raises(ls.UnknownSymbol, match="outside a context"):
+            pv(e)
+        with pytest.raises(ls.UnknownSymbol, match="outside a context"):
+            ls.differential_invariant_check(rotation, 2, e)
+
+    def test_a_parameter_is_a_constant(self, rotation):
+        assert ls.prolong(rotation, 2)(Param("c")) == ls.Const(0)
+        assert ls.differential_invariant_check(rotation, 2, Param("c"))
+
+
 class TestLieBracket:
     def test_translation_scaling(self, ctx_xu):
         v = ls.VectorField(ctx_xu, (ls.Const(1),), (ls.Const(0),))
