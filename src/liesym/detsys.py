@@ -145,7 +145,6 @@ def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) ->
     it.
     """
     cap = _order_cap(sys, order_cap)
-    memo: dict = {}
     tables = [{(): rhs} for _, rhs in sys.equations]
     while True:
         bindings: dict[Expr, Expr] = {}
@@ -154,7 +153,7 @@ def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) ->
             if hit is None:
                 continue
             n, extra = hit
-            repl = _dj_table(sys.equations[n][1], _prefix_closure((extra,)), memo,
+            repl = _dj_table(sys.equations[n][1], _prefix_closure((extra,)),
                              table=tables[n])[extra]
             if jet_order(repl) > cap:
                 raise _printed(OrderCapExceeded(

@@ -67,17 +67,13 @@ bits raises as well.
 partials stay valid for as long as it lives: a compound node keeps them in
 a private slot from its first walk on, so a subtree is differentiated once
 per lifetime, and differentiating it again, in any later call, is a
-lookup.  The exception is an ``exp``, ``sin`` or ``cos`` node and every
-node above one: such a partial can hold the node itself (``d exp(f) = f'
-exp(f)``), and kept on the node it would keep the node alive for good.
-Those nodes keep their partials in a memo that lives for the length of one
-call instead, so a subtree that occurs more than once is still
-differentiated once per call.  The product rule builds each term ``c * d *
-(the other factors)`` by merging the sorted factors of the partial ``d``
-with the other factors, sorted already, in one pass; only where two bases
-meet does :func:`mul` build the term.  The prolongations in ``liesym.jet``
-share one such memo across all the walks of one call, and build the terms
-``u_{J,i} * d`` of their total derivatives the same way.
+lookup.  A partial can hold its own node (``d exp(f) = f' exp(f)``); the
+cycle that makes is freed by the cyclic collector once the tree is
+dropped.  The product rule builds each term ``c * d * (the other
+factors)`` by merging the sorted factors of the partial ``d`` with the
+other factors, sorted already, in one pass; only where two bases meet does
+:func:`mul` build the term.  The prolongations in ``liesym.jet`` build the
+terms ``u_{J,i} * d`` of their total derivatives the same way.
 :func:`jets_of`, :func:`jet_order` and :func:`contains` also visit each
 distinct node once.
 
@@ -92,8 +88,9 @@ whose result depends on its order sorts first.  The rational fields
 ``Const.value``, ``Pow.exp`` and ``Mul.coeff`` are always ``Fraction``s; an
 ``int`` is converted and anything else raises ``TypeError``.  Independent
 variables and jet coordinates stay in their tables for the life of the
-process; every other node is held weakly and leaves its table with its last
-reference, the partials it keeps with it.  Pickling, copying and
+process; every other node is held weakly, under a key that names its
+children by their serial numbers, never by the nodes, and leaves its table
+when it is freed, the partials it keeps with it.  Pickling, copying and
 ``dataclasses.replace`` return the interned node, and ``repr`` shows the
 fields only.
 
@@ -133,9 +130,10 @@ FUNC_NAMES = ("exp", "log", "sin", "cos")
 class Expr:
     """Base class of the node kinds, immutable and interned dataclasses."""
 
-    # _grads: the node's partials once walked, False for a node that keeps
-    # none (see _partials); not a field, so repr, pickling and copies skip it
-    __slots__ = ("__weakref__", "_ord", "_grads")
+    # _n: the node's serial number, never reused; _grads: the node's
+    # partials once walked (see _partials).  Neither is a field, so repr,
+    # pickling and copies skip them
+    __slots__ = ("__weakref__", "_ord", "_n", "_grads")
 
     # object's comparison and hash: a node is equal only to itself, which
     # interning makes agree with equal fields
@@ -178,13 +176,17 @@ class Expr:
 
 # A node's key is its kind's tag, the first item of its _ord, and its
 # fields, a rational as its numerator and denominator (faster to hash than a
-# Fraction); its children are interned, so a lookup hashes and compares them
-# by identity.  The key holds its children until its entry goes, so no child
-# of a key is a freed address reused.  A dead entry goes by
-# _remove_dead_weakref, the atomic delete-if-dead of WeakValueDictionary.
+# Fraction) and a child as its serial number, in one flat tuple.  A key
+# holds no node, so a node among its own partials (see _partials) is freed
+# by the cyclic collector, and a serial number is never reused, so no key
+# can match a node made after the child it names was freed.  A dead entry
+# goes by _remove_dead_weakref, the atomic delete-if-dead of
+# WeakValueDictionary.
 _node = dataclass(frozen=True, slots=True, init=False, eq=False)
 _new, _set = object.__new__, object.__setattr__
 _NODES: dict = {}       # key -> _Ref to the node, for all kinds but Var and Jet
+_serial = itertools.count()
+_sn = operator.attrgetter("_n")
 
 
 def _make(cls, fields: tuple):
@@ -192,6 +194,7 @@ def _make(cls, fields: tuple):
     for name, value in zip(cls.__match_args__, fields):
         _set(node, name, value)
     _set(node, "_ord", _ORD[cls](*fields))
+    _set(node, "_n", next(_serial))
     _set(node, "_grads", None)
     return node
 
@@ -313,7 +316,7 @@ class UFunc(Expr):
 
     def __new__(cls, name, args, deriv=()):
         deriv = tuple(sorted(deriv))
-        return _intern(cls, (4, name, args, deriv), name, args, deriv)
+        return _intern(cls, (4, name, deriv, *map(_sn, args)), name, args, deriv)
 
 
 @_node
@@ -322,7 +325,7 @@ class Func(Expr):
     arg: Expr
 
     def __new__(cls, fname, arg):
-        return _intern(cls, (5, fname, arg), fname, arg)
+        return _intern(cls, (5, fname, arg._n), fname, arg)
 
 
 @_node
@@ -332,7 +335,7 @@ class Pow(Expr):
 
     def __new__(cls, base, exp):
         e = _rational(exp)
-        return _intern(cls, (6, base, e.numerator, e.denominator), base, e)
+        return _intern(cls, (6, base._n, e.numerator, e.denominator), base, e)
 
 
 @_node
@@ -344,7 +347,8 @@ class Mul(Expr):
 
     def __new__(cls, coeff, factors):
         c = _rational(coeff)
-        return _intern(cls, (7, c.numerator, c.denominator, factors), c, factors)
+        return _intern(cls, (7, c.numerator, c.denominator, *map(_sn, factors)),
+                       c, factors)
 
 
 @_node
@@ -352,7 +356,7 @@ class Add(Expr):
     terms: tuple[Expr, ...]
 
     def __new__(cls, terms):
-        return _intern(cls, (8, terms), terms)
+        return _intern(cls, (8, *map(_sn, terms)), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +806,13 @@ def contains(e: Expr, atom: Expr) -> bool:
 def diff(e: Expr, v: Expr) -> Expr:
     """Partial derivative with respect to a single atom.
 
-    Jet coordinates other than ``v`` count as constants; derivatives of
-    unknown functions follow the chain rule through matching argument slots.
+    Jet coordinates other than ``v`` count as constants; the derivative of
+    an unknown function ``F(a_1, ..., a_m)`` is ``sum_k F_k(a) * da_k/dv``,
+    the chain rule through every argument.
     """
     if not isinstance(v, (Var, Jet, Param)):
         raise UnknownSymbol(f"cannot differentiate with respect to {v!r}")
-    return _partials(e, {}).get(v, ZERO)
+    return _partials(e).get(v, ZERO)
 
 
 def partials(e: Expr) -> dict[Expr, Expr]:
@@ -817,33 +822,20 @@ def partials(e: Expr) -> dict[Expr, Expr]:
 
     ``partials(e).get(v, ZERO)`` equals ``diff(e, v)`` node for node.  A
     compound node keeps its partials for as long as it lives, so a node
-    walked before, by any call, is a lookup (see :func:`_partials` for the
-    nodes that do not).  The returned dict is a copy and belongs to the
-    caller.
+    walked before, by any call, is a lookup.  The returned dict is a copy
+    and belongs to the caller.
     """
     # the recursion stays private: the benchmark's tracer wraps every public
     # function, and a traced public recursion would open a span per node
-    return dict(_partials(e, {}))
+    return dict(_partials(e))
 
 
-# A partial of exp(f), sin(f) or cos(f) can hold the node itself, at once
-# (d exp(f) = f' exp(f)) or through the partial's own partials (those of
-# cos(f) in d sin(f) hold sin(f)), and so can a partial of any node above
-# one.  Kept on the node, it would hold its own node alive through the
-# partial's key in _NODES, for the life of the process.
-_SELF_REPEATING = frozenset(("exp", "sin", "cos"))
-
-
-def _partials(e: Expr, memo: dict[Expr, dict[Expr, Expr]]) -> dict[Expr, Expr]:
+def _partials(e: Expr) -> dict[Expr, Expr]:
     """:func:`partials` of ``e``, shared and read-only.
 
     A compound node stores its partials in its ``_grads`` slot the first
     time it is walked, and every later walk, in this call or any other,
-    reads them back.  An ``exp``, ``sin`` or ``cos`` node, or a node with
-    such a node below it, keeps none (its ``_grads`` is False):
-    its partials go to ``memo``, a dict from node to partials that lives for
-    the length of one call, so a subtree that occurs more than once is still
-    differentiated once per call."""
+    reads them back."""
     # Each node applies the rule diff(node, v) would apply, for every atom v
     # below it at once; a child without v contributes a structural zero,
     # which add and mul drop, so it is skipped.
@@ -853,49 +845,42 @@ def _partials(e: Expr, memo: dict[Expr, dict[Expr, Expr]]) -> dict[Expr, Expr]:
         return {}
     out = e._grads
     if out is None:
-        # first walk: the children are walked, and so marked, by now
-        out = _node_partials(e, memo)
-        if (type(e) is Func and e.fname in _SELF_REPEATING
-                or any(k._grads is False for k in _kids(e))):
-            memo[e] = out
-            _set(e, "_grads", False)
-        else:
-            _set(e, "_grads", out)
-    elif out is False:
-        out = memo.get(e)
-        if out is None:
-            out = memo[e] = _node_partials(e, memo)
+        out = _node_partials(e)
+        _set(e, "_grads", out)
     return out
 
 
-def _node_partials(e: Expr, memo: dict) -> dict[Expr, Expr]:
+def _node_partials(e: Expr) -> dict[Expr, Expr]:
     parts: dict[Expr, list[Expr]] = {}
     if isinstance(e, Add):
         for t in e.terms:
-            for v, d in _partials(t, memo).items():
+            for v, d in _partials(t).items():
                 parts.setdefault(v, []).append(d)
     elif isinstance(e, Mul):
         coeff, fs = e.coeff, e.factors
         for i, f in enumerate(fs):
-            grads = _partials(f, memo)
+            grads = _partials(f)
             if grads:
                 rest = fs[:i] + fs[i + 1:]
                 for v, d in grads.items():
                     parts.setdefault(v, []).append(_merge_term(coeff, d, rest))
     elif isinstance(e, UFunc):
-        # only a bare atom argument gets a chain-rule term
+        # chain rule; a bare atom argument contributes F_k itself
         for k, a in enumerate(e.args):
-            if isinstance(a, (Var, Jet, Param)):
-                parts.setdefault(a, []).append(UFunc(e.name, e.args, e.deriv + (k,)))
+            grads = _partials(a)
+            if grads:
+                fk = (UFunc(e.name, e.args, e.deriv + (k,)),)
+                for v, d in grads.items():
+                    parts.setdefault(v, []).append(_merge_term(_Q1, d, fk))
     else:
         # chain rule; the outer derivative is built even for a constant
         # argument (func rejects log(0) when the node is built, so no log
         # node has a zero argument)
         if isinstance(e, Pow):
             outer = (Const(e.exp), pow_(e.base, e.exp - 1))
-            grads = _partials(e.base, memo)
+            grads = _partials(e.base)
         elif isinstance(e, Func):
-            grads = _partials(e.arg, memo)
+            grads = _partials(e.arg)
             if e.fname == "exp":
                 outer = (func("exp", e.arg),)
             elif e.fname == "log":

@@ -45,7 +45,7 @@ def total_derivative(e: Expr, i: int) -> Expr:
     terms automatically.  The prolongations derive every D_i of one
     expression from that same pass (see :func:`evolutionary_prolong`).
     """
-    return _total_derivative(_partials(e, {}), i)
+    return _total_derivative(_partials(e), i)
 
 
 def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
@@ -59,13 +59,11 @@ def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
 
 def total_derivative_multi(e: Expr, idx: Iterable[int]) -> Expr:
     """D_K e for the indices K in ``idx``, applied in order.  A subtree that
-    recurs in a later derivative is walked once: its node keeps its partials
-    (see :func:`liesym.expr._partials`), or, under an ``exp``, ``sin`` or
-    ``cos``, the walks along the chain share one memo."""
-    memo: dict = {}
+    recurs in a later derivative is walked once, since its node keeps its
+    partials (see :func:`liesym.expr._partials`)."""
     out = e
     for i in idx:
-        out = _total_derivative(_partials(out, memo), i)
+        out = _total_derivative(_partials(out), i)
     return out
 
 
@@ -103,7 +101,7 @@ def _prefix_closure(idxs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(closed, key=lambda idx: (len(idx), idx))
 
 
-def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]], memo: dict,
+def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]],
               rest: Callable[[tuple[int, ...], int], Iterable[Expr]] | None = None,
               table: dict[tuple[int, ...], Expr] | None = None
               ) -> dict[tuple[int, ...], Expr]:
@@ -113,8 +111,7 @@ def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]], memo: dict,
 
     D_{J,i} is D_i(D_J) plus, when given, the terms ``rest(J, i)``.  Each
     prefix D_J with a requested child is walked by :func:`partials` once,
-    with ``memo`` for the nodes that keep no partials of their own, and only
-    the requested D_i are read off that one dict.
+    and only the requested D_i are read off that one dict.
     ``table``, when given, is a table of ``e`` to extend: its entries are
     kept, and only the missing ones are derived."""
     if table is None:
@@ -125,7 +122,7 @@ def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]], memo: dict,
             continue
         if idx[:-1] != prev:
             prev = idx[:-1]
-            grads = _partials(table[prev], memo)
+            grads = _partials(table[prev])
         d = _total_derivative(grads, idx[-1])
         table[idx] = d if rest is None else add(d, *rest(prev, idx[-1]))
     return table
@@ -154,7 +151,7 @@ class VectorField:
         """Action on an order-0 expression (no prolongation)."""
         if jet_order(f) > 0:
             raise OrderError("expression must have jet order 0")
-        grads = _partials(f, {})
+        grads = _partials(f)
         parts = [mul(x, grads.get(Var(i + 1), ZERO)) for i, x in enumerate(self.xi)]
         parts += [
             mul(p, grads.get(Jet(a + 1, ()), ZERO)) for a, p in enumerate(self.phi)
@@ -281,13 +278,11 @@ def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
     The phi^J of each component form a prefix table (see
     :func:`evolutionary_prolong`): each phi^J is walked by :func:`partials`
     once for all its D_k.  A subtree walked before, in this call or an
-    earlier one, keeps its partials on its node; one memo serves the whole
-    call for those under an ``exp``, ``sin`` or ``cos``, which keep none."""
+    earlier one, keeps its partials on its node."""
     ctx = v.ctx
-    memo: dict = {}
     dxi = {}
     for i in range(ctx.p):
-        grads = _partials(v.xi[i], memo)
+        grads = _partials(v.xi[i])
         for k in range(1, ctx.p + 1):
             dxi[(i, k)] = _total_derivative(grads, k)
     idxs = _idxs_upto(ctx.p, n)
@@ -296,7 +291,7 @@ def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
         def rest(prev, last, dep=a + 1):
             return (neg(mul(dxi[(i, last)], Jet(dep, prev + (i + 1,))))
                     for i in range(ctx.p))
-        level = _dj_table(v.phi[a], idxs, memo, rest)
+        level = _dj_table(v.phi[a], idxs, rest)
         coeffs.update((Jet(a + 1, idx), val) for idx, val in level.items() if idx)
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
@@ -308,9 +303,7 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
     where each D_J Q_a is walked by :func:`partials` once and D_i for every
     i from J's last index on is read off that one dict.  A subtree that
     recurs across levels, components or calls is differentiated once, since
-    its node keeps its partials; a subtree under an ``exp``, ``sin`` or
-    ``cos`` keeps none, and for those one memo serves the whole call and
-    dies with it."""
+    its node keeps its partials."""
     ctx = q.ctx
     coeffs = _evolutionary_coeffs(q, _jets_upto(ctx, n))
     return ProlongedVectorField(ctx, n, (ZERO,) * ctx.p, q.q, coeffs)
@@ -319,13 +312,11 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
 def _evolutionary_coeffs(q: Characteristic, jets: Sequence[Jet]) -> dict[Jet, Expr]:
     """{u^a_J: D_J Q_a} for the jet coordinates ``jets`` of order >= 1, in
     their order.  Each component's table holds the prefixes of its requested
-    jets only; one memo, for the nodes that keep no partials, serves all
-    components."""
-    memo: dict = {}
+    jets only."""
     wanted: dict[int, list[tuple[int, ...]]] = {}
     for j in jets:
         wanted.setdefault(j.dep, []).append(j.idx)
-    tables = {dep: _dj_table(q.q[dep - 1], _prefix_closure(idxs), memo)
+    tables = {dep: _dj_table(q.q[dep - 1], _prefix_closure(idxs))
               for dep, idxs in sorted(wanted.items())}
     return {j: tables[j.dep][j.idx] for j in jets}
 
@@ -335,7 +326,7 @@ def apply_prolonged(pv: ProlongedVectorField, e: Expr) -> Expr:
         raise OrderError(
             f"expression has jet order {jet_order(e)} > prolongation order {pv.order}"
         )
-    grads = _partials(e, {})
+    grads = _partials(e)
     _check_in_context(pv.ctx, grads)
     parts = [mul(x, grads.get(Var(i + 1), ZERO)) for i, x in enumerate(pv.xi)]
     parts += [mul(p, grads.get(Jet(a + 1, ()), ZERO)) for a, p in enumerate(pv.phi)]

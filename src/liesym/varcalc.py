@@ -62,7 +62,7 @@ def euler_operator(lag: Lagrangian, alpha: int) -> Expr:
     """E_a(L) = sum_J (-D)_J dL/du^a_J, truncated at the order of L."""
     p = lag.ctx.p
     n = lag.order
-    grads = _partials(lag.L, {})
+    grads = _partials(lag.L)
     parts = []
     for k in range(n + 1):
         sign = (-1) ** k
@@ -105,7 +105,7 @@ def noether_current_first_order(v: VectorField, lag: Lagrangian,
         raise NotASymmetry(
             "the defect of v is not the total divergence of the given B"
         )
-    grads = _partials(lag.L, {})
+    grads = _partials(lag.L)
     f = []
     for i in range(ctx.p):
         parts = [mul(v.xi[i], lag.L), neg(b[i])]

@@ -286,14 +286,14 @@ def test_partial_table_is_the_full_one_restricted():
     atoms = [Var(1), Var(2), Jet(1, ()), Jet(1, (1,))]
     for _ in range(20):
         e = rand_expr(rng, atoms)
-        full = _dj_table(e, _idxs_upto(2, 3), {})
+        full = _dj_table(e, _idxs_upto(2, 3))
         want = rng.sample(list(full)[1:], 3)
-        part = _dj_table(e, _prefix_closure(want), {})
+        part = _dj_table(e, _prefix_closure(want))
         assert set(part) == {()} | set(_prefix_closure(want))
         for idx in part:
             same(part[idx], full[idx])
         # extending a table adds only the missing entries
-        grown = _dj_table(e, _idxs_upto(2, 3), {}, table=dict(part))
+        grown = _dj_table(e, _idxs_upto(2, 3), table=dict(part))
         assert list(grown) == list(part) + [i for i in full if i not in part]
         for idx in full:
             same(grown[idx], full[idx])

@@ -39,7 +39,9 @@ ux = Jet(1, (1,))
 # ---------------------------------------------------------------------------
 # References: liesym.expr._partials and liesym.jet's total_derivative,
 # prolong_recursive and evolutionary_prolong as they were before partials
-# was memoised, kept verbatim but for their names (prefixed with ref_).
+# was memoised, kept verbatim but for their names (prefixed with ref_) and
+# the chain rule through every unknown-function argument, which
+# ref_partials has since gained.
 # ---------------------------------------------------------------------------
 
 def ref_partials(e: Expr) -> dict[Expr, Expr]:
@@ -64,10 +66,11 @@ def ref_partials(e: Expr) -> dict[Expr, Expr]:
                 for v, d in grads.items():
                     parts.setdefault(v, []).append(mul(coeff, d, *rest))
     elif isinstance(e, UFunc):
-        # only a bare atom argument gets a chain-rule term
+        # chain rule through every argument
         for k, a in enumerate(e.args):
-            if isinstance(a, (Var, Jet, Param)):
-                parts.setdefault(a, []).append(UFunc(e.name, e.args, e.deriv + (k,)))
+            for v, d in ref_partials(a).items():
+                parts.setdefault(v, []).append(
+                    mul(UFunc(e.name, e.args, e.deriv + (k,)), d))
     else:
         # chain rule; the outer derivative is built even for a constant
         # argument (func rejects log(0) when the node is built, so no log
