@@ -17,8 +17,10 @@ Algebra* (1950), and E. R. Kolchin, *Differential Algebra and Algebraic
 Groups* (1973), with the total derivative as the derivation on jet
 coordinates of P. J. Olver, *Applications of Lie Groups to Differential
 Equations* (1993), ch. 2.  The lift follows :func:`liesym.jet.prolong`: each
-coefficient ``D_J Q_a + sum_i xi^i u^a_{J,i}`` comes from one prefix table of
-``D_J Q_a`` per component.  The reduction modulo the system is the ring
+coefficient is ``D_J Q_a + sum_i xi^i u^a_{J,i}``, with ``D_{J,i} Q_a`` taken
+as ``D_i`` of ``D_J Q_a``.  Where the tree path keeps each ``D_i`` on its
+node, the ring keeps the dicts ``D_J Q_a`` in one prefix table per
+component (:meth:`_Ring.dj`).  The reduction modulo the system is the ring
 homomorphism that sends each jet to its normal form: a jet ``D_K(lead)`` of
 the first lead that divides it goes to the normal form of ``D_K(rhs)``, taken
 from one prefix table per equation, and every other generator stays.  It is
@@ -106,7 +108,7 @@ class _Ring:
                     jets.add(a)
         # a jet that cancels from the expansion can stay in the tree path's
         # defects, and so among its splitting variables
-        return poly if jets == jets_of(e) else None
+        return poly if jets == set(jets_of(e)) else None
 
     # -- the derivation -----------------------------------------------------
 

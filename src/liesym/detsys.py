@@ -46,10 +46,9 @@ from .expr import (
 )
 from .jet import (
     VectorField,
-    _dj_table,
-    _prefix_closure,
     _prolonged_action,
     lie_bracket,
+    total_derivative_multi,
 )
 
 
@@ -90,7 +89,7 @@ class DiffSystem:
         p = self.ctx.p
         for lead, rhs in eqs:
             lk = _rank_key(lead, p)
-            for j in sorted(jets_of(rhs), key=_term_order):
+            for j in jets_of(rhs):
                 if _rank_key(j, p) >= lk:
                     raise _printed(NotSolvedForm(
                         "right-hand side contains {} which does not rank "
@@ -138,23 +137,21 @@ def reduce_mod_system(e: Expr, sys: DiffSystem, order_cap: int | None = None) ->
 
     Each round scans the jets of ``e``, from the highest down in canonical
     order, and replaces every reducible jet D_K(lead) by D_K(rhs), until
-    none remains.  The D_K(rhs) of each equation come from one prefix table
-    per call, so D_x(rhs) is built once for u_tx, u_txx, ...  ``order_cap``
-    bounds the jet order any replacement may reach (default: system order +
-    4); the error names the first jet of the scan whose replacement passes
-    it.
+    none remains.  Every node keeps its total derivatives, so D_x(rhs) is
+    built once for u_tx, u_txx, ..., in this call and any later one.
+    ``order_cap`` bounds the jet order any replacement may reach (default:
+    system order + 4); the error names the first jet of the scan whose
+    replacement passes it.
     """
     cap = _order_cap(sys, order_cap)
-    tables = [{(): rhs} for _, rhs in sys.equations]
     while True:
         bindings: dict[Expr, Expr] = {}
-        for j in sorted(jets_of(e), key=_term_order, reverse=True):
+        for j in reversed(jets_of(e)):
             hit = _reduction(j, sys)
             if hit is None:
                 continue
             n, extra = hit
-            repl = _dj_table(sys.equations[n][1], _prefix_closure((extra,)),
-                             table=tables[n])[extra]
+            repl = total_derivative_multi(sys.equations[n][1], extra)
             if jet_order(repl) > cap:
                 raise _printed(OrderCapExceeded(
                     f"reducing {{}} needs jets beyond order {cap}", j), sys.ctx)

@@ -90,9 +90,9 @@ whose result depends on its order sorts first.  The rational fields
 variables and jet coordinates stay in their tables for the life of the
 process; every other node is held weakly, under a key that names its
 children by their serial numbers, never by the nodes, and leaves its table
-when it is freed, the partials it keeps with it.  Pickling, copying and
-``dataclasses.replace`` return the interned node, and ``repr`` shows the
-fields only.
+when it is freed, the partials and total derivatives it keeps with it.
+Pickling, copying and ``dataclasses.replace`` return the interned node, and
+``repr`` shows the fields only.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -131,9 +131,10 @@ class Expr:
     """Base class of the node kinds, immutable and interned dataclasses."""
 
     # _n: the node's serial number, never reused; _grads: the node's
-    # partials once walked (see _partials).  Neither is a field, so repr,
-    # pickling and copies skip them
-    __slots__ = ("__weakref__", "_ord", "_n", "_grads")
+    # partials once walked (see _partials); _tds: its total derivatives
+    # {i: D_i node} once taken (see liesym.jet._td).  None is a field, so
+    # repr, pickling and copies skip them
+    __slots__ = ("__weakref__", "_ord", "_n", "_grads", "_tds")
 
     # object's comparison and hash: a node is equal only to itself, which
     # interning makes agree with equal fields
@@ -196,6 +197,7 @@ def _make(cls, fields: tuple):
     _set(node, "_ord", _ORD[cls](*fields))
     _set(node, "_n", next(_serial))
     _set(node, "_grads", None)
+    _set(node, "_tds", None)
     return node
 
 
@@ -784,11 +786,11 @@ def _distinct(e: Expr) -> Iterator[Expr]:
                 stack.append(k)
 
 
-def jets_of(e: Expr) -> set[Jet]:
-    """The jet coordinates in ``e``.  The set's iteration order follows
-    node addresses and changes from run to run, so a caller whose result
-    depends on the order sorts first, by the node key (``_term_order``)."""
-    return {a for a in _distinct(e) if type(a) is Jet}
+def jets_of(e: Expr) -> tuple[Jet, ...]:
+    """The distinct jet coordinates in ``e``, in canonical order (dependent
+    variable, order, multi-index)."""
+    return tuple(sorted({a for a in _distinct(e) if type(a) is Jet},
+                        key=_term_order))
 
 
 def jet_order(e: Expr) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArityError, OrderError, UnknownSymbol
 from .expr import (
@@ -20,6 +20,7 @@ from .expr import (
     _Q1,
     _merge_term,
     _partials,
+    _set,
     _term_order,
     add,
     jet_order,
@@ -42,28 +43,39 @@ def total_derivative(e: Expr, i: int) -> Expr:
     taken from one :func:`partials` pass over ``e``.  The sum runs over every
     jet coordinate present in the expression (including order-0 jets inside
     unknown-function arguments), so unknown functions pick up their u-slot
-    terms automatically.  The prolongations derive every D_i of one
-    expression from that same pass (see :func:`evolutionary_prolong`).
+    terms automatically.  A node keeps its D_i for as long as it lives, as
+    it keeps its partials, so taking D_i of a live node again is a lookup.
     """
-    return _total_derivative(_partials(e), i)
+    return _td(e, i)
 
 
-def _total_derivative(grads: dict[Expr, Expr], i: int) -> Expr:
-    """D_i of the expression whose partial derivatives are ``grads``."""
-    parts = [grads.get(Var(i), ZERO)]
-    for j, d in grads.items():
-        if isinstance(j, Jet):
-            parts.append(_merge_term(_Q1, d, (Jet(j.dep, j.idx + (i,)),)))
-    return add(*parts)
+def _td(e: Expr, i: int) -> Expr:
+    """:func:`total_derivative`, stored in ``e``'s ``_tds`` slot on first use.
+
+    It stays private: the benchmark's tracer wraps every public function,
+    and the prolongations would open a span per step."""
+    tds = e._tds
+    if tds is None:
+        tds = {}
+        _set(e, "_tds", tds)
+    out = tds.get(i)
+    if out is None:
+        grads = _partials(e)
+        parts = [grads.get(Var(i), ZERO)]
+        for j, d in grads.items():
+            if isinstance(j, Jet):
+                parts.append(_merge_term(_Q1, d, (Jet(j.dep, j.idx + (i,)),)))
+        out = tds[i] = add(*parts)
+    return out
 
 
 def total_derivative_multi(e: Expr, idx: Iterable[int]) -> Expr:
-    """D_K e for the indices K in ``idx``, applied in order.  A subtree that
-    recurs in a later derivative is walked once, since its node keeps its
-    partials (see :func:`liesym.expr._partials`)."""
+    """D_K e for the indices K in ``idx``, applied in order.  Every node on
+    the way keeps its D_i, so a prefix of K taken before, in this call or
+    any other, is a lookup."""
     out = e
     for i in idx:
-        out = _total_derivative(_partials(out), i)
+        out = _td(out, i)
     return out
 
 
@@ -92,40 +104,6 @@ def _jets_read(exprs: Iterable[Expr], n: int) -> list[Jet]:
     order and multi-index."""
     found = {j for e in exprs for j in jets_of(e) if 1 <= j.order <= n}
     return sorted(found, key=_term_order)
-
-
-def _prefix_closure(idxs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The nonempty prefixes of the sorted multi-indices ``idxs``, those
-    included, listed level by level in the order of :func:`multi_indices`."""
-    closed = {idx[:k] for idx in idxs for k in range(1, len(idx) + 1)}
-    return sorted(closed, key=lambda idx: (len(idx), idx))
-
-
-def _dj_table(e: Expr, idxs: Iterable[tuple[int, ...]],
-              rest: Callable[[tuple[int, ...], int], Iterable[Expr]] | None = None,
-              table: dict[tuple[int, ...], Expr] | None = None
-              ) -> dict[tuple[int, ...], Expr]:
-    """The prefix table {J: D_J e} over the nonempty sorted multi-indices
-    ``idxs``, a prefix-closed set listed level by level (as
-    :func:`_prefix_closure` lists it), plus () for ``e`` itself.
-
-    D_{J,i} is D_i(D_J) plus, when given, the terms ``rest(J, i)``.  Each
-    prefix D_J with a requested child is walked by :func:`partials` once,
-    and only the requested D_i are read off that one dict.
-    ``table``, when given, is a table of ``e`` to extend: its entries are
-    kept, and only the missing ones are derived."""
-    if table is None:
-        table = {(): e}
-    prev = grads = None
-    for idx in idxs:
-        if idx in table:
-            continue
-        if idx[:-1] != prev:
-            prev = idx[:-1]
-            grads = _partials(table[prev])
-        d = _total_derivative(grads, idx[-1])
-        table[idx] = d if rest is None else add(d, *rest(prev, idx[-1]))
-    return table
 
 
 @dataclass(frozen=True)
@@ -275,35 +253,28 @@ def prolong_recursive(v: VectorField, n: int) -> ProlongedVectorField:
     """Level-by-level prolongation via the recursion
     phi^{J,k} = D_k phi^J - sum_i D_k xi^i * u^a_{J,i}.
 
-    The phi^J of each component form a prefix table (see
-    :func:`evolutionary_prolong`): each phi^J is walked by :func:`partials`
-    once for all its D_k.  A subtree walked before, in this call or an
-    earlier one, keeps its partials on its node."""
+    Each phi^{J,k} is built from its prefix phi^J of the level before; a
+    node keeps its D_k, so the D_k xi^i and a subtree that recurs, in this
+    call or an earlier one, are each taken once."""
     ctx = v.ctx
-    dxi = {}
-    for i in range(ctx.p):
-        grads = _partials(v.xi[i])
-        for k in range(1, ctx.p + 1):
-            dxi[(i, k)] = _total_derivative(grads, k)
-    idxs = _idxs_upto(ctx.p, n)
+    dxi = {k: [_td(x, k) for x in v.xi] for k in range(1, ctx.p + 1)}
     coeffs: dict[Jet, Expr] = {}
     for a in range(ctx.q):
-        def rest(prev, last, dep=a + 1):
-            return (neg(mul(dxi[(i, last)], Jet(dep, prev + (i + 1,))))
-                    for i in range(ctx.p))
-        level = _dj_table(v.phi[a], idxs, rest)
-        coeffs.update((Jet(a + 1, idx), val) for idx, val in level.items() if idx)
+        level = {(): v.phi[a]}
+        for idx in _idxs_upto(ctx.p, n):
+            prev, k = idx[:-1], idx[-1]
+            terms = (neg(mul(d, Jet(a + 1, prev + (i + 1,))))
+                     for i, d in enumerate(dxi[k]))
+            level[idx] = coeffs[Jet(a + 1, idx)] = add(_td(level[prev], k), *terms)
     return ProlongedVectorField(ctx, n, v.xi, v.phi, coeffs)
 
 
 def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
     """pr v_Q = sum_{a,J} D_J Q_a d/du^a_J, with zero horizontal part.
 
-    The D_J Q_a of each component form a prefix table: D_{J,i} = D_i(D_J Q_a),
-    where each D_J Q_a is walked by :func:`partials` once and D_i for every
-    i from J's last index on is read off that one dict.  A subtree that
-    recurs across levels, components or calls is differentiated once, since
-    its node keeps its partials."""
+    D_{J,i} Q_a is D_i(D_J Q_a), and every node keeps its D_i, so each D_J
+    Q_a is taken once from its prefix, and a subtree that recurs across
+    levels, components or calls is differentiated once."""
     ctx = q.ctx
     coeffs = _evolutionary_coeffs(q, _jets_upto(ctx, n))
     return ProlongedVectorField(ctx, n, (ZERO,) * ctx.p, q.q, coeffs)
@@ -311,14 +282,9 @@ def evolutionary_prolong(q: Characteristic, n: int) -> ProlongedVectorField:
 
 def _evolutionary_coeffs(q: Characteristic, jets: Sequence[Jet]) -> dict[Jet, Expr]:
     """{u^a_J: D_J Q_a} for the jet coordinates ``jets`` of order >= 1, in
-    their order.  Each component's table holds the prefixes of its requested
-    jets only."""
-    wanted: dict[int, list[tuple[int, ...]]] = {}
-    for j in jets:
-        wanted.setdefault(j.dep, []).append(j.idx)
-    tables = {dep: _dj_table(q.q[dep - 1], _prefix_closure(idxs))
-              for dep, idxs in sorted(wanted.items())}
-    return {j: tables[j.dep][j.idx] for j in jets}
+    their order; the D_J of the prefixes of J are those an earlier jet or
+    call took, or are taken here and kept on their nodes."""
+    return {j: total_derivative_multi(q.q[j.dep - 1], j.idx) for j in jets}
 
 
 def apply_prolonged(pv: ProlongedVectorField, e: Expr) -> Expr:

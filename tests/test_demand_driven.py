@@ -1,14 +1,16 @@
 """Demand-driven symmetry defects against the reference pipeline.
 
 ``symmetry_defect`` prolongs only the jets its residuals read,
-``reduce_mod_system`` takes every D_K(rhs) from one prefix table per
-equation and looks only at the jets of its latest replacements, and
+``reduce_mod_system`` takes every D_K(rhs) from the total derivatives the
+nodes keep and looks only at the jets of its latest replacements, and
 ``solve_determining`` builds a monomial only for a nonzero basis entry.  The
 ``ref_`` functions below are verbatim copies of the versions that prolonged
 every jet, rescanned the whole expression each round and built every
 monomial up front; defects, determining equations, bases and errors must be
 node for node the same.
 """
+import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +23,9 @@ from liesym.errors import OrderCapExceeded
 from liesym.expr import (
     Const,
     Expr,
+    Param,
     ZERO,
+    _NODES,
     add,
     jet_order,
     jets_of,
@@ -29,16 +33,14 @@ from liesym.expr import (
     substitute,
 )
 from liesym.jet import (
-    _dj_table,
-    _idxs_upto,
     _jets_read,
-    _prefix_closure,
     _prolong_for,
     apply_prolonged,
     prolong,
     total_derivative_multi,
 )
 
+import test_expr
 from conftest import (
     rand_expr,
     rand_point_vf,
@@ -47,6 +49,7 @@ from conftest import (
     ref_monomials,
 )
 from test_detsys import BENCH_PROBLEMS, ROADMAP_SYSTEMS, systems
+from test_dj_table import ref_total_derivative_multi
 
 
 # --- reference implementations (verbatim) ----------------------------------
@@ -279,24 +282,68 @@ def test_cancelled_jet_over_the_cap_is_not_an_error():
          outcome(ref_reduce_mod_system, e, sys_, 3))
 
 
-# --- the prefix table and the partial lift ----------------------------------
+# --- the total derivatives a node keeps, and the partial lift ---------------
 
-def test_partial_table_is_the_full_one_restricted():
-    rng = random.Random(4103)
-    atoms = [Var(1), Var(2), Jet(1, ()), Jet(1, (1,))]
-    for _ in range(20):
-        e = rand_expr(rng, atoms)
-        full = _dj_table(e, _idxs_upto(2, 3))
-        want = rng.sample(list(full)[1:], 3)
-        part = _dj_table(e, _prefix_closure(want))
-        assert set(part) == {()} | set(_prefix_closure(want))
-        for idx in part:
-            same(part[idx], full[idx])
-        # extending a table adds only the missing entries
-        grown = _dj_table(e, _idxs_upto(2, 3), table=dict(part))
-        assert list(grown) == list(part) + [i for i in full if i not in part]
-        for idx in full:
-            same(grown[idx], full[idx])
+class TestTotalDerivativeCache:
+    """A node keeps its total derivatives for as long as it lives."""
+
+    ATOMS = [Var(1), Var(2), Jet(1, ()), Jet(1, (1,))]
+    IDXS = [idx for k in (1, 2, 3) for idx in itertools.product((1, 2), repeat=k)]
+
+    def test_matches_reference_and_is_kept(self):
+        rng = random.Random(4103)
+        for k in range(20):
+            e = mul(Param(f"td{k}"), rand_expr(rng, self.ATOMS))
+            assert e._tds is None
+            for idx in self.IDXS:
+                got = total_derivative_multi(e, idx)
+                same(got, ref_total_derivative_multi(e, idx))
+                assert total_derivative_multi(e, idx) is got
+            assert sorted(e._tds) == [1, 2]
+            assert ls.total_derivative(e, 2) is e._tds[2]
+
+    @staticmethod
+    def derive_all(e):
+        for idx in TestTotalDerivativeCache.IDXS:
+            total_derivative_multi(e, idx)
+        assert type(e._tds) is dict
+
+    def test_a_dropped_algebraic_tree_leaves_the_table(self):
+        def build():
+            e = test_expr.TestPartialsCache.tree("total derivatives")
+            self.derive_all(e)
+            assert len(_NODES) > before + 100
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(_NODES)
+            build()
+            assert len(_NODES) == before
+        finally:
+            gc.enable()
+        assert (3, "total derivatives") not in _NODES
+
+    def test_a_dropped_tree_with_exp_leaves_after_one_collection(self):
+        # D_x exp(x) is the node itself: the cycle goes with the tree
+        def build():
+            c = Param("total exp")
+            e = ls.add(mul(c, ls.func("exp", Var(1))),
+                       ls.func("exp", mul(c, Jet(1, ()))),
+                       ls.func("sin", ls.add(c, Jet(1, (1,)))))
+            self.derive_all(e)
+            assert len(_NODES) > before + 100
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(_NODES)
+            build()
+            gc.collect()
+            assert len(_NODES) == before
+        finally:
+            gc.enable()
+        assert (3, "total exp") not in _NODES
 
 
 def test_prolong_for_reads_the_full_coefficients():

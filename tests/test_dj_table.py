@@ -1,5 +1,6 @@
-"""Memoised partial derivatives and the prefix tables of the prolongations,
-against the one-walk-per-call versions they replace."""
+"""Memoised partial derivatives, and the prolongations built from the total
+derivatives each node keeps, against the one-walk-per-call versions they
+replace."""
 from fractions import Fraction
 
 import liesym as ls

@@ -15,7 +15,15 @@ import pytest
 import liesym as ls
 from liesym import Const, Jet, Param, UFunc, Var
 from liesym import expr
-from liesym.expr import ZERO, _Poly, contains, jet_order, jets_of, subterms
+from liesym.expr import (
+    ZERO,
+    _Poly,
+    _term_order,
+    contains,
+    jet_order,
+    jets_of,
+    subterms,
+)
 from liesym.parse import format_expr, format_exprs
 
 import test_expr
@@ -188,7 +196,7 @@ def test_walkers_visit_each_distinct_node_once(monkeypatch):
     distinct = len({id(s) for s in expr._distinct(e)})
     assert distinct < 200
     calls = counting(monkeypatch, expr, "_kids")
-    for walk, want in [(jets_of, {u, ux, uxx}), (jet_order, 2),
+    for walk, want in [(jets_of, (u, ux, uxx)), (jet_order, 2),
                        (lambda e: contains(e, Jet(1, (2,))), False),
                        (lambda e: contains(e, Param("c")), False)]:
         calls.clear()
@@ -203,7 +211,7 @@ def test_walkers_agree_with_subterms(rng):
     for _ in range(200):
         e = rand_expr(rng, atoms, depth=4)
         jets = {s for s in subterms(e) if isinstance(s, Jet)}
-        assert jets_of(e) == jets
+        assert jets_of(e) == tuple(sorted(jets, key=_term_order))
         assert jet_order(e) == max((j.order for j in jets), default=0)
         for a in atoms[:6] + [Var(3), Jet(1, (1, 1, 1))]:
             assert contains(e, a) == any(s == a for s in subterms(e))
