@@ -90,9 +90,14 @@ whose result depends on its order sorts first.  The rational fields
 variables and jet coordinates stay in their tables for the life of the
 process; every other node is held weakly, under a key that names its
 children by their serial numbers, never by the nodes, and leaves its table
-when it is freed, the partials and total derivatives it keeps with it.
-Pickling, copying and ``dataclasses.replace`` return the interned node, and
-``repr`` shows the fields only.
+when it is freed, the partials and total derivatives it keeps with it.  A
+key is the kind's tag, its fields (a rational as numerator and denominator)
+and its children's serial numbers, one flat tuple, written as a literal for
+a product of one or two factors and a sum of two terms.  A new node's
+fields are set through its kind's slot descriptors.  Pickling, copying and
+``dataclasses.replace`` return the interned node; ``repr`` shows the fields
+only, in the dataclass form, and cuts the text with ``...`` after
+``_REPR_BUDGET`` characters, since a shared subtree is written at each use.
 
 Zero testing is syntactic after :func:`expand`; transcendental identities are
 deliberately out of reach (``sin(x)^2 + cos(x)^2 - 1`` is reported as not
@@ -146,6 +151,30 @@ class Expr:
         # interned node
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
+    def __repr__(self):
+        # the dataclass repr's text, built without recursion and cut at
+        # _REPR_BUDGET characters, since a shared subtree shows at each use
+        out, size, todo = [], 0, [self]
+        while todo and size <= _REPR_BUDGET:
+            x = todo.pop()
+            if isinstance(x, Expr):
+                parts = [type(x).__qualname__, "("]
+                for i, name in enumerate(x.__match_args__):
+                    v = getattr(x, name)
+                    seq = v if type(v) is tuple else (v,)
+                    parts += (", " if i else "", name, "=", "(" if seq is v else "")
+                    for k, item in enumerate(seq):
+                        parts += (", " if k else "",
+                                  item if isinstance(item, Expr) else repr(item))
+                    parts.append(("," if len(v) == 1 else "") + ")" if seq is v else "")
+                parts.append(")")
+                todo += reversed(parts)
+            else:
+                out.append(x)
+                size += len(x)
+        text = "".join(out)
+        return text if size <= _REPR_BUDGET else text[:_REPR_BUDGET] + "..."
+
     def __add__(self, other):
         return add(self, _coerce(other))
 
@@ -183,21 +212,25 @@ class Expr:
 # can match a node made after the child it names was freed.  A dead entry
 # goes by _remove_dead_weakref, the atomic delete-if-dead of
 # WeakValueDictionary.
-_node = dataclass(frozen=True, slots=True, init=False, eq=False)
-_new, _set = object.__new__, object.__setattr__
+_node = dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+_new = object.__new__
 _NODES: dict = {}       # key -> _Ref to the node, for all kinds but Var and Jet
 _serial = itertools.count()
 _sn = operator.attrgetter("_n")
+_REPR_BUDGET = 500_000
+# slot setters, skipping the frozen __setattr__ (each kind's in _SETTERS)
+_set_ord, _set_n, _set_grads, _set_tds = (
+    getattr(Expr, s).__set__ for s in ("_ord", "_n", "_grads", "_tds"))
 
 
 def _make(cls, fields: tuple):
     node = _new(cls)
-    for name, value in zip(cls.__match_args__, fields):
-        _set(node, name, value)
-    _set(node, "_ord", _ORD[cls](*fields))
-    _set(node, "_n", next(_serial))
-    _set(node, "_grads", None)
-    _set(node, "_tds", None)
+    for put, value in zip(_SETTERS[cls], fields):
+        put(node, value)
+    _set_ord(node, _ORD[cls](*fields))
+    _set_n(node, next(_serial))
+    _set_grads(node, None)
+    _set_tds(node, None)
     return node
 
 
@@ -349,8 +382,12 @@ class Mul(Expr):
 
     def __new__(cls, coeff, factors):
         c = _rational(coeff)
-        return _intern(cls, (7, c.numerator, c.denominator, *map(_sn, factors)),
-                       c, factors)
+        n, d, k = c.numerator, c.denominator, len(factors)
+        # (7, n, d, *map(_sn, factors)), a literal for the common lengths
+        key = ((7, n, d, factors[0]._n) if k == 1 else
+               (7, n, d, factors[0]._n, factors[1]._n) if k == 2 else
+               (7, n, d, *map(_sn, factors)))
+        return _intern(cls, key, c, factors)
 
 
 @_node
@@ -358,7 +395,9 @@ class Add(Expr):
     terms: tuple[Expr, ...]
 
     def __new__(cls, terms):
-        return _intern(cls, (8, *map(_sn, terms)), terms)
+        key = ((8, terms[0]._n, terms[1]._n) if len(terms) == 2 else
+               (8, *map(_sn, terms)))
+        return _intern(cls, key, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +421,8 @@ _ORD = {
     Mul: lambda coeff, factors: (7, tuple(map(_term_order, factors)), coeff),
     Add: lambda terms: (8, tuple(map(_term_order, terms))),
 }
+_SETTERS = {cls: tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
+            for cls in _ORD}
 
 
 def _factor_order(f: Expr) -> tuple:
@@ -508,7 +549,8 @@ def _term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
 
 def add(*args) -> Expr:
     # factor tuple -> (coefficient, the input term while it is the tuple's
-    # only term and equals what _term would build from it, else None)
+    # only term and equals what _term would build from it, else None); ZERO
+    # is skipped and a raw zero Mul gets None, so a kept input is nonzero
     acc: dict[tuple[Expr, ...], tuple] = {}
     for a in args:
         if type(a) is Add:
@@ -519,15 +561,19 @@ def add(*args) -> Expr:
             tt = type(t)
             if tt is Mul:
                 c, fs = t.coeff, t.factors
-                if len(fs) < 2 and (not fs or c == 1 or type(fs[0]) is Add):
+                if len(fs) < 2 and (not fs or c == 1 or type(fs[0]) is Add) \
+                        or not c:
                     t = None
             elif tt is Const:
+                if t is ZERO:
+                    continue
                 c, fs = t.value, ()
             else:
                 c, fs = _Q1, (t,)
             prev = acc.get(fs)
             acc[fs] = (c, t) if prev is None else (prev[0] + c, None)
-    out = [_term(c, fs) if t is None else t for fs, (c, t) in acc.items() if c]
+    out = [t if t is not None else _term(c, fs)
+           for fs, (c, t) in acc.items() if t is not None or c]
     if len(out) < 2:
         return out[0] if out else ZERO
     if len(out) > 2:
@@ -596,7 +642,8 @@ def _merge_term(c: Fraction, d: Expr, rest: tuple[Expr, ...]) -> Expr:
     does ``mul`` build the term."""
     if type(d) is Const:
         return _term(c * d.value, rest)
-    ds, cd = (d.factors, c * d.coeff) if type(d) is Mul else ((d,), c)
+    ds, cd = ((d.factors, d.coeff if c is _Q1 else c * d.coeff)
+              if type(d) is Mul else ((d,), c))
     out = []
     i = j = 0
     while i < len(ds) and j < len(rest):
@@ -611,7 +658,8 @@ def _merge_term(c: Fraction, d: Expr, rest: tuple[Expr, ...]) -> Expr:
         else:
             out.append(g)
             j += 1
-    return _term(cd, (*out, *ds[i:], *rest[j:]))
+    fs = (*out, *ds[i:], *rest[j:])
+    return Mul(cd, fs) if len(fs) > 1 else _term(cd, fs)
 
 
 def neg(e: Expr) -> Expr:
@@ -848,7 +896,7 @@ def _partials(e: Expr) -> dict[Expr, Expr]:
     out = e._grads
     if out is None:
         out = _node_partials(e)
-        _set(e, "_grads", out)
+        _set_grads(e, out)
     return out
 
 

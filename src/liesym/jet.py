@@ -20,7 +20,7 @@ from .expr import (
     _Q1,
     _merge_term,
     _partials,
-    _set,
+    _set_tds,
     _term_order,
     add,
     jet_order,
@@ -57,7 +57,7 @@ def _td(e: Expr, i: int) -> Expr:
     tds = e._tds
     if tds is None:
         tds = {}
-        _set(e, "_tds", tds)
+        _set_tds(e, tds)
     out = tds.get(i)
     if out is None:
         grads = _partials(e)

@@ -38,7 +38,6 @@ from .expr import (
     Var,
     ZERO,
     _digit_count,
-    _split,
     add,
     div,
     func,
@@ -352,7 +351,7 @@ def _fmt_const(v: Fraction, prec: int) -> str:
         if v.denominator != 1:
             digits += _digit_count(v.denominator)
         raise LiesymError(f"constant of {digits} digits is too long to print") from None
-    if prec > _ADD and (v < 0 or v.denominator != 1):
+    if prec > _ADD and (v.numerator < 0 or v.denominator != 1):
         return _paren(s)
     return s
 
@@ -386,12 +385,10 @@ def _ufunc_name(u: UFunc, ctx: Context) -> str:
 
 def _fmt_product(c: Fraction, fs: tuple[Expr, ...], ctx: Context, memo: dict) -> str:
     """The text of the product of ``c`` and the factors ``fs``, unparenthesized."""
-    body = "*".join([_fmt(f, ctx, _MUL, memo) if not isinstance(f, Add)
+    body = "*".join([_fmt(f, ctx, _MUL, memo) if type(f) is not Add
                      else _paren(_fmt(f, ctx, _ADD, memo)) for f in fs])
-    if c == 1:
-        return body
-    if c == -1:
-        return "-" + body
+    if c.denominator == 1 and (c.numerator == 1 or c.numerator == -1):
+        return body if c.numerator == 1 else "-" + body
     return _fmt_const(c, _MUL) + "*" + body
 
 
@@ -401,23 +398,24 @@ def _fmt_negated(c: Fraction, fs: tuple[Expr, ...], ctx: Context, memo: dict) ->
     built from ``-c`` and ``fs`` without a new node."""
     if not fs:
         return _fmt_const(-c, _ADD)
-    if c == -1 and len(fs) == 1:
+    if len(fs) == 1 and c.numerator == -1 and c.denominator == 1:
         f = fs[0]
-        return _fmt(f, ctx, _MUL if isinstance(f, Add) else _ADD, memo)
+        return _fmt(f, ctx, _MUL if type(f) is Add else _ADD, memo)
     return _fmt_product(-c, fs, ctx, memo)
 
 
 def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
     """The text of ``e`` at precedence ``prec``.  ``memo`` maps
     ``(node, prec)`` to the node's text."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return _fmt_const(e.value, prec)
-    if isinstance(e, Var):
+    if t is Var:
         try:
             return ctx.indep[e.index - 1]
         except IndexError:
             raise UnknownSymbol(f"{e!r} is not a variable of the context") from None
-    if isinstance(e, Param):
+    if t is Param:
         if e.name not in ctx.params:
             raise UnknownSymbol(f"{e!r} is not a parameter of the context")
         return e.name
@@ -425,38 +423,42 @@ def _fmt(e: Expr, ctx: Context, prec: int, memo: dict) -> str:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(e, Jet):
-        s = _jet_name(e, ctx)
-    elif isinstance(e, UFunc):
-        s = _ufunc_name(e, ctx)
-    elif isinstance(e, Func):
-        s = e.fname + _paren(_fmt(e.arg, ctx, _ADD, memo))
-    elif isinstance(e, Pow):
-        if isinstance(e.base, (Add, Mul, Pow)):
+    if t is Mul:
+        s = _fmt_product(e.coeff, e.factors, ctx, memo)
+        if prec >= _POW or (prec > _ADD and s.startswith("-")):
+            s = _paren(s)
+    elif t is Add:
+        terms = e.terms
+        parts = [_fmt(terms[0], ctx, _ADD, memo)]
+        for u in terms[1:]:
+            tu = type(u)
+            c = u.coeff if tu is Mul else u.value if tu is Const else None
+            if c is not None and c.numerator < 0:
+                parts += (" - ", _fmt_negated(c, u.factors if tu is Mul else (),
+                                              ctx, memo))
+            else:
+                parts += (" + ", _fmt(u, ctx, _ADD, memo))
+        s = "".join(parts)
+        if prec > _ADD:
+            s = _paren(s)
+    elif t is Pow:
+        if type(e.base) in (Add, Mul, Pow):
             base = _paren(_fmt(e.base, ctx, _ADD, memo))
         else:
             base = _fmt(e.base, ctx, _POW, memo)
         exp = e.exp
-        if exp.denominator == 1 and exp >= 0:
-            s = f"{base}^{exp}"
+        if exp.denominator == 1 and exp.numerator >= 0:
+            s = f"{base}^{exp.numerator}"
         else:
             s = f"{base}^({exp})"
-    elif isinstance(e, Mul):
-        s = _fmt_product(e.coeff, e.factors, ctx, memo)
-        if prec >= _POW or (prec > _ADD and s.startswith("-")):
-            s = _paren(s)
-    elif isinstance(e, Add):
-        s = _fmt(e.terms[0], ctx, _ADD, memo)
-        for t in e.terms[1:]:
-            c, fs = _split(t)
-            if c < 0:
-                s += " - " + _fmt_negated(c, fs, ctx, memo)
-            else:
-                s += " + " + _fmt(t, ctx, _ADD, memo)
-        if prec > _ADD:
-            s = _paren(s)
+    elif t is Jet:
+        s = _jet_name(e, ctx)
+    elif t is UFunc:
+        s = _ufunc_name(e, ctx)
+    elif t is Func:
+        s = e.fname + _paren(_fmt(e.arg, ctx, _ADD, memo))
     else:
-        raise TypeError(type(e))
+        raise TypeError(t)
     memo[key] = s
     return s
 

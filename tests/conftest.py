@@ -180,10 +180,13 @@ def ref_mul(*args) -> Expr:
 
 def same_tree(a, b) -> bool:
     """Node for node: equal, the same ``repr`` (which shows the type of every
-    exponent and coefficient), and the same type of every constant's value."""
+    exponent and coefficient), and the same type of every constant's value.
+    The trees must be small enough that ``repr`` writes them whole."""
     def const_types(e):
         return [type(s.value) for s in subterms(e) if isinstance(s, Const)]
-    return a == b and repr(a) == repr(b) and const_types(a) == const_types(b)
+    text = repr(a)
+    assert len(text) <= ls.expr._REPR_BUDGET, "repr cut: compare smaller trees"
+    return a == b and text == repr(b) and const_types(a) == const_types(b)
 
 
 def rand_rational(rng, lo=-4, hi=4):

@@ -45,7 +45,7 @@ from liesym.expr import (
 from liesym._distributed import _Exp, _num
 
 from conftest import base_exp as _base_exp
-from conftest import rand_expr, rand_poly, rand_rational
+from conftest import rand_expr, rand_poly, rand_rational, ref_add, same_tree
 
 x = Var(1)
 u = Jet(1, ())
@@ -670,6 +670,46 @@ class TestInterning:
         assert repr(ls.mul(3, x, ux)) == (
             "Mul(coeff=Fraction(3, 1), factors=(Var(index=1), Jet(dep=1, idx=(1,))))")
 
+    def test_repr_of_a_shared_chain_is_cut(self):
+        # the dataclass repr writes the shared subtree at each use, so its
+        # text doubles with every level of sharing
+        def ref_repr(e):
+            if not isinstance(e, Expr):
+                if type(e) is not tuple:
+                    yield repr(e)
+                    return
+                yield "("
+                for k, item in enumerate(e):
+                    yield ", " if k else ""
+                    yield from ref_repr(item)
+                yield ",)" if len(e) == 1 else ")"
+                return
+            yield type(e).__qualname__ + "("
+            for k, name in enumerate(e.__match_args__):
+                yield f"{', ' if k else ''}{name}="
+                yield from ref_repr(getattr(e, name))
+            yield ")"
+
+        def head(e, n):
+            text = ""
+            for piece in ref_repr(e):
+                text += piece
+                if len(text) > n:
+                    break
+            return text
+
+        e = ls.add(u, 1)
+        for k in range(60):
+            e = ls.add(ls.mul(ux, e), ls.mul(x, e))
+            if k == 3:
+                small = e
+        budget = ls.expr._REPR_BUDGET
+        assert len(repr(small)) < budget and repr(small) == head(small, budget)
+        t = time.perf_counter()
+        text = repr(e)
+        assert time.perf_counter() - t < 0.5
+        assert text == head(e, budget)[:budget] + "..."
+
     def test_chains_built_apart_are_one_node(self):
         a, b = ls.add(u, 1), ls.add(1, u)
         for _ in range(30):
@@ -836,6 +876,92 @@ class TestInterning:
         finally:
             gc.enable()
         assert (3, "dropped") not in _NODES
+
+
+def ref_key(e):
+    """The ``_NODES`` key of a node, as ``(tag, *fields, *map(_sn,
+    children))`` builds it: a rational field as its numerator and
+    denominator, a child by its serial number."""
+    def q(v):
+        return (v.numerator, v.denominator)
+
+    sn = [k._n for k in (e.terms if isinstance(e, Add) else e.factors
+                         if isinstance(e, Mul) else e.args if isinstance(e, UFunc)
+                         else (e.base,) if isinstance(e, Pow) else (e.arg,)
+                         if isinstance(e, Func) else ())]
+    if isinstance(e, Const):
+        return (0, *q(e.value))
+    if isinstance(e, Param):
+        return (3, e.name)
+    if isinstance(e, UFunc):
+        return (4, e.name, e.deriv, *sn)
+    if isinstance(e, Func):
+        return (5, e.fname, *sn)
+    if isinstance(e, Pow):
+        return (6, *sn, *q(e.exp))
+    if isinstance(e, Mul):
+        return (7, *q(e.coeff), *sn)
+    return (8, *sn)
+
+
+class TestInternKeys:
+    """A fresh node's key in the table is exactly the reference key, and a
+    fresh node of every kind starts with no partials, no total derivatives
+    and the reference order key."""
+
+    @staticmethod
+    def fresh(name):
+        # nodes no other test builds, each a miss: every one holds a fresh
+        # parameter; 1, 2 and 3 or more children for each sequence kind
+        p, r = Param(name), Param(name + "'")
+        kids = [p, ls.add(x, p), ls.mul(u, r), r, ls.func("sin", p)]
+        nodes = [Const(Fraction(len(name) * 1000 + 7, 3)), p,
+                 Func("exp", p), Pow(ls.add(x, p), Fraction(-3, 2)), Pow(p, 2)]
+        for k in (1, 2, 3, 5):
+            nodes += [UFunc(name, tuple(kids[:k]), (0,) * k),
+                      Mul(Fraction(-k, 2), tuple(kids[:k])),
+                      Mul(Fraction(k), tuple(kids[:k])), Add(tuple(kids[:k]))]
+        return nodes
+
+    def test_fresh_keys_are_the_reference(self):
+        nodes = self.fresh("keyed")
+        keys = {}
+        for e in nodes:
+            key = ref_key(e)
+            assert _NODES[key]() is e and _NODES[key].key == key, e
+            assert [k for k, r in _NODES.items() if r() is e] == [key]
+            keys[key] = e
+        assert len(keys) == len(nodes)
+        # a tag names one kind, so keys of two kinds never meet
+        tags = {}
+        for key, e in keys.items():
+            assert tags.setdefault(key[0], type(e)) is type(e)
+        assert set(tags.values()) == {Const, Param, UFunc, Func, Pow, Mul, Add}
+
+    def test_hit_and_miss_give_one_key(self):
+        p = Param("rebuilt")
+        for build in (lambda: ls.mul(3, x, p), lambda: ls.add(x, p),
+                      lambda: ls.mul(p, ls.add(u, p)), lambda: ls.add(x, u, p),
+                      lambda: UFunc("G", (x, p)), lambda: ls.mul(Fraction(1, 2), p)):
+            e = build()
+            assert build() is e and _NODES[ref_key(e)]() is e
+
+    def test_fresh_nodes_start_empty(self):
+        nodes = self.fresh("empty") + [Var(977), Jet(1, (4, 4, 4, 4, 4, 4, 4))]
+        assert {type(e) for e in nodes} == {Const, Var, Jet, Param, UFunc, Func,
+                                            Pow, Mul, Add}
+        for e in nodes:
+            assert e._grads is None and e._tds is None, e
+            assert e._ord == sort_key(e), e
+
+    @pytest.mark.parametrize("args", [
+        (ZERO,), (x, ZERO), (Const(Fraction(0, 3)), x), (x, ls.neg(x)),
+        (ls.mul(2, x), ls.mul(-2, x), 1), (Mul(2, (x,)),),
+        (Mul(Fraction(0), (x, Var(2))),), (Mul(Fraction(0), (x, Var(2))), u),
+        (Add((ZERO, x)),), (Mul(Fraction(2, 2), (x, u)), ls.mul(x, u)),
+    ])
+    def test_add_against_the_reference(self, args):
+        assert same_tree(ls.add(*args), ref_add(*args))
 
 
 class TestPartialsCache:

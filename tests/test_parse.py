@@ -12,7 +12,7 @@ from liesym import Const, Jet, ParseError, Pow, Var, format_expr, parse_expr, pa
 from liesym.expr import Add, Func, Mul, Param, UFunc, _split, neg, subterms
 from liesym.parse import (
     _ADD, _MAX_NESTING, _MUL, _POW, _fmt, _fmt_const, _fmt_negated, _jet_name,
-    _paren, _ufunc_name,
+    _paren, _ufunc_name, format_exprs,
 )
 
 from conftest import rand_expr, rand_poly
@@ -311,6 +311,33 @@ def ref_fmt(e, ctx, prec):
     raise TypeError(type(e))
 
 
+def edge_trees():
+    """Trees at the printer's edges, over x = Var(1), y = Var(2) and u:
+    unit coefficients that are not ``Fraction(1)`` itself, a negative
+    constant as a power base, exponents -1, 1/2 and -3/2, negative constant
+    terms, and a sum inside a product inside a power."""
+    x, y, u = Var(1), Var(2), Jet(1, ())
+    half, s = Const(Fraction(-1, 2)), ls.add(x, u)
+    one, minus_one = Fraction(2, 2), Fraction(-3, 3)
+    trees = [Mul(one, (x, u)), Mul(minus_one, (x, u)), Mul(minus_one, (s,)),
+             Add((x, Mul(one, (u, y)), Mul(minus_one, (y,)), Mul(minus_one, (s,)))),
+             Add((Const(minus_one), x)), Add((x, Const(Fraction(-5, 3)))),
+             ls.add(x, -3), ls.add(ls.mul(-2, x), Fraction(-1, 2)), ls.sub(1, s),
+             ls.mul(x, ls.add(y, -1))]
+    for q in (Fraction(-1), Fraction(1, 2), Fraction(-3, 2)):
+        product = Mul(Fraction(2), (s, y))
+        trees += [Pow(half, q), Pow(x, q), Pow(s, q), Pow(ls.mul(-1, x), q),
+                  Pow(product, q), ls.pow_(ls.mul(3, s, y), q),
+                  ls.add(x, ls.mul(-1, Pow(half, q)), Mul(minus_one, (Pow(s, q),))),
+                  Mul(Fraction(-1, 3), (Pow(half, q), Pow(product, q)))]
+    return trees
+
+
+def generic_order5():
+    prob = parse_problem((PROBLEMS / "generic.prob").read_text())
+    return ls.prolong(prob.vfields["generic"], 5), prob.ctx
+
+
 class TestNegativeTerms:
     def atoms(self, ctx):
         return [Var(1), Var(2), Jet(1, ()), Jet(1, (1,)), Jet(1, (1, 2)),
@@ -340,6 +367,19 @@ class TestNegativeTerms:
                         kinds.add(type(u).__name__ if isinstance(u, (Const, Mul))
                                   else "factor")
         assert kinds == {"Const", "Mul", "factor"}
+
+    @pytest.mark.parametrize("e", edge_trees())
+    def test_edge_cases_match_reference(self, e, ctx):
+        assert format_expr(e, ctx) == ref_fmt(e, ctx, _ADD)
+        for prec in (_MUL, _POW):
+            assert _fmt(e, ctx, prec, {}) == ref_fmt(e, ctx, prec)
+
+    def test_order5_prolongation_matches_reference(self):
+        pv, ctx = generic_order5()
+        exprs = [*pv.coeffs.values()]
+        want = [ref_fmt(e, ctx, _ADD) for e in exprs]
+        assert format_exprs(exprs, ctx) == want
+        assert sum(" - " in w for w in want) > len(want) // 2
 
     def test_format_matches_reference(self, rng, ctx):
         negative = 0
@@ -478,6 +518,21 @@ class TestSharedSubtrees:
         pv = ls.prolong(prob.vfields["generic"], 4)
         for e in pv.coeffs.values():
             assert format_expr(e, prob.ctx) == ref_format_expr(e, prob.ctx)
+
+    def test_edge_cases_shared(self, ctx):
+        # each edge tree at several precedences and beside its negation, one
+        # memo for them all
+        trees = edge_trees()
+        batch = [e for t in trees for e in (t, ls.neg(t), ls.mul(t, ls.add(t, Var(2))),
+                                           ls.pow_(t, Fraction(-3, 2)))]
+        assert format_exprs(batch, ctx) == [ref_format_expr(e, ctx) for e in batch]
+        for e in trees:
+            assert format_expr(e, ctx) == ref_format_expr(e, ctx)
+
+    def test_problem_file_order5_prolongation(self):
+        pv, ctx = generic_order5()
+        exprs = [*pv.coeffs.values()]
+        assert format_exprs(exprs, ctx) == [ref_format_expr(e, ctx) for e in exprs]
 
     def test_memo_lives_for_one_call(self, ctx):
         e = ls.add(ls.mul(-2, Var(1), Jet(1, ())), ls.func("exp", Var(2)))
