@@ -2,8 +2,9 @@
 
 :func:`liesym.detsys.determining_equations` builds the symmetry defects of a
 polynomial system here, as ``{monomial: coefficient}`` dicts on the
-generator table of :class:`liesym._distributed._Poly`, deduplicates their
-coefficients as dicts, and builds trees only for the ones it returns.  The
+generator table of :class:`liesym._distributed._Poly`, and deduplicates
+their coefficients as dicts; ``solve`` reads those dicts, and trees are
+built only when the system's ``equations`` are read.  The
 generators are jet coordinates, independent variables, parameters and the
 unknown coefficient functions of the generic field.  The total derivative
 ``D_i`` acts on them as a derivation, cached per generator:
@@ -45,6 +46,14 @@ from .expr import Expr, Jet, UFunc, Var, jets_of
 
 class _Fallback(Exception):
     """The ring cannot hold the system or reduce it within the order cap."""
+
+
+class _RingEquations:
+    """Determining equations as the coefficient ``dicts`` on the ring's
+    ``_Poly`` ``k``, and as ``trees`` once built."""
+
+    def __init__(self, k: _Poly, dicts: list[dict]):
+        self.k, self.dicts, self.trees = k, dicts, None
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -285,10 +294,10 @@ class _Ring:
 
 
 def ring_determining(sys, xi, phi, cap: int, reduction):
-    """(split jets, equations) of the generic field with coefficients
-    ``xi``, ``phi`` on ``sys``.  The equations are the coefficient trees of
-    the defects in turn, each once up to sign with the sign seen first,
-    deduplicated on the coefficient dicts before any tree is built.  Raises
+    """(split jets, :class:`_RingEquations`) of the generic field with
+    coefficients ``xi``, ``phi`` on ``sys``: the coefficient dicts of the
+    defects in turn, each once up to sign with the sign seen first and its
+    terms in the order of its tree, which ``solve``'s rows follow.  Raises
     :class:`_Fallback` when ``sys`` has a lead of order 0 or a right-hand
     side the ring cannot hold, or when a reduction would pass ``cap``.
     ``reduction(j)`` names the first equation whose lead divides jet ``j``
@@ -310,5 +319,5 @@ def ring_determining(sys, xi, phi, cap: int, reduction):
             if key not in seen:
                 seen.add(key)
                 seen.add(frozenset((m, -x) for m, x in c.items()))
-                eqs.append(k.tree(c))
-    return {gens[g] for g in split}, tuple(eqs)
+                eqs.append(dict(sorted(c.items(), key=ring.term_key)))
+    return {gens[g] for g in split}, _RingEquations(k, eqs)

@@ -17,9 +17,10 @@ its first visit back; only such nodes are stored, so a node that occurs
 once costs no memory.  First visits keep their order, and so does the
 numbering of generators.
 
-:func:`liesym.expr.collect` and :func:`liesym.detsys.solve_determining` read
-the monomials of ``expand(e)`` from the kernel (:meth:`_Poly.monomials`) and
-build trees only for what they return.
+:func:`liesym.expr.collect` reads the monomials of ``expand(e)`` from the
+kernel (:meth:`_Poly.monomials`) and builds trees only for what it returns.
+:func:`liesym.detsys.solve_determining` reads each equation tree's monomials
+so too, but takes a ring-built system's dicts as they are, with no tree.
 """
 from __future__ import annotations
 

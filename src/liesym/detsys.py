@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratla
-from ._diffring import _Fallback, ring_determining
+from ._diffring import _Fallback, _RingEquations, ring_determining
 from ._distributed import _ANSATZ_COLUMN_CAP, _Poly, _cap_error
 from .errors import (
     LiesymError,
@@ -23,12 +23,12 @@ from .expr import (
     Context,
     Expr,
     Jet,
-    ONE,
     Param,
+    Pow,
     UFunc,
     Var,
     ZERO,
-    _split,
+    _factor_order,
     _term,
     _term_order,
     add,
@@ -39,7 +39,6 @@ from .expr import (
     is_zero,
     jet_order,
     jets_of,
-    mul,
     neg,
     sub,
     substitute,
@@ -177,14 +176,31 @@ def check_symmetry(v: VectorField, sys: DiffSystem,
     return all(is_zero(d) for d in symmetry_defect(v, sys, order_cap))
 
 
+class _EquationsField:
+    """The ``equations`` field; it builds a ring-built system's trees."""
+
+    def __get__(self, ds, owner=None):
+        if ds is None:
+            raise AttributeError("equations")   # so the field has no default
+        eqs = ds.__dict__["equations"]
+        if type(eqs) is _RingEquations:
+            eqs.trees = eqs.trees or tuple(map(eqs.k.tree, eqs.dicts))
+            return eqs.trees
+        return eqs
+
+    def __set__(self, ds, eqs):
+        ds.__dict__["equations"] = eqs
+
+
 @dataclass(frozen=True)
 class DeterminingSystem:
-    """Coefficient equations that the infinitesimal coefficients must satisfy."""
+    """Coefficient equations that the infinitesimal coefficients must satisfy;
+    a ring-built system builds their trees only when ``equations`` is read."""
 
     ctx: Context              # extended with the unknown coefficient functions
     xi_names: tuple[str, ...]
     phi_names: tuple[str, ...]
-    equations: tuple[Expr, ...]
+    equations: tuple[Expr, ...] = _EquationsField()
     splitting_vars: tuple[Jet, ...]
 
 
@@ -216,9 +232,10 @@ def determining_equations(sys: DiffSystem,
 
     A polynomial system takes the differential polynomial ring of
     ``liesym._diffring`` (its docstring says which systems do), where the
-    defects are ``{monomial: coefficient}`` dicts, deduplicated as dicts,
-    and only the returned equations are built as trees.  Any other system (a
-    function such as ``exp(u)``, a negative or fractional power), and any
+    defects are ``{monomial: coefficient}`` dicts, deduplicated as dicts;
+    the system keeps them for :func:`solve_determining` and builds trees
+    only when ``equations`` is read.  Any other system (a function such as
+    ``exp(u)``, a negative or fractional power), and any
     system whose reduction would pass the order cap, takes the tree path:
     :func:`symmetry_defect`, then :func:`~liesym.expr.collect` of each
     defect.  Both give the same equations, splitting variables and errors,
@@ -283,11 +300,6 @@ def _exponents(n: int, degree: int) -> list[tuple[int, ...]]:
                 vec[k] += 1
             out.append(tuple(vec))
     return out
-
-
-def _monomial(atoms: Sequence[Expr], vec: tuple[int, ...]) -> Expr:
-    """The product of ``atoms`` raised to the exponents ``vec``."""
-    return mul(*(a ** e for a, e in zip(atoms, vec))) if any(vec) else ONE
 
 
 def _columns(ds: DeterminingSystem, ansatz: Ansatz):
@@ -358,24 +370,27 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
 
     Each unknown F is the sum over its monomials m_k of c_k*m_k, so a
     derivative D(F) is a fixed linear map from the c_k to base monomials.
-    Rows are assembled from those maps, tabulated once per derivative, one row
-    per (equation, base monomial).  The kernel stays sparse from the RREF
-    on, and each vector is instantiated through a column -> (unknown,
-    monomial) table built once per solve, so that work follows the kernel's
-    nonzeros rather than its dimension times the column count.  Raises
-    :class:`NotPolynomial` when a term that survives instantiation is not
-    polynomial in the base variables or not linear homogeneous in the c_k.
+    Rows are assembled from those maps, tabulated once per derivative, one
+    row per (equation, base monomial), from the ring's dicts of a ring-built
+    system and else from the monomials of ``ds.equations``.  The kernel stays
+    sparse from the RREF on, and each vector is instantiated through a column
+    -> (unknown, monomial) table built once per solve, so that work follows
+    the kernel's nonzeros rather than its dimension times the column count.
+    Raises :class:`NotPolynomial` when a term that survives instantiation is
+    not polynomial in the base variables or not linear homogeneous in the c_k.
     """
     ctx = ds.ctx
     base_slot, unknowns, ncols, table = _columns(ds, ansatz)
     base_atoms = tuple(base_slot)
     width = len(base_atoms)
-    k = _Poly()
+    eqs = ds.__dict__["equations"]
+    ring = type(eqs) is _RingEquations
+    k = eqs.k if ring else _Poly()
+    polys = eqs.dicts if ring else map(k.monomials, eqs)
     gens = k.gens
 
     rows: list[tuple[tuple[int, int | Fraction], ...]] = []
-    for eq in ds.equations:
-        poly = k.monomials(eq)
+    for poly in polys:
         # (base exponents, other (generator, exponent) pairs) -> row
         acc: dict[tuple, dict[int, int | Fraction]] = {}
         nonlinear = False
@@ -450,7 +465,9 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
             name, args, exps = owner[col]
             fs = factors.get(col)
             if fs is None:
-                fs = factors[col] = _split(_monomial(args, exps))[1]
+                fs = factors[col] = tuple(sorted(
+                    (a if e == 1 else Pow(a, e) for a, e in zip(args, exps) if e),
+                    key=_factor_order))
             terms.setdefault(name, []).append(_term(x if lead == 1 else x / lead, fs))
         xi = tuple(add(*terms.get(n, ())) for n in ds.xi_names)
         phi = tuple(add(*terms.get(n, ())) for n in ds.phi_names)

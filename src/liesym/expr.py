@@ -383,6 +383,8 @@ class Mul(Expr):
     def __new__(cls, coeff, factors):
         c = _rational(coeff)
         n, d, k = c.numerator, c.denominator, len(factors)
+        if not n:
+            raise ValueError("a product's coefficient is 0")
         # (7, n, d, *map(_sn, factors)), a literal for the common lengths
         key = ((7, n, d, factors[0]._n) if k == 1 else
                (7, n, d, factors[0]._n, factors[1]._n) if k == 2 else
@@ -526,15 +528,6 @@ class Context:
 # smart constructors
 # ---------------------------------------------------------------------------
 
-def _split(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
-    """Split into (rational coefficient, unit factor tuple)."""
-    if isinstance(e, Const):
-        return e.value, ()
-    if isinstance(e, Mul):
-        return e.coeff, e.factors
-    return _Q1, (e,)
-
-
 def _term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
     if not coeff or not factors:
         return Const(coeff)
@@ -550,7 +543,7 @@ def _term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
 def add(*args) -> Expr:
     # factor tuple -> (coefficient, the input term while it is the tuple's
     # only term and equals what _term would build from it, else None); ZERO
-    # is skipped and a raw zero Mul gets None, so a kept input is nonzero
+    # is skipped and a Mul is never zero, so a kept input is nonzero
     acc: dict[tuple[Expr, ...], tuple] = {}
     for a in args:
         if type(a) is Add:
@@ -561,8 +554,7 @@ def add(*args) -> Expr:
             tt = type(t)
             if tt is Mul:
                 c, fs = t.coeff, t.factors
-                if len(fs) < 2 and (not fs or c == 1 or type(fs[0]) is Add) \
-                        or not c:
+                if len(fs) < 2 and (not fs or c == 1 or type(fs[0]) is Add):
                     t = None
             elif tt is Const:
                 if t is ZERO:

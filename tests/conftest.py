@@ -33,7 +33,6 @@ from liesym.expr import (
     _Q1,
     _coerce,
     _factor_order,
-    _split,
     _term,
     _term_order,
     collect,
@@ -99,6 +98,17 @@ def base_exp(f):
     return f, Fraction(1)
 
 
+def split_term(e):
+    """(rational coefficient, unit factor tuple) of a term: the helper
+    liesym.expr had before the solver built each ansatz monomial's factors
+    directly, kept for the reference implementations in the tests."""
+    if isinstance(e, Const):
+        return e.value, ()
+    if isinstance(e, Mul):
+        return e.coeff, e.factors
+    return _Q1, (e,)
+
+
 def ref_monomials(atoms, degree):
     """(exponent vector, monomial) of every ansatz monomial: the helper
     liesym.detsys had before solve_determining built monomials only for the
@@ -126,7 +136,7 @@ def ref_add(*args) -> Expr:
     for a in stack:
         terms = a.terms if isinstance(a, Add) else (a,)
         for t in terms:
-            c, fs = _split(t)
+            c, fs = split_term(t)
             prev = acc.get(fs)
             acc[fs] = c if prev is None else prev + c
     out = [_term(c, fs) for fs, c in acc.items() if c]

@@ -20,7 +20,6 @@ from liesym.expr import (
     UFunc,
     Var,
     _merge_term,
-    _split,
     add,
     func,
     mul,
@@ -38,6 +37,7 @@ from conftest import (
     ref_mul,
     same_tree,
 )
+from conftest import split_term as _split
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 

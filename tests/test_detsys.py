@@ -19,7 +19,6 @@ from liesym.expr import (
     ONE,
     Param,
     UFunc,
-    _split,
     atoms_of,
     contains,
     expand,
@@ -28,6 +27,7 @@ from liesym.expr import (
 from conftest import base_exp as _base_exp
 from conftest import rand_poly, ref_derivative_table
 from conftest import ref_monomials as _monomials
+from conftest import split_term as _split
 
 x = Var(1)
 t = Var(2)

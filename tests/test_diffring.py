@@ -15,7 +15,7 @@ import pytest
 
 import liesym as ls
 from liesym import Ansatz, Jet, UFunc, Var, detsys, ratla
-from liesym._diffring import _Ring, ring_determining
+from liesym._diffring import _Ring, _RingEquations, ring_determining
 from liesym._distributed import _Poly
 from liesym.expr import _term_order, expand, partials
 from liesym.jet import total_derivative
@@ -197,6 +197,86 @@ def test_solve_reads_the_ring(monkeypatch, name, sys_):
             assert bases[2] == bases[0], (name, degree)
 
 
+def by_hand(ds):
+    """``ds`` rebuilt from its equation trees, which ``solve_determining``
+    reads through the tree path."""
+    return ls.DeterminingSystem(ds.ctx, ds.xi_names, ds.phi_names,
+                                ds.equations, ds.splitting_vars)
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_ring_dicts_and_trees_solve_alike(monkeypatch, name, sys_):
+    """At ansatz degrees 0-4, solving from the ring's dicts and from the
+    equation trees assembles the same matrix, row for row, and gives
+    node-identical bases, or the same error type and message (the systems
+    with parameters)."""
+    matrices = []
+    _kernel = ratla._kernel
+    monkeypatch.setattr(ratla, "_kernel", lambda m: matrices.append(m) or _kernel(m))
+    ds = ls.determining_equations(sys_)
+    assert type(vars(ds)["equations"]) is _RingEquations
+    for degree in range(5):
+        matrices.clear()
+        got = outcome(ls.solve_determining, ds, Ansatz(degree))
+        hand = by_hand(ds)
+        assert type(vars(hand)["equations"]) is tuple
+        same(got, outcome(ls.solve_determining, hand, Ansatz(degree)))
+        assert len(matrices) in (0, 2) and matrices[:1] == matrices[1:], name
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_equations_are_the_trees_of_the_ring_dicts(name, sys_):
+    """``equations`` is ``k.tree`` of each ring dict, in order, built on the
+    first read and kept; each dict lists its terms in its tree's order."""
+    ds = ls.determining_equations(sys_)
+    ring = vars(ds)["equations"]
+    assert ring.trees is None
+    eqs = ds.equations
+    assert type(eqs) is tuple and ring.trees is eqs and ds.equations is eqs
+    assert len(eqs) == len(ring.dicts)
+    for e, c in zip(eqs, ring.dicts):
+        assert e is ring.k.tree(c), name
+        terms = e.terms if type(e) is ls.Add else (e,)
+        assert list(terms) == [ring.k.product(m, x) for m, x in c.items()], name
+
+
+def trees_built(monkeypatch):
+    """Record the polynomial of each ``_Poly.tree`` call."""
+    calls = []
+    tree = _Poly.tree
+    monkeypatch.setattr(_Poly, "tree", lambda k, poly: calls.append(poly) or tree(k, poly))
+    return calls
+
+
+@pytest.mark.parametrize("name,sys_", HANDOFF,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_solving_a_ring_system_builds_no_equation_tree(monkeypatch, name, sys_):
+    """``determining_equations`` then ``solve_determining`` turns no
+    equation dict into a tree; only a right-hand side that is not flat
+    (cube, NLS) takes rounds of ``expand``, which build trees of their own."""
+    calls = trees_built(monkeypatch)
+    ds = ls.determining_equations(sys_)
+    for degree in (0, 2):
+        outcome(ls.solve_determining, ds, Ansatz(degree))
+    ring = vars(ds)["equations"]
+    assert ring.trees is None, name
+    assert not [p for p in calls if p in ring.dicts], name
+    assert bool(calls) == (name in ("cube", "nls")), name
+
+
+@pytest.mark.parametrize("eq", ["heat", "burgers", "kdv", "wave", "heat2d"])
+def test_cli_solve_builds_no_tree(monkeypatch, capsys, eq):
+    from liesym.cli import main
+
+    calls = trees_built(monkeypatch)
+    assert main(["solve", "--file", str(BENCH_PROBLEMS / f"{eq}.prob"),
+                 "--system", eq, "--degree", "3"]) == 0
+    assert '"dimension"' in capsys.readouterr().out
+    assert calls == []
+
+
 def rounds_taken(monkeypatch):
     """Record each expression ``_Poly.fixed_point`` runs its rounds on."""
     calls = []
@@ -280,7 +360,7 @@ def test_dict_dedup_is_distinct(name, sys_):
              if type(gens[g]) is Jet and gens[g].idx}
     candidates = [ring.k.tree(c) for d in defects
                   for c in ring.coefficients(d, split)]
-    same(eqs, detsys._distinct(candidates))
+    same(tuple(map(eqs.k.tree, eqs.dicts)), detsys._distinct(candidates))
 
 
 @pytest.mark.parametrize("name,sys_", HANDOFF + [("high6", parsed(high_order(6)))],

@@ -32,7 +32,6 @@ from liesym.expr import (
     _Poly,
     _factor_order,
     _rebuild,
-    _split,
     _term,
     _term_order,
     add,
@@ -45,6 +44,7 @@ from liesym.expr import (
 from liesym._distributed import _Exp, _num
 
 from conftest import base_exp as _base_exp
+from conftest import split_term as _split
 from conftest import rand_expr, rand_poly, rand_rational, ref_add, same_tree
 
 x = Var(1)
@@ -770,17 +770,21 @@ class TestInterning:
     @pytest.mark.parametrize("q", [Fraction(0), Fraction(3), Fraction(-2),
                                    Fraction(1, 2), Fraction(-7, 3)])
     def test_rational_fields_hash_by_ratio(self, q):
-        # every form of one ratio gives one node, hashed by its identity
+        # every form of one ratio gives one node, hashed by its identity; a
+        # product's coefficient is never zero (TestInternKeys)
         b = ls.add(x, u)
         n, d = q.numerator, q.denominator
-        for e in (Const(q), Pow(b, q), Mul(q, (x, ux))):
+        muls = [Mul(q, (x, ux))] if n else []
+        for e in (Const(q), Pow(b, q), *muls):
             assert hash(e) == object.__hash__(e)
         if d == 1:
             assert Const(n) is Const(q) and Pow(b, n) is Pow(b, q)
-            assert Mul(n, (x, ux)) is Mul(q, (x, ux))
+            assert not n or Mul(n, (x, ux)) is Mul(q, (x, ux))
         assert Pow(b, _Exp(q)) is Pow(b, q)
-        for e, name in ((Const(n), "value"), (Pow(b, n), "exp"),
-                        (Mul(n, (x,)), "coeff"), (Pow(b, _Exp(q)), "exp")):
+        fields = [(Const(n), "value"), (Pow(b, n), "exp"), (Pow(b, _Exp(q)), "exp")]
+        if n:
+            fields.append((Mul(n, (x,)), "coeff"))
+        for e, name in fields:
             assert type(getattr(e, name)) is Fraction
 
     @pytest.mark.parametrize("build", [
@@ -957,11 +961,18 @@ class TestInternKeys:
     @pytest.mark.parametrize("args", [
         (ZERO,), (x, ZERO), (Const(Fraction(0, 3)), x), (x, ls.neg(x)),
         (ls.mul(2, x), ls.mul(-2, x), 1), (Mul(2, (x,)),),
-        (Mul(Fraction(0), (x, Var(2))),), (Mul(Fraction(0), (x, Var(2))), u),
+        (Mul(Fraction(-3), (x, Var(2))),), (Mul(Fraction(-3), (x, Var(2))), u),
         (Add((ZERO, x)),), (Mul(Fraction(2, 2), (x, u)), ls.mul(x, u)),
     ])
     def test_add_against_the_reference(self, args):
         assert same_tree(ls.add(*args), ref_add(*args))
+
+    @pytest.mark.parametrize("coeff", [0, Fraction(0)])
+    def test_a_zero_coefficient_is_refused(self, coeff):
+        # add keeps a lone product input without testing its coefficient
+        for factors in ((x,), (x, Var(2)), (x, u, ux)):
+            with pytest.raises(ValueError, match="coefficient is 0"):
+                Mul(coeff, factors)
 
 
 class TestPartialsCache:

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 import liesym as ls
 from liesym import Const, Jet, ParseError, Pow, Var, format_expr, parse_expr, parse_problem
 
-from liesym.expr import Add, Func, Mul, Param, UFunc, _split, neg, subterms
+from liesym.expr import Add, Func, Mul, Param, UFunc, neg, subterms
 from liesym.parse import (
     _ADD, _MAX_NESTING, _MUL, _POW, _fmt, _fmt_const, _fmt_negated, _jet_name,
     _paren, _ufunc_name, format_exprs,
 )
 
 from conftest import rand_expr, rand_poly
+from conftest import split_term as _split
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "bench" / "problems"
 
