@@ -296,8 +296,7 @@ class _Ring:
 def ring_determining(sys, xi, phi, cap: int, reduction):
     """(split jets, :class:`_RingEquations`) of the generic field with
     coefficients ``xi``, ``phi`` on ``sys``: the coefficient dicts of the
-    defects in turn, each once up to sign with the sign seen first and its
-    terms in the order of its tree, which ``solve``'s rows follow.  Raises
+    defects in turn, each once up to sign with the sign seen first.  Raises
     :class:`_Fallback` when ``sys`` has a lead of order 0 or a right-hand
     side the ring cannot hold, or when a reduction would pass ``cap``.
     ``reduction(j)`` names the first equation whose lead divides jet ``j``
@@ -319,5 +318,5 @@ def ring_determining(sys, xi, phi, cap: int, reduction):
             if key not in seen:
                 seen.add(key)
                 seen.add(frozenset((m, -x) for m, x in c.items()))
-                eqs.append(dict(sorted(c.items(), key=ring.term_key)))
+                eqs.append(c)
     return {gens[g] for g in split}, _RingEquations(k, eqs)

@@ -17,10 +17,10 @@ its first visit back; only such nodes are stored, so a node that occurs
 once costs no memory.  First visits keep their order, and so does the
 numbering of generators.
 
-:func:`liesym.expr.collect` reads the monomials of ``expand(e)`` from the
-kernel (:meth:`_Poly.monomials`) and builds trees only for what it returns.
-:func:`liesym.detsys.solve_determining` reads each equation tree's monomials
-so too, but takes a ring-built system's dicts as they are, with no tree.
+:meth:`_Poly.monomials` reads the tree of ``expand(e)`` back into a dict; a
+flat ``e`` takes one round, which returns ``e`` itself.  ``collect`` and, for
+a system given as trees, ``solve_determining`` read their monomials so; the
+latter takes a ring-built system's dicts as they are, with no tree.
 """
 from __future__ import annotations
 
@@ -304,19 +304,9 @@ class _Poly:
             f"expand reached no fixed point within {max_rounds} rounds")
 
     def monomials(self, e: Expr) -> dict:
-        """The polynomial of ``expand(e)``.  A flat ``e`` (each term a
-        constant or a product of powers of variables, jets, parameters and
-        unknown functions of atoms) is its own expansion: it is read as it
-        stands, which registers the generators a round would, in its order."""
-        for t in e.terms if type(e) is Add else (e,):
-            if type(t) is Const:
-                continue
-            for f in t.factors if type(t) is Mul else (t,):
-                b = f.base if type(f) is Pow else f
-                if not (type(b) in _FLAT or type(b) is UFunc
-                        and all(type(a) in _ATOMS for a in b.args)):
-                    return self.read(self.fixed_point(e))
-        return self.read(e)
+        """The polynomial of ``expand(e)``: the rounds to its fixed point,
+        then a read of that tree."""
+        return self.read(self.fixed_point(e))
 
     def expand_once(self, e: Expr) -> dict:
         """Multiply out products and integer powers of sums, bottom-up, with

@@ -248,13 +248,11 @@ def determining_equations(sys: DiffSystem,
     if phi_names is None:
         phi_names = [f"phi{a+1}" if ctx.q > 1 else "phi" for a in range(ctx.q)]
     ext, v = generic_vector_field(ctx, xi_names, phi_names)
-    ext_sys = DiffSystem(ext, sys.equations)
     try:
-        split, eqs = ring_determining(ext_sys, v.xi, v.phi,
-                                      _order_cap(sys, order_cap),
-                                      lambda j: _reduction(j, ext_sys))
+        split, eqs = ring_determining(sys, v.xi, v.phi, _order_cap(sys, order_cap),
+                                      lambda j: _reduction(j, sys))
     except _Fallback:
-        defects = symmetry_defect(v, ext_sys, order_cap)
+        defects = symmetry_defect(v, sys, order_cap)
         split = {j for d in defects for j in jets_of(d) if j.order >= 1}
         try:
             eqs = _distinct(expand(c) for d in defects

@@ -27,10 +27,12 @@ class RatMatrix:
     """Exact rational matrix in sparse rows.
 
     ``data`` holds one tuple per row of ``(column, value)`` pairs, sorted by
-    column, with zeros omitted; the constructors keep it in that form, so
-    equal matrices compare and hash equal.  ``from_rows`` and ``from_sparse``
-    store Fractions; a matrix built directly may also hold ints, which
-    compare and hash like the equal Fractions.
+    column, with zeros omitted, so equal matrices compare and hash equal.
+    The constructor refuses a zero and a repeated, unsorted or outside column
+    with ``ArityError``, and a value that is not an int or a Fraction with
+    ``TypeError``.  ``from_rows`` and ``from_sparse`` convert values to
+    Fractions and drop zeros; a matrix built directly may also hold ints,
+    which compare and hash like the equal Fractions.
     """
 
     rows: int
@@ -40,9 +42,19 @@ class RatMatrix:
     def __post_init__(self):
         if len(self.data) != self.rows:
             raise ArityError(f"matrix of {self.rows} rows given {len(self.data)}")
+        cols = self.cols
         for i, row in enumerate(self.data):
-            if row and not 0 <= row[0][0] <= row[-1][0] < self.cols:
-                raise ArityError(f"row {i} has a column outside a {self.cols}-column matrix")
+            last = -1
+            for j, x in row:
+                if type(x) is not int and not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"row {i} holds {x!r}, not an int or a Fraction")
+                if not x:
+                    raise ArityError(f"row {i} holds a zero in column {j}")
+                if not last < j < cols:
+                    raise ArityError(f"row {i} lists column {j} twice or out of order"
+                                     if 0 <= j < cols else
+                                     f"row {i} has a column outside a {cols}-column matrix")
+                last = j
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":

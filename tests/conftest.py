@@ -205,6 +205,19 @@ def rand_rational(rng, lo=-4, hi=4):
     return Fraction(num, den)
 
 
+def jumbled(m: ls.RatMatrix, rng) -> ls.RatMatrix:
+    """The rows of ``m`` in a random order, each scaled by a random nonzero
+    rational (negated about half the time) and about a third of them twice:
+    a matrix with the row space, and so the kernel, of ``m``."""
+    rows = []
+    for row in m.data:
+        for _ in range(rng.choice((1, 1, 2))):
+            k = rng.choice((1, -1, 2, -3, Fraction(1, 5), Fraction(-7, 2)))
+            rows.append(tuple((j, k * x) for j, x in row))
+    rng.shuffle(rows)
+    return ls.RatMatrix(len(rows), m.cols, tuple(rows))
+
+
 def rand_poly(rng, atoms, degree=2, terms=3):
     """Random polynomial in the given atoms with small rational coefficients."""
     parts = []

@@ -6,7 +6,7 @@ import pytest
 from liesym import ArityError, RatMatrix, kernel_basis, rank, rref
 from liesym.ratla import _kernel, in_span, solve
 
-from conftest import rand_rational
+from conftest import jumbled, rand_rational
 
 TAYLOR = RatMatrix.from_rows([
     [2, 0, -3, -1, 1],
@@ -318,6 +318,20 @@ class TestSparseKernel:
             assert self.check(a, n) == []
 
 
+class TestRowOrder:
+    """The kernel does not depend on the order, scale, sign or repetition of
+    the rows: the solver may assemble its rows in any order."""
+
+    @pytest.mark.parametrize("rows,cols", [(60, 25), (25, 60), (40, 40), (1, 30), (30, 1)])
+    @pytest.mark.parametrize("density", [0.01, 0.05, 0.2])
+    def test_random_sparse(self, rng, rows, cols, density):
+        for _ in range(3):
+            m = RatMatrix.from_rows(rand_sparse_rows(rng, rows, cols, density))
+            want = _kernel(m)
+            for _ in range(3):
+                assert _kernel(jumbled(m, rng)) == want
+
+
 class TestSparseFormat:
     @pytest.mark.parametrize("zero", [0, "0", Fraction(0), "0/5", 0.0],
                              ids=["int", "str", "Fraction", "ratio-str", "float"])
@@ -354,6 +368,36 @@ class TestSparseFormat:
     def test_column_outside_matrix(self, col):
         with pytest.raises(ArityError, match="column"):
             RatMatrix.from_sparse([{}, {0: Fraction(1), col: Fraction(1)}], 3)
+
+    @pytest.mark.parametrize("data,match", [
+        ((((0, 0),),), "row 0 holds a zero in column 0"),
+        ((((0, Fraction(0)), (1, 1)),), "row 0 holds a zero in column 0"),
+        ((((0, 1), (0, 2)),), "row 0 lists column 0 twice or out of order"),
+        ((((2, 1), (0, 1)),), "row 0 lists column 0 twice or out of order"),
+        ((((0, 1), (-1, 1)),), "row 0 has a column outside a 3-column matrix"),
+    ], ids=["zero", "zero-fraction", "repeated", "unsorted", "unsorted-outside"])
+    def test_direct_rows_must_be_sparse_and_sorted(self, data, match):
+        with pytest.raises(ArityError, match=match):
+            RatMatrix(1, 3, data)
+
+    def test_direct_zeros_reach_no_elimination(self):
+        # a stored zero once counted as a pivot, or divided by zero in the RREF
+        with pytest.raises(ArityError, match="zero"):
+            rank(RatMatrix(1, 2, (((0, 0),),)))
+        with pytest.raises(ArityError, match="zero"):
+            rref(RatMatrix(2, 3, (((0, 0), (1, 1)), ((0, 2), (1, 2)))))
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1/2", None],
+                             ids=["float", "integral-float", "str", "None"])
+    def test_direct_values_must_be_exact(self, value):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            RatMatrix(2, 2, (((0, 1),), ((0, 1), (1, value))))
+
+    def test_direct_ints_and_fractions(self):
+        m = RatMatrix(2, 3, (((0, 2), (2, Fraction(-1, 3))), ((1, -4),)))
+        want = RatMatrix.from_rows([[2, 0, Fraction(-1, 3)], [0, -4, 0]])
+        assert m == want and hash(m) == hash(want)
+        assert rank(m) == 2
 
     def test_identity_and_zero_data(self):
         assert RatMatrix.identity(2).data == (((0, Fraction(1)),), ((1, Fraction(1)),))
