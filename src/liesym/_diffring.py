@@ -56,16 +56,6 @@ class _RingEquations:
         self.k, self.dicts, self.trees = k, dicts, None
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The product of two monomials with positive exponents."""
-    if not a:
-        return b
-    d = dict(a)
-    for g, k in b:
-        d[g] = d.get(g, 0) + k
-    return tuple(sorted(d.items()))
-
-
 def _lower(m: tuple, n: int) -> tuple:
     """Monomial ``m`` with the exponent of its ``n``-th pair lowered by one."""
     g, k = m[n]
@@ -146,6 +136,7 @@ class _Ring:
 
     def derive(self, poly: dict, i: int) -> dict:
         """D_i of ``poly``, by the product rule on each monomial."""
+        merge = self.k.merge
         out: dict = {}
         for m, c in poly.items():
             for n, (g, k) in enumerate(m):
@@ -154,7 +145,7 @@ class _Ring:
                     continue
                 rest, ck = _lower(m, n), c * k
                 for md, cd in dg.items():
-                    mm = _merge(rest, md)
+                    mm = merge(rest, md)
                     out[mm] = out.get(mm, 0) + ck * cd
         return _nonzero(out)
 

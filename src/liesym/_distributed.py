@@ -6,6 +6,8 @@ sum bases on that dict, and builds one canonical tree from it with the
 constructors of :mod:`liesym.expr` (S. C. Johnson 1974, "Sparse polynomial
 arithmetic"; Monagan & Pearce 2007 for exponent-vector monomials).  A round
 reaches as far as a walk that distributes over the tree node by node would.
+Two monomials multiply by one merge of their sorted pairs
+(:meth:`_Poly.merge`), as in Johnson's product, with no dict and no sort.
 A fractional exponent is stored as one :class:`_Exp` per value and kernel,
 whose hash is computed once; trees get plain fractions back.
 
@@ -212,36 +214,67 @@ class _Poly:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def merge(self, ma: tuple, mb: tuple) -> tuple:
+        """The monomial ``ma`` times ``mb``, by one walk over both sorted
+        pair tuples: a shared generator gets the sum of its exponents, or no
+        pair when that sum is 0, and sets ``stirred`` when :func:`mul` may
+        fold the result (see :meth:`settle`)."""
+        if not mb:
+            return ma
+        if not ma:
+            return mb
+        out = []
+        i = j = 0
+        na, nb = len(ma), len(mb)
+        pa, pb = ma[0], mb[0]
+        ga, gb = pa[0], pb[0]
+        while True:
+            if ga < gb:
+                out.append(pa)
+                i += 1
+                if i == na:
+                    out += mb[j:]
+                    return tuple(out)
+                pa = ma[i]
+                ga = pa[0]
+            elif gb < ga:
+                out.append(pb)
+                j += 1
+                if j == nb:
+                    out += ma[i:]
+                    return tuple(out)
+                pb = mb[j]
+                gb = pb[0]
+            else:
+                k = pa[1] + pb[1]
+                if type(k) is not int:
+                    k = self.exp(k)
+                if k:
+                    out.append((ga, k))
+                kind = self.kind[ga]
+                if kind == _ODD or (k == 1 and kind == _SUM):
+                    self.stirred = True
+                i += 1
+                j += 1
+                if i == na:
+                    out += mb[j:]
+                    return tuple(out)
+                if j == nb:
+                    out += ma[i:]
+                    return tuple(out)
+                pa, pb = ma[i], mb[j]
+                ga, gb = pa[0], pb[0]
+
     def times(self, a: dict, b: dict) -> dict:
         """The product as one :func:`mul` per pair of terms would merge it,
         before folding (see :meth:`settle`)."""
-        kind = self.kind
+        merge = self.merge
         out: dict = {}
         zeros = []
+        bs = list(b.items())
         for ma, ca in a.items():
-            da = dict(ma)
-            for mb, cb in b.items():
-                if not mb:
-                    m = ma
-                elif not ma:
-                    m = mb
-                else:
-                    d = da.copy()
-                    for g, k in mb:
-                        p = d.get(g)
-                        if p is None:
-                            d[g] = k
-                            continue
-                        k = p + k
-                        if type(k) is not int:
-                            k = self.exp(k)
-                        if k:
-                            d[g] = k
-                        else:
-                            del d[g]
-                        if kind[g] == _ODD or (k == 1 and kind[g] == _SUM):
-                            self.stirred = True
-                    m = tuple(sorted(d.items()))
+            for mb, cb in bs:
+                m = merge(ma, mb)
                 c = ca * cb
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
@@ -358,7 +391,8 @@ class _Poly:
             return {}
         kind = self.kind
         self.stirred = False
-        acc = {(): _num(e.coeff)}
+        # the single-term factors fold into one monomial and coefficient
+        mono, coeff = (), _num(e.coeff)
         sums = []
         for part in parts:
             if len(part) > 1:
@@ -376,8 +410,12 @@ class _Poly:
                         sums.append(self.sum_power(g, k))
                     else:
                         rest.append((g, k))
-                part = {tuple(rest): c}
-            acc = self.times(acc, part)
+                m = tuple(rest)
+            mono = self.merge(mono, m)
+            coeff *= c
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+        acc = {mono: coeff}
         for part in sorted(sums, key=len):
             acc = self.times(acc, part)
         return self.settle(acc) if self.stirred else acc

@@ -375,7 +375,9 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     -> (unknown, monomial) table built once per solve, so that work follows
     the kernel's nonzeros rather than its dimension times the column count.
     Raises :class:`NotPolynomial` when a term that survives instantiation is
-    not polynomial in the base variables or not linear homogeneous in the c_k.
+    not polynomial in the base variables or not linear homogeneous in the c_k;
+    the latter names the system parameters of every equation from the first
+    such one on.
     """
     ctx = ds.ctx
     base_slot, unknowns, ncols, table = _columns(ds, ansatz)
@@ -388,7 +390,19 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     gens = k.gens
 
     rows: list[tuple[tuple[int, int | Fraction], ...]] = []
+    # the system parameters that block the solve, once an equation is not
+    # linear homogeneous; later equations are then scanned only for theirs
+    blocking: set[str] | None = None
+
+    def scanned(u: UFunc) -> list:
+        # a scanned equation raises nothing, so the first error stands
+        try:
+            return table(u)
+        except UnknownSymbol:
+            return []
+
     for poly in polys:
+        cols = table if blocking is None else scanned
         # (base exponents, other (generator, exponent) pairs) -> row
         acc: dict[tuple, dict[int, int | Fraction]] = {}
         nonlinear = False
@@ -410,17 +424,23 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                     for g, _ in rest for a in atoms_of(gens[g])):
                 # nonlinear or inhomogeneous: harmless only when the ansatz
                 # annihilates one of its unknown factors
-                if not any(e > 0 and not table(u) for u, e in found):
+                if not any(e > 0 and not cols(u) for u, e in found):
                     nonlinear = True
                 continue
             rest_t = tuple(rest)
-            for col, a, mexps in table(found[0][0]):
+            for col, a, mexps in cols(found[0][0]):
                 key = (tuple(map(operator.add, exps, mexps)), rest_t)
                 row = acc.setdefault(key, {})
                 row[col] = row.get(col, 0) + c * a
         for (exps, rest_t), row in acc.items():
             row = tuple(sorted((col, v) for col, v in row.items() if v))
             if not row:
+                continue
+            if rest_t:
+                nonlinear = True
+                params.update(a.name for g, _ in rest_t for a in atoms_of(gens[g])
+                              if isinstance(a, Param))
+            if blocking is not None:
                 continue
             for b, e in zip(base_atoms, exps):
                 if e < 0 or e.denominator != 1:
@@ -434,19 +454,17 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
                     "variable occurs inside non-polynomial factor {}",
                     k.product((k.first(bad),), 1)
                 ), ctx)
-            if rest_t:
-                nonlinear = True
-                params.update(a.name for g, _ in rest_t for a in atoms_of(gens[g])
-                              if isinstance(a, Param))
             rows.append(row)
         if nonlinear:
-            why = ("determining equation is not linear homogeneous in the "
-                   "ansatz parameters")
-            if params:
-                word = "parameter" if len(params) == 1 else "parameters"
-                why += (f" (system {word} in the coefficients: "
-                        f"{', '.join(sorted(params))})")
-            raise NotPolynomial(why)
+            blocking = params if blocking is None else blocking | params
+    if blocking is not None:
+        why = ("determining equation is not linear homogeneous in the "
+               "ansatz parameters")
+        if blocking:
+            word = "parameter" if len(blocking) == 1 else "parameters"
+            why += (f" (system {word} in the coefficients: "
+                    f"{', '.join(sorted(blocking))})")
+        raise NotPolynomial(why)
 
     # column -> (unknown name, argument atoms, monomial exponent vector)
     owner: list[tuple] = [None] * ncols

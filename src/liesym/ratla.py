@@ -56,6 +56,14 @@ class RatMatrix:
                                      f"row {i} has a column outside a {cols}-column matrix")
                 last = j
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: tuple) -> "RatMatrix":
+        """The matrix of ``data``, which is already in the constructor's
+        form, without the constructor's checks."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, data=data)
+        return m
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
         r = len(rows)
@@ -225,7 +233,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         lead = r.pop(p)
         data.append(((p, one), *((c, Fraction(r[c], lead)) for c in sorted(r))))
     data += [()] * (m.rows - len(order))
-    return RatMatrix(m.rows, m.cols, tuple(data)), order
+    return RatMatrix._trusted(m.rows, m.cols, tuple(data)), order
 
 
 def rank(m: RatMatrix) -> int:

@@ -10,6 +10,7 @@ from typing import Sequence
 import pytest
 
 import liesym as ls
+from liesym._distributed import _EXPAND_POW_CAP, _ODD, _SUM, _cap_error, _drop_zeros, _num
 from liesym.detsys import (
     DeterminingSystem,
     DiffSystem,
@@ -348,3 +349,78 @@ def ref_derivative_table(ds, ansatz):
         return got
 
     return table
+
+
+# ``liesym._distributed._Poly.times`` and ``_product`` as they were before
+# monomials multiplied by one merge of their sorted pairs: a dict per pair of
+# terms, then a sort, and the single-term factors of a product chained
+# through 1x1 products.  Kept verbatim but for taking the kernel ``k`` in
+# place of ``self``, for the reference comparisons in the tests.
+def ref_times(k, a: dict, b: dict) -> dict:
+    kind = k.kind
+    out: dict = {}
+    zeros = []
+    for ma, ca in a.items():
+        da = dict(ma)
+        for mb, cb in b.items():
+            if not mb:
+                m = ma
+            elif not ma:
+                m = mb
+            else:
+                d = da.copy()
+                for g, e in mb:
+                    p = d.get(g)
+                    if p is None:
+                        d[g] = e
+                        continue
+                    e = p + e
+                    if type(e) is not int:
+                        e = k.exp(e)
+                    if e:
+                        d[g] = e
+                    else:
+                        del d[g]
+                    if kind[g] == _ODD or (e == 1 and kind[g] == _SUM):
+                        k.stirred = True
+                m = tuple(sorted(d.items()))
+            c = ca * cb
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            p = out.get(m)
+            if p is None:
+                out[m] = c
+            else:
+                out[m] = c = p + c
+                if not c:
+                    zeros.append(m)
+    return _drop_zeros(out, zeros)
+
+
+def ref_product(k, e: Mul) -> dict:
+    parts = [k.expand_once(f) for f in e.factors]
+    if not all(parts):
+        return {}
+    kind = k.kind
+    k.stirred = False
+    acc = {(): _num(e.coeff)}
+    sums = []
+    for part in parts:
+        if len(part) > 1:
+            sums.append(part)
+            continue
+        ((m, c),) = part.items()
+        if any(kind[g] == _SUM and type(n) is int and n > 0 for g, n in m):
+            rest = []
+            for g, n in m:
+                if kind[g] == _SUM and type(n) is int and n > 0:
+                    if n > _EXPAND_POW_CAP:
+                        raise _cap_error("power of a sum with exponent", n)
+                    sums.append(k.sum_power(g, n))
+                else:
+                    rest.append((g, n))
+            part = {tuple(rest): c}
+        acc = ref_times(k, acc, part)
+    for part in sorted(sums, key=len):
+        acc = ref_times(k, acc, part)
+    return k.settle(acc) if k.stirred else acc

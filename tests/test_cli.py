@@ -273,6 +273,16 @@ class TestExitCodes:
                      "--degree", "2"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degree", ["1", "2", "3"])
+    def test_solve_names_every_blocking_parameter(self, capsys, tmp_path, degree):
+        p = tmp_path / "ab.prob"
+        p.write_text("indep x t\ndep u\nparam a b\nsystem s: u_t = a*u_xx + b*u^2*u_x")
+        assert main(["solve", "--file", str(p), "--system", "s",
+                     "--degree", degree]) == 2
+        assert capsys.readouterr().err == (
+            "error: determining equation is not linear homogeneous in the ansatz "
+            "parameters (system parameters in the coefficients: a, b)\n")
+
     def test_not_polynomial_names_the_factor(self, capsys, tmp_path):
         # the minimal-surface equation of bench/problems/minimal.prob
         p = tmp_path / "minimal.prob"

@@ -256,12 +256,35 @@ class TestSolveDeterminingErrors:
         with pytest.raises(ls.NotPolynomial, match=message):
             ls.solve_determining(self.determining(decl, rhs), Ansatz(2))
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_every_blocking_parameter_is_named(self, degree):
+        # at degree 1 the first equation that is not linear carries only b
+        ds = self.determining("param a b\n", "a*u_xx + b*u^2*u_x")
+        with pytest.raises(ls.NotPolynomial,
+                           match="system parameters in the coefficients: a, b"):
+            ls.solve_determining(ds, Ansatz(degree))
+
     @staticmethod
-    def hand_built(ctx_xu, make):
-        """A determining system whose one equation is ``make(ctx, xi, phi)``."""
+    def hand_built(ctx_xu, make, *more):
+        """A determining system whose equations are ``make(ctx, xi, phi)``
+        and those of ``more``."""
         ext, v = generic_vector_field(ctx_xu, ["xi"], ["phi"])
-        eq = make(ext, v.xi[0], v.phi[0])
-        return ls.DeterminingSystem(ext, ("xi",), ("phi",), (eq,), (ux,))
+        eqs = tuple(f(ext, v.xi[0], v.phi[0]) for f in (make, *more))
+        return ls.DeterminingSystem(ext, ("xi",), ("phi",), eqs, (ux,))
+
+    @pytest.mark.parametrize("later,want", [
+        (lambda ext, xi, phi: ls.mul(UFunc("xi", (x,), (0,)), u), UnknownSymbol),
+        (lambda ext, xi, phi: ls.mul(xi, ls.pow_(x, -1)), ls.NotPolynomial),
+    ], ids=["arity-mismatch", "non-polynomial-exponent"])
+    def test_first_error_stands(self, ctx_xu, later, want):
+        # equations after the first that is not linear are scanned only for
+        # their parameters, so what they would raise does not come first
+        first = lambda ext, xi, phi: ls.mul(xi, phi)
+        with pytest.raises(ls.NotPolynomial, match="not linear homogeneous"):
+            ls.solve_determining(self.hand_built(ctx_xu, first, later), Ansatz(2))
+        with pytest.raises(want) as info:
+            ls.solve_determining(self.hand_built(ctx_xu, later, first), Ansatz(2))
+        assert "not linear homogeneous" not in str(info.value)
 
     @pytest.mark.parametrize("make", [
         lambda ext, xi, phi: ls.mul(xi, phi),
@@ -289,7 +312,9 @@ class TestSolveDeterminingErrors:
 
 def ref_matrix(ds, ansatz):
     """The matrix solve_determining assembled before it read the monomials
-    of the expand kernel: its setup and row loop kept verbatim."""
+    of the expand kernel: its setup and row loop kept verbatim, but that
+    from the first equation that is not linear homogeneous on, the later
+    equations are scanned only for the system parameters it names."""
     ctx = ds.ctx
     base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
         Jet(a + 1, ()) for a in range(ctx.q)
@@ -334,6 +359,7 @@ def ref_matrix(ds, ansatz):
                    for a in atoms_of(f))
 
     rows: list[dict[int, Fraction]] = []
+    blocking: set[str] | None = None
     for eq in ds.equations:
         ex = expand(eq)
         # (base exponents, other factors) -> {column: coefficient}
@@ -371,6 +397,12 @@ def ref_matrix(ds, ansatz):
             row = {k: v for k, v in row.items() if v}
             if not row:
                 continue
+            if rest_t:
+                nonlinear = True
+                params.update(a.name for f in rest_t for a in atoms_of(f)
+                              if isinstance(a, Param))
+            if blocking is not None:
+                continue
             for b, e in zip(base_atoms, exps):
                 if e < 0 or e.denominator != 1:
                     raise _printed(NotPolynomial(
@@ -381,19 +413,17 @@ def ref_matrix(ds, ansatz):
                     raise _printed(NotPolynomial(
                         "variable occurs inside non-polynomial factor {}", f
                     ), ctx)
-            if rest_t:
-                nonlinear = True
-                params.update(a.name for f in rest_t for a in atoms_of(f)
-                              if isinstance(a, Param))
             rows.append(row)
         if nonlinear:
-            why = ("determining equation is not linear homogeneous in the "
-                   "ansatz parameters")
-            if params:
-                word = "parameter" if len(params) == 1 else "parameters"
-                why += (f" (system {word} in the coefficients: "
-                        f"{', '.join(sorted(params))})")
-            raise NotPolynomial(why)
+            blocking = params if blocking is None else blocking | params
+    if blocking is not None:
+        why = ("determining equation is not linear homogeneous in the "
+               "ansatz parameters")
+        if blocking:
+            word = "parameter" if len(blocking) == 1 else "parameters"
+            why += (f" (system {word} in the coefficients: "
+                    f"{', '.join(sorted(blocking))})")
+        raise NotPolynomial(why)
 
     return ratla.RatMatrix.from_sparse(rows, ncols)
 

@@ -46,6 +46,7 @@ from liesym._distributed import _Exp, _num
 from conftest import base_exp as _base_exp
 from conftest import split_term as _split
 from conftest import rand_expr, rand_poly, rand_rational, ref_add, same_tree
+from conftest import ref_product, ref_times
 
 x = Var(1)
 u = Jet(1, ())
@@ -1764,3 +1765,104 @@ class TestExpandAgainstReference:
             except ls.LiesymError:
                 continue
             assert ls.expand(ls.neg(c)) == ls.neg(c)
+
+
+class TestMonomialMerge:
+    """``_Poly.times`` and ``_Poly._product`` give the dict, its key order,
+    the types of its exponents and coefficients, and the ``stirred`` flag of
+    the dict-based products they replace (``conftest.ref_times`` and
+    ``conftest.ref_product``), on seeded random monomials and products."""
+
+    # plain generators, sums, and constant, product and power bases
+    GENS = [x, u, ux, Param("c"), UFunc("F", (x, u)),
+            ls.add(x, 1), ls.add(u, ux),
+            Const(Fraction(2)), ls.mul(x, u), ls.pow_(ls.add(x, 1), Fraction(1, 2))]
+    # pairs of these cancel, and fractional ones sum to integers
+    EXPS = [1, 1, 2, -1, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+            Fraction(-3, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3)]
+    COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+    def kernel(self):
+        k = _Poly()
+        for g in self.GENS:
+            k.gen(g)
+        assert sorted(k.kind) == [0] * 5 + [1] * 2 + [2] * 3
+        return k
+
+    def monomial(self, k, rng):
+        gens = sorted(rng.sample(range(len(k.gens)), rng.randint(0, 4)))
+        return tuple((g, k.exp(Fraction(rng.choice(self.EXPS)))) for g in gens)
+
+    def poly(self, k, rng):
+        return {self.monomial(k, rng): rng.choice(self.COEFFS)
+                for _ in range(rng.randint(1, 4))}
+
+    def factors(self, k, rng):
+        """Two random polynomials; a third of the time ``c*(m + n) + r``
+        and ``d*(m - n) + s``, whose cross terms ``m*n`` cancel."""
+        a, b = self.poly(k, rng), self.poly(k, rng)
+        if rng.random() < 0.3:
+            m, n = self.monomial(k, rng), self.monomial(k, rng)
+            c, d = rng.choice(self.COEFFS), rng.choice(self.COEFFS)
+            if m != n:
+                a.update({m: c, n: c})
+                b.update({m: d, n: -d})
+        return a, b
+
+    @staticmethod
+    def interned(k, poly):
+        return all(type(e) is int or e is k.exps[e.numerator, e.denominator]
+                   for m in poly for _, e in m)
+
+    @classmethod
+    def run(cls, k, f, *args):
+        """``repr`` of the items of ``f(*args)`` and the flag it leaves;
+        every fractional exponent of the result is interned in ``k``."""
+        k.stirred = False
+        out = f(*args)
+        assert cls.interned(k, out)
+        return repr(list(out.items())), k.stirred
+
+    def test_times_matches_the_dict_product(self, rng):
+        k = self.kernel()
+        stirred = cancelled = dropped = 0
+        for _ in range(2000):
+            a, b = self.factors(k, rng)
+            got = self.run(k, k.times, a, b)
+            assert got == self.run(k, ref_times, k, a, b), (a, b)
+            stirred += got[1]
+            pairs = [(ma, mb) for ma in a for mb in b]
+            merged = [k.merge(ma, mb) for ma, mb in pairs]
+            cancelled += any(len(m) < len(dict(ma + mb)) for m, (ma, mb) in zip(merged, pairs))
+            dropped += len(k.times(a, b)) < len(set(merged))
+        assert stirred > 200 and 2000 - stirred > 200
+        assert cancelled > 200 and dropped > 100
+
+    def test_product_matches_the_chain_of_products(self, rng):
+        ref = TestExpandAgainstReference()
+        atoms = ref.ATOMS + [ls.add(x, u), ls.pow_(ls.add(x, u), 2)]
+        folds = stirred = 0
+        for _ in range(1000):
+            fs = [rand_expr(rng, atoms, depth=rng.randint(1, 2))
+                  for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.3:
+                # a power of a sum that expands to one term with a coefficient
+                h = ref.hidden(rng, ls.mul(rand_rational(rng, 1, 3), rng.choice(atoms)))
+                fs.append(ls.pow_(h, rng.choice([2, -1, Fraction(1, 2)])))
+            e = ls.mul(rand_rational(rng, 1, 3), *fs)
+            if type(e) is not Mul:
+                continue
+            k1, k2 = _Poly(), _Poly()
+            try:
+                got = self.run(k1, k1._product, e)
+            except ls.LiesymError as exc:
+                got = type(exc)
+            try:
+                want = self.run(k2, ref_product, k2, e)
+            except ls.LiesymError as exc:
+                want = type(exc)
+            assert got == want, e
+            assert k1.gens == k2.gens
+            folds += sum(len(k1.expand_once(f)) == 1 for f in e.factors) > 1
+            stirred += type(got) is tuple and got[1]
+        assert folds > 100 and stirred > 10

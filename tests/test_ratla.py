@@ -142,6 +142,8 @@ class TestSparseAgainstDense:
             r, piv = rref(m)
             assert piv == tuple(ref_piv)
             assert r == RatMatrix.from_rows(ref)
+            # rref builds its result unchecked; the constructor's checks pass
+            assert type(r) is RatMatrix and RatMatrix(r.rows, r.cols, r.data) == r
             basis = kernel_basis(m)
             assert basis == dense_kernel(ref, ref_piv, cols)
             assert rank(m) + len(basis) == cols
