@@ -307,10 +307,10 @@ def _columns(ds: DeterminingSystem, ansatz: Ansatz):
 
     ``table(u)`` lists (column, integer coefficient, base exponents) of the
     derivative of each ansatz monomial of u's function that u's derivative
-    does not annihilate, in column order, once per (name, derivative).  The
-    surviving monomials are those of degree <= degree - |deriv| shifted by
-    the derivative's counts; a falling factorial per argument gives the
-    coefficient.
+    does not annihilate, in column order, once per node ``u``, so the arity
+    of each is checked.  The surviving monomials are those of degree <=
+    degree - |deriv| shifted by the derivative's counts; a falling
+    factorial per argument gives the coefficient.
     """
     ctx, degree = ds.ctx, ansatz.degree
     base_atoms = tuple(Var(i + 1) for i in range(ctx.p)) + tuple(
@@ -330,12 +330,11 @@ def _columns(ds: DeterminingSystem, ansatz: Ansatz):
         unknowns[name] = (first, args, index)
         first += len(index)
 
-    tables: dict[tuple[str, tuple[int, ...]], list] = {}
+    tables: dict[UFunc, list] = {}
     lows: dict[tuple, list] = {}    # (args, degree) -> [(vector, base exponents)]
 
     def table(u: UFunc) -> list[tuple[int, int, tuple[int, ...]]]:
-        key = (u.name, u.deriv)
-        got = tables.get(key)
+        got = tables.get(u)
         if got is None:
             first, args, index = unknowns[u.name]
             if len(args) != len(u.args):
@@ -350,7 +349,7 @@ def _columns(ds: DeterminingSystem, ansatz: Ansatz):
                         exps[base_slot[a]] += e
                     low.append((vec, tuple(exps)))
             counts = [u.deriv.count(j) for j in range(len(args))]
-            got = tables[key] = []
+            got = tables[u] = []
             for vec, exps in low:
                 vec = tuple(map(operator.add, vec, counts))
                 got.append((first + index[vec], math.prod(map(math.perm, vec, counts)),

@@ -74,8 +74,8 @@ factors)`` by merging the sorted factors of the partial ``d`` with the
 other factors, sorted already, in one pass; only where two bases meet does
 :func:`mul` build the term.  The prolongations in ``liesym.jet`` build the
 terms ``u_{J,i} * d`` of their total derivatives the same way.
-:func:`jets_of`, :func:`jet_order` and :func:`contains` also visit each
-distinct node once.
+:func:`jets_of`, :func:`jet_order`, :func:`contains`, :func:`normalize`,
+:func:`substitute` and :func:`evaluate` also visit each distinct node once.
 
 Every node is interned (hash-consed: E. Goto 1974; Filliâtre & Conchon
 2006).  Each node class returns from ``__new__`` the one live node of its
@@ -762,21 +762,35 @@ def func(name: str, arg) -> Expr:
 # structural map and normalization
 # ---------------------------------------------------------------------------
 
-def _rebuild(e: Expr, f, *args) -> Expr:
-    """Apply ``f(child, *args)`` to every child of ``e`` and rebuild the node
-    through the constructors; atoms without children come back unchanged."""
-    # map, unlike a comprehension, adds no Python frame per tree level
-    fixed = [itertools.repeat(a) for a in args]
+def _map(e: Expr, f, stop=lambda x: None):
+    """The image of ``e`` under ``f(node, images of its children)``, called
+    once per distinct node, children first and left to right; a node whose
+    ``stop(node)`` is not None takes that image, and its children go unvisited."""
+    images: dict = {}
+
+    def image(x):
+        if x not in images:
+            y = stop(x)
+            # map, unlike a comprehension, adds no Python frame per level
+            images[x] = f(x, tuple(map(image, _kids(x)))) if y is None else y
+        return images[x]
+
+    return image(e)
+
+
+def _rebuild(e: Expr, kids: tuple) -> Expr:
+    """``e`` rebuilt through the constructors from ``kids``, the images of
+    its children in order; an atom without children comes back unchanged."""
     if isinstance(e, Add):
-        return add(*map(f, e.terms, *fixed))
+        return add(*kids)
     if isinstance(e, Mul):
-        return mul(Const(e.coeff), *map(f, e.factors, *fixed))
+        return mul(Const(e.coeff), *kids)
     if isinstance(e, Pow):
-        return pow_(f(e.base, *args), e.exp)
+        return pow_(kids[0], e.exp)
     if isinstance(e, Func):
-        return func(e.fname, f(e.arg, *args))
+        return func(e.fname, kids[0])
     if isinstance(e, UFunc):
-        return UFunc(e.name, tuple(map(f, e.args, *fixed)), e.deriv)
+        return UFunc(e.name, kids, e.deriv)
     return e
 
 
@@ -785,7 +799,7 @@ def normalize(e: Expr) -> Expr:
 
     Trees built by the constructors are canonical already and come back equal.
     """
-    return _rebuild(e, normalize)
+    return _map(e, _rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -948,14 +962,8 @@ def substitute(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
     for k in bindings:
         if not isinstance(k, (Var, Jet, Param, UFunc)):
             raise UnknownSymbol(f"substitution key {k!r} is not an atom")
-    return _subst(e, bindings)
-
-
-def _subst(e: Expr, b: Mapping[Expr, Expr]) -> Expr:
-    hit = b.get(e)
-    if hit is not None:
-        return _coerce(hit)
-    return _rebuild(e, _subst, b)
+    return _map(e, _rebuild, lambda x: None if (
+        hit := bindings.get(x)) is None else _coerce(hit))
 
 
 # ---------------------------------------------------------------------------
@@ -1035,28 +1043,31 @@ def collect(e: Expr, variables: Iterable[Expr]) -> dict[Expr, Expr]:
 
 def evaluate(e: Expr, env: Mapping[Expr, Fraction]) -> Fraction:
     """Evaluate to an exact rational under an atom assignment."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, Jet, Param, UFunc)):
-        try:
-            return Fraction(env[e])
-        except KeyError:
-            raise EvaluationError(f"no value assigned to {e!r}") from None
+    def leaf(x):
+        if isinstance(x, Const):
+            return x.value
+        if isinstance(x, (Var, Jet, Param, UFunc)):
+            try:
+                return Fraction(env[x])
+            except KeyError:
+                raise EvaluationError(f"no value assigned to {x!r}") from None
+        if isinstance(x, Func):
+            raise EvaluationError(f"cannot evaluate {x.fname} exactly")
+
+    return _map(e, _value, leaf)
+
+
+def _value(e: Expr, vals: tuple) -> Fraction:
     if isinstance(e, Add):
-        return sum((evaluate(t, env) for t in e.terms), Fraction(0))
+        return sum(vals, Fraction(0))
     if isinstance(e, Mul):
-        out = e.coeff
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return out
+        return math.prod(vals, start=e.coeff)
     if isinstance(e, Pow):
-        b = evaluate(e.base, env)
+        b = vals[0]
         if b == 0 and e.exp < 0:
             raise EvaluationError("division by zero during evaluation")
         r = _rat_power(b, e.exp, EvaluationError)
         if r is None:
             raise EvaluationError(f"{b} has no exact rational root of order {e.exp.denominator}")
         return r
-    if isinstance(e, Func):
-        raise EvaluationError(f"cannot evaluate {e.fname} exactly")
     raise TypeError(type(e))

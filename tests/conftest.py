@@ -19,25 +19,30 @@ from liesym.detsys import (
     generic_vector_field,
     symmetry_defect,
 )
-from liesym.errors import NotPolynomial, UnknownSymbol
+from liesym.errors import EvaluationError, NotPolynomial, UnknownSymbol
 from liesym.expr import (
     ONE,
     ZERO,
     Add,
     Const,
     Expr,
+    Func,
     Jet,
     Mul,
+    Param,
     Pow,
     UFunc,
     Var,
     _Q1,
     _coerce,
     _factor_order,
+    _rat_power,
     _term,
     _term_order,
+    add,
     collect,
     expand,
+    func,
     jets_of,
     mul,
     neg,
@@ -187,6 +192,73 @@ def ref_mul(*args) -> Expr:
     if len(factors) > 1:
         factors.sort(key=_factor_order)
     return _term(coeff, tuple(factors))
+
+
+# ``liesym.expr``'s recursive walkers as they were before one memoized map
+# (``_map``) took their place, kept verbatim but for their names (the
+# recursive calls included): ``normalize``, ``substitute`` and ``evaluate``
+# must give what they gave, node for node, value for value and error for
+# error.  They walk a shared subtree again at each use.
+def ref_rebuild(e: Expr, f, *args) -> Expr:
+    """Apply ``f(child, *args)`` to every child of ``e`` and rebuild the node
+    through the constructors; atoms without children come back unchanged."""
+    # map, unlike a comprehension, adds no Python frame per tree level
+    fixed = [itertools.repeat(a) for a in args]
+    if isinstance(e, Add):
+        return add(*map(f, e.terms, *fixed))
+    if isinstance(e, Mul):
+        return mul(Const(e.coeff), *map(f, e.factors, *fixed))
+    if isinstance(e, Pow):
+        return pow_(f(e.base, *args), e.exp)
+    if isinstance(e, Func):
+        return func(e.fname, f(e.arg, *args))
+    if isinstance(e, UFunc):
+        return UFunc(e.name, tuple(map(f, e.args, *fixed)), e.deriv)
+    return e
+
+
+def ref_normalize(e: Expr) -> Expr:
+    """Canonicalize a tree built from the raw node dataclasses (idempotent).
+
+    Trees built by the constructors are canonical already and come back equal.
+    """
+    return ref_rebuild(e, ref_normalize)
+
+
+def ref_subst(e: Expr, b) -> Expr:
+    hit = b.get(e)
+    if hit is not None:
+        return _coerce(hit)
+    return ref_rebuild(e, ref_subst, b)
+
+
+def ref_evaluate(e: Expr, env) -> Fraction:
+    """Evaluate to an exact rational under an atom assignment."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (Var, Jet, Param, UFunc)):
+        try:
+            return Fraction(env[e])
+        except KeyError:
+            raise EvaluationError(f"no value assigned to {e!r}") from None
+    if isinstance(e, Add):
+        return sum((ref_evaluate(t, env) for t in e.terms), Fraction(0))
+    if isinstance(e, Mul):
+        out = e.coeff
+        for f in e.factors:
+            out *= ref_evaluate(f, env)
+        return out
+    if isinstance(e, Pow):
+        b = ref_evaluate(e.base, env)
+        if b == 0 and e.exp < 0:
+            raise EvaluationError("division by zero during evaluation")
+        r = _rat_power(b, e.exp, EvaluationError)
+        if r is None:
+            raise EvaluationError(f"{b} has no exact rational root of order {e.exp.denominator}")
+        return r
+    if isinstance(e, Func):
+        raise EvaluationError(f"cannot evaluate {e.fname} exactly")
+    raise TypeError(type(e))
 
 
 def same_tree(a, b) -> bool:

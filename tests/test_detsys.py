@@ -286,6 +286,16 @@ class TestSolveDeterminingErrors:
             ls.solve_determining(self.hand_built(ctx_xu, later, first), Ansatz(2))
         assert "not linear homogeneous" not in str(info.value)
 
+    def test_arity_checked_in_either_order(self, ctx_xu):
+        # xi_x over (x,) where xi is declared over (x, u), before and after
+        # the declared xi_x: the column table is kept per node
+        bad = lambda ext, xi, phi: UFunc("xi", (x,), (0,))
+        good = lambda ext, xi, phi: ext.ufunc("xi", "x")
+        assert len(ls.solve_determining(self.hand_built(ctx_xu, good), Ansatz(1))) == 5
+        for eqs in [(bad,), (bad, good), (good, bad)]:
+            with pytest.raises(UnknownSymbol, match="arity mismatch"):
+                ls.solve_determining(self.hand_built(ctx_xu, *eqs), Ansatz(1))
+
     @pytest.mark.parametrize("make", [
         lambda ext, xi, phi: ls.mul(xi, phi),
         lambda ext, xi, phi: ls.add(ext.ufunc("xi", "x"), x),

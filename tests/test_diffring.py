@@ -114,6 +114,16 @@ def test_high_order_with_an_explicit_cap(monkeypatch, k):
     same(ls.determining_equations(sys_, None, None, 2 * k - 1), ref)
 
 
+def test_tenth_order_takes_the_ring(monkeypatch):
+    # the tree path builds these equations too, within the timeout of the
+    # CI step that runs this system through the installed console script,
+    # so only this test tells a silent fallback
+    ring_only(monkeypatch)
+    ds = ls.determining_equations(parsed(high_order(10)), None, None, 19)
+    assert type(vars(ds)["equations"]) is _RingEquations
+    assert len(ds.equations) == 474
+
+
 @pytest.mark.parametrize("k,jet", [(6, "u_xxxxxt"), (7, "u_xxxxxxt")])
 def test_default_cap_error_comes_from_the_tree_path(monkeypatch, k, jet):
     sys_ = parsed(high_order(k))

@@ -31,7 +31,6 @@ from liesym.expr import (
     _NODES,
     _Poly,
     _factor_order,
-    _rebuild,
     _term,
     _term_order,
     add,
@@ -46,7 +45,7 @@ from liesym._distributed import _Exp, _num
 from conftest import base_exp as _base_exp
 from conftest import split_term as _split
 from conftest import rand_expr, rand_poly, rand_rational, ref_add, same_tree
-from conftest import ref_product, ref_times
+from conftest import ref_product, ref_rebuild, ref_times
 
 x = Var(1)
 u = Jet(1, ())
@@ -179,7 +178,7 @@ def ref_expand_once(e):
         if any(isinstance(f, Add) for f in expanded):
             return ref_distribute(expanded, coeff)
         return ls.mul(Const(coeff), *expanded)
-    return _rebuild(e, ref_expand_once)
+    return ref_rebuild(e, ref_expand_once)
 
 
 def ref_merge_sum_powers(e):

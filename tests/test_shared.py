@@ -4,7 +4,9 @@ A chain ``e_{k+1} = u_x*e_k + x*e_k`` that reuses ``e_k`` has 2^k copies of
 ``e_0`` in its unfolded tree but only O(k) distinct nodes.  ``expand`` and
 the tree walkers ``jets_of``, ``jet_order`` and ``contains`` must do work in
 proportion to the distinct nodes and give what they give on a tree with no
-sharing; the batch printer must print what ``format_expr`` prints.
+sharing; so must ``normalize``, ``substitute`` and ``evaluate``, one map
+over the distinct nodes.  The batch printer must print what
+``format_expr`` prints.
 """
 import gc
 import random
@@ -27,7 +29,14 @@ from liesym.expr import (
 from liesym.parse import format_expr, format_exprs
 
 import test_expr
-from conftest import rand_expr, same_tree
+from conftest import (
+    rand_expr,
+    rand_rational,
+    ref_evaluate,
+    ref_normalize,
+    ref_subst,
+    same_tree,
+)
 from test_expr import outcome, ref_expand
 
 x, y = Var(1), Var(2)
@@ -215,6 +224,164 @@ def test_walkers_agree_with_subterms(rng):
         assert jet_order(e) == max((j.order for j in jets), default=0)
         for a in atoms[:6] + [Var(3), Jet(1, (1, 1, 1))]:
             assert contains(e, a) == any(s == a for s in subterms(e))
+
+
+# --- the structural map: normalize, substitute and evaluate ------------------
+
+F = UFunc("f", (x, u))
+MAP_ATOMS = [x, y, u, ux, Param("c"), F]
+
+
+def result(f, *args):
+    """(type, value) of ``f(*args)``, or (type, message) of the library
+    error it raises."""
+    try:
+        out = f(*args)
+    except ls.LiesymError as exc:
+        return type(exc), str(exc)
+    return type(out), out
+
+
+def rand_dag(rng, steps=8):
+    """A seeded DAG: each step builds a node over two earlier ones, among
+    them ``rand_expr`` trees, so that later nodes share subtrees."""
+    pool = MAP_ATOMS + [rand_expr(rng, MAP_ATOMS, depth=2) for _ in range(3)]
+    for _ in range(steps):
+        a, b = rng.choice(pool), rng.choice(pool)
+        make = rng.choice([
+            lambda: ls.add(a, b), lambda: ls.mul(a, b),
+            lambda: ls.pow_(a, rng.choice([2, -1, Fraction(1, 2)])),
+            lambda: ls.func(rng.choice(ls.expr.FUNC_NAMES), a),
+            lambda: UFunc("g", (a, b))])
+        try:
+            pool.append(make())
+        except ls.LiesymError:
+            pass
+    return pool[-1]
+
+
+def raw_dag(rng, steps=8):
+    """As ``rand_dag``, but from the raw node dataclasses: unsorted and
+    repeated children, and constants that only ``normalize`` folds."""
+    pool = MAP_ATOMS + [ZERO, Const(Fraction(-3, 2)), Const(4)]
+    for _ in range(steps):
+        kids = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        pool.append(rng.choice([
+            lambda: ls.Add(kids),
+            lambda: ls.Mul(rng.choice([1, -2, Fraction(1, 3)]), kids),
+            lambda: ls.Pow(kids[0], rng.choice([2, 3, -1, Fraction(1, 2)])),
+            lambda: ls.Func(rng.choice(ls.expr.FUNC_NAMES), kids[0]),
+            lambda: UFunc("g", kids, rng.choice([(), (0,)]))])())
+    return pool[-1]
+
+
+class RandomPoint(dict):
+    """A seeded point that gives an atom a random value (0 included) at its
+    first lookup, so the values it holds follow the order of the lookups."""
+
+    def __init__(self, seed, fixed=()):
+        super().__init__(fixed)
+        self.rng = random.Random(seed)
+
+    def __missing__(self, atom):
+        v = self[atom] = Fraction(self.rng.randint(-3, 3), self.rng.randint(1, 3))
+        return v
+
+
+def test_normalize_matches_the_recursive_walker():
+    rng = random.Random(5201)
+    kinds = set()
+    for _ in range(400):
+        e = raw_dag(rng)
+        want = result(ref_normalize, e)
+        assert result(ls.normalize, e) == want
+        kinds.add(want[0])
+        t = rand_dag(rng)
+        assert ls.normalize(t) is t
+    assert {ls.Add, ls.Mul, ls.DegenerateExpression} <= kinds
+    # the first of two errors in the order of the walk stands
+    for terms in [(ls.Func("log", ZERO), ls.Pow(ZERO, -1)),
+                  (ls.Pow(ZERO, -1), ls.Func("log", ZERO))]:
+        e = ls.Add(terms)
+        assert result(ls.normalize, e) == result(ref_normalize, e)
+    assert result(ls.normalize, e)[1] == "0 raised to a negative power"
+
+
+def test_substitute_matches_the_recursive_walker():
+    rng = random.Random(5202)
+    values = [0, 1, -2, Fraction(1, 2), ZERO, ls.add(x, 1), ls.mul(u, y), ux]
+    kinds = set()
+    for _ in range(400):
+        e = rand_dag(rng)
+        b = {a: rng.choice(values + [rand_expr(rng, MAP_ATOMS, depth=2)])
+             for a in rng.sample(MAP_ATOMS, rng.randint(1, 4))}
+        want = result(ref_subst, e, b)
+        assert result(ls.substitute, e, b) == want
+        kinds.add(want[0])
+    assert {ls.Add, ls.Mul, ls.DegenerateExpression} <= kinds
+
+
+def test_evaluate_matches_the_recursive_walker():
+    rng = random.Random(5203)
+    kinds = set()
+    for i in range(400):
+        e = rand_dag(rng)
+        # the point's values, and so the result, follow the lookup order
+        got, want = RandomPoint(i), RandomPoint(i)
+        out = result(ref_evaluate, e, want)
+        assert result(ls.evaluate, e, got) == out
+        assert list(got.items()) == list(want.items())
+        kinds.add(out[1] if out[0] is ls.EvaluationError else out[0])
+        env = {a: rand_rational(rng) for a in rng.sample(MAP_ATOMS, 4)}
+        assert result(ls.evaluate, e, env) == result(ref_evaluate, e, env)
+    assert Fraction in kinds
+    assert "division by zero during evaluation" in kinds
+    assert any(k.startswith("cannot evaluate") for k in kinds if type(k) is str)
+
+
+def test_first_errors_of_the_map():
+    # a binding to 0 under a negative power
+    e = ls.add(ls.mul(y, ls.pow_(u, -1)), ls.func("log", ls.add(x, 1)))
+    for b in ({u: 0}, {u: ZERO, x: -1}, {x: -1}):
+        assert result(ls.substitute, e, b) == result(ref_subst, e, b)
+    assert result(ls.substitute, e, {u: 0})[0] is ls.DegenerateExpression
+    env = {u: Fraction(0), y: Fraction(2)}
+    assert result(ls.evaluate, ls.pow_(u, -1), env) == (
+        ls.EvaluationError, "division by zero during evaluation")
+    # a function around an unassigned atom: the function is named, after
+    # the factors before it (x, then u) are looked up
+    e = ls.mul(ls.func("exp", y), ls.pow_(u, -1), x)
+    for env in ({x: 1}, {x: 1, u: 1}, {x: 1, u: 0}, {}):
+        assert result(ls.evaluate, e, env) == result(ref_evaluate, e, env)
+    assert result(ls.evaluate, e, {x: 1, u: 1}) == (
+        ls.EvaluationError, "cannot evaluate exp exactly")
+    # a bound unknown function is not rebuilt, nor its argument evaluated
+    g = UFunc("g", (ls.pow_(u, -1), ls.func("exp", x)))
+    e = ls.add(ls.mul(g, y), u)
+    for b in ({g: 7, u: 0}, {u: 0}):
+        assert result(ls.substitute, e, b) == result(ref_subst, e, b)
+    assert ls.substitute(e, {g: 7, u: 0}) == ls.mul(7, y)
+    env = {g: Fraction(3), y: Fraction(2), u: Fraction(0)}
+    assert result(ls.evaluate, e, env) == (Fraction, 6) == result(ref_evaluate, e, env)
+
+
+@pytest.mark.parametrize("k", [12, 40])
+def test_map_rebuilds_each_distinct_node_once(monkeypatch, k):
+    # k = 12 first: a map that rebuilds at each use fails there, quickly
+    e = chain(k)
+    distinct = len({id(s) for s in expr._distinct(e)})
+    assert distinct < 150
+    calls = counting(monkeypatch, expr, "_rebuild")
+    assert ls.normalize(e) is e
+    assert len(calls) <= distinct
+    calls.clear()
+    # u -> x rebuilds the chain over x + 1, level by level
+    assert ls.substitute(e, {u: x}) is chain(k, ls.add(x, 1))
+    assert len(calls) <= distinct
+    values = counting(monkeypatch, expr, "_value")
+    env = {u: Fraction(1, 2), ux: Fraction(-2, 3), x: Fraction(1, 3)}
+    assert ls.evaluate(e, env) == Fraction(3, 2) * Fraction(-1, 3) ** k
+    assert len(values) <= distinct
 
 
 # --- the batch printer ----------------------------------------------------------
