@@ -2,9 +2,8 @@
 
 :func:`liesym.detsys.determining_equations` builds the symmetry defects of a
 polynomial system here, as ``{monomial: coefficient}`` dicts on the
-generator table of :class:`liesym._distributed._Poly`, and deduplicates
-their coefficients as dicts; ``solve`` reads those dicts, and trees are
-built only when the system's ``equations`` are read.  The
+generator table of :class:`liesym._distributed._Poly`, and hands their
+coefficients to ``solve`` as dicts, as the tree path does.  The
 generators are jet coordinates, independent variables, parameters and the
 unknown coefficient functions of the generic field.  The total derivative
 ``D_i`` acts on them as a derivation, cached per generator:
@@ -46,14 +45,6 @@ from .expr import Expr, Jet, UFunc, Var, jets_of
 
 class _Fallback(Exception):
     """The ring cannot hold the system or reduce it within the order cap."""
-
-
-class _RingEquations:
-    """Determining equations as the coefficient ``dicts`` on the ring's
-    ``_Poly`` ``k``, and as ``trees`` once built."""
-
-    def __init__(self, k: _Poly, dicts: list[dict]):
-        self.k, self.dicts, self.trees = k, dicts, None
 
 
 def _lower(m: tuple, n: int) -> tuple:
@@ -285,9 +276,9 @@ class _Ring:
 
 
 def ring_determining(sys, xi, phi, cap: int, reduction):
-    """(split jets, :class:`_RingEquations`) of the generic field with
-    coefficients ``xi``, ``phi`` on ``sys``: the coefficient dicts of the
-    defects in turn, each once up to sign with the sign seen first.  Raises
+    """(split jets, the ring's ``_Poly``, coefficient dicts) of the generic
+    field with coefficients ``xi``, ``phi`` on ``sys``: the coefficients of
+    the defects in turn, each in ``collect``'s order.  Raises
     :class:`_Fallback` when ``sys`` has a lead of order 0 or a right-hand
     side the ring cannot hold, or when a reduction would pass ``cap``.
     ``reduction(j)`` names the first equation whose lead divides jet ``j``
@@ -298,16 +289,8 @@ def ring_determining(sys, xi, phi, cap: int, reduction):
     if any(r is None for r in ring.rhs):
         raise _Fallback
     defects = ring.defects(sys.equations, xi, phi)
-    k, gens = ring.k, ring.k.gens
+    gens = ring.k.gens
     split = {g for d in defects for m in d for g, _ in m
              if type(gens[g]) is Jet and gens[g].idx}
-    seen: set[frozenset] = set()     # each kept coefficient and its negation
-    eqs = []
-    for d in defects:
-        for c in ring.coefficients(d, split):
-            key = frozenset(c.items())
-            if key not in seen:
-                seen.add(key)
-                seen.add(frozenset((m, -x) for m, x in c.items()))
-                eqs.append(c)
-    return {gens[g] for g in split}, _RingEquations(k, eqs)
+    return ({gens[g] for g in split}, ring.k,
+            [c for d in defects for c in ring.coefficients(d, split)])

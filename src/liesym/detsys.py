@@ -10,9 +10,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratla
-from ._diffring import _Fallback, _RingEquations, ring_determining
+from ._diffring import _Fallback, ring_determining
 from ._distributed import _ANSATZ_COLUMN_CAP, _Poly, _cap_error
 from .errors import (
+    ArityError,
     LiesymError,
     NotPolynomial,
     NotSolvedForm,
@@ -27,7 +28,6 @@ from .expr import (
     Pow,
     UFunc,
     Var,
-    ZERO,
     _factor_order,
     _term,
     _term_order,
@@ -35,11 +35,9 @@ from .expr import (
     atoms_of,
     collect,
     contains,
-    expand,
     is_zero,
     jet_order,
     jets_of,
-    neg,
     sub,
     substitute,
 )
@@ -128,6 +126,8 @@ def _reduction(j: Jet, sys: DiffSystem) -> tuple[int, tuple[int, ...]] | None:
 
 
 def _order_cap(sys: DiffSystem, order_cap: int | None) -> int:
+    if order_cap is not None and order_cap < 0:
+        raise LiesymError(f"order cap {order_cap} is negative")
     return order_cap if order_cap is not None else sys.order + 4
 
 
@@ -176,8 +176,23 @@ def check_symmetry(v: VectorField, sys: DiffSystem,
     return all(is_zero(d) for d in symmetry_defect(v, sys, order_cap))
 
 
+class _RingEquations:
+    """Each nonzero dict of ``coeffs`` on the ``_Poly`` ``k`` once up to
+    sign, the sign seen first, as ``dicts``, and as ``trees`` once built."""
+
+    def __init__(self, k: _Poly, coeffs):
+        self.k, self.dicts, self.trees = k, [], None
+        seen: set[frozenset] = set()     # each kept dict and its negation
+        for c in coeffs:
+            key = frozenset(c.items())
+            if c and key not in seen:
+                seen.add(key)
+                seen.add(frozenset((m, -x) for m, x in c.items()))
+                self.dicts.append(c)
+
+
 class _EquationsField:
-    """The ``equations`` field; it builds a ring-built system's trees."""
+    """The ``equations`` field; it builds the trees of a system's dicts."""
 
     def __get__(self, ds, owner=None):
         if ds is None:
@@ -195,7 +210,8 @@ class _EquationsField:
 @dataclass(frozen=True)
 class DeterminingSystem:
     """Coefficient equations that the infinitesimal coefficients must satisfy;
-    a ring-built system builds their trees only when ``equations`` is read."""
+    one from :func:`determining_equations` builds their trees only when
+    ``equations`` is read."""
 
     ctx: Context              # extended with the unknown coefficient functions
     xi_names: tuple[str, ...]
@@ -208,6 +224,11 @@ def generic_vector_field(ctx: Context, xi_names: Sequence[str],
                          phi_names: Sequence[str]) -> tuple[Context, VectorField]:
     """Context extension and vector field with unknown coefficient functions
     of all base variables (x, u)."""
+    for what, names, n, kind in (("xi", xi_names, ctx.p, "independent"),
+                                 ("phi", phi_names, ctx.q, "dependent")):
+        if len(names) != n:
+            raise ArityError(f"{len(names)} {what} name(s) given for "
+                             f"{n} {kind} variable(s)")
     args = tuple(ctx.indep) + tuple(ctx.dep)
     unknowns = tuple((n, args) for n in tuple(xi_names) + tuple(phi_names))
     ext = Context(ctx.indep, ctx.dep, ctx.params, tuple(ctx.unknowns) + unknowns)
@@ -232,15 +253,16 @@ def determining_equations(sys: DiffSystem,
 
     A polynomial system takes the differential polynomial ring of
     ``liesym._diffring`` (its docstring says which systems do), where the
-    defects are ``{monomial: coefficient}`` dicts, deduplicated as dicts;
-    the system keeps them for :func:`solve_determining` and builds trees
-    only when ``equations`` is read.  Any other system (a function such as
-    ``exp(u)``, a negative or fractional power), and any
+    defects are ``{monomial: coefficient}`` dicts.  Any other system (a
+    function such as ``exp(u)``, a negative or fractional power), and any
     system whose reduction would pass the order cap, takes the tree path:
     :func:`symmetry_defect`, then :func:`~liesym.expr.collect` of each
-    defect.  Both give the same equations, splitting variables and errors,
-    node for node: each defect's coefficients in ``collect``'s order, each
-    equation once up to sign, with the sign seen first.
+    defect, whose coefficients are read into one ``_Poly`` as the dicts of
+    their expansions.  Both paths give the same equations, splitting
+    variables and errors, node for node: each defect's coefficients in
+    ``collect``'s order, each once up to sign, with the sign seen first.
+    The system keeps the dicts for :func:`solve_determining` and builds
+    trees only when ``equations`` is read.
     """
     ctx = sys.ctx
     if xi_names is None:
@@ -249,31 +271,20 @@ def determining_equations(sys: DiffSystem,
         phi_names = [f"phi{a+1}" if ctx.q > 1 else "phi" for a in range(ctx.q)]
     ext, v = generic_vector_field(ctx, xi_names, phi_names)
     try:
-        split, eqs = ring_determining(sys, v.xi, v.phi, _order_cap(sys, order_cap),
-                                      lambda j: _reduction(j, sys))
+        split, k, coeffs = ring_determining(sys, v.xi, v.phi, _order_cap(sys, order_cap),
+                                            lambda j: _reduction(j, sys))
     except _Fallback:
         defects = symmetry_defect(v, sys, order_cap)
         split = {j for d in defects for j in jets_of(d) if j.order >= 1}
-        try:
-            eqs = _distinct(expand(c) for d in defects
-                            for c in collect(d, split).values())
-        except NotPolynomial as exc:
-            raise _printed(exc, ext) from None
+        k = _Poly()
+        # read one at a time as the handoff takes them: the first error stands
+        coeffs = (k.monomials(c) for d in defects for c in collect(d, split).values())
+    try:
+        eqs = _RingEquations(k, coeffs)
+    except NotPolynomial as exc:
+        raise _printed(exc, ext) from None
     split_t = tuple(sorted(split, key=_term_order))
     return DeterminingSystem(ext, tuple(xi_names), tuple(phi_names), eqs, split_t)
-
-
-def _distinct(coeffs) -> tuple[Expr, ...]:
-    """The nonzero ``coeffs``, each once up to sign, with the sign seen
-    first."""
-    eqs: list[Expr] = []
-    seen: set[Expr] = set()
-    for c in coeffs:
-        # the negation of an expand fixed point is a fixed point too
-        if c != ZERO and c not in seen and neg(c) not in seen:
-            seen.add(c)
-            eqs.append(c)
-    return tuple(eqs)
 
 
 @dataclass(frozen=True)
@@ -368,11 +379,12 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     Each unknown F is the sum over its monomials m_k of c_k*m_k, so a
     derivative D(F) is a fixed linear map from the c_k to base monomials.
     Rows are assembled from those maps, tabulated once per derivative, one
-    row per (equation, base monomial), from the ring's dicts of a ring-built
-    system and else from the monomials of ``ds.equations``.  The kernel stays
-    sparse from the RREF on, and each vector is instantiated through a column
-    -> (unknown, monomial) table built once per solve, so that work follows
-    the kernel's nonzeros rather than its dimension times the column count.
+    row per (equation, base monomial), from the dicts of a system from
+    :func:`determining_equations`, else from the monomials of its
+    equations.  The kernel stays sparse from the RREF on, and each vector
+    is instantiated through a column -> (unknown, monomial) table built once
+    per solve, so that work follows the kernel's nonzeros rather than its
+    dimension times the column count.
     Raises :class:`NotPolynomial` when a term that survives instantiation is
     not polynomial in the base variables or not linear homogeneous in the c_k;
     the latter names the system parameters of every equation from the first
@@ -383,9 +395,9 @@ def solve_determining(ds: DeterminingSystem, ansatz: Ansatz) -> list[VectorField
     base_atoms = tuple(base_slot)
     width = len(base_atoms)
     eqs = ds.__dict__["equations"]
-    ring = type(eqs) is _RingEquations
-    k = eqs.k if ring else _Poly()
-    polys = eqs.dicts if ring else map(k.monomials, eqs)
+    built = type(eqs) is _RingEquations
+    k = eqs.k if built else _Poly()
+    polys = eqs.dicts if built else map(k.monomials, eqs)
     gens = k.gens
 
     rows: list[tuple[tuple[int, int | Fraction], ...]] = []

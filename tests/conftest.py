@@ -375,6 +375,22 @@ def ref_determining_equations(sys: DiffSystem,
                              tuple(eqs), split_t)
 
 
+def ref_distinct(coeffs) -> tuple[Expr, ...]:
+    """``liesym.detsys._distinct`` as it was before both paths of
+    ``determining_equations`` handed coefficient dicts to one deduplication,
+    kept verbatim (as ``_distinct``) for the reference comparisons in the
+    tests: the nonzero ``coeffs``, each once up to sign, with the sign seen
+    first."""
+    eqs: list[Expr] = []
+    seen: set[Expr] = set()
+    for c in coeffs:
+        # the negation of an expand fixed point is a fixed point too
+        if c != ZERO and c not in seen and neg(c) not in seen:
+            seen.add(c)
+            eqs.append(c)
+    return tuple(eqs)
+
+
 def ref_derivative_table(ds, ansatz):
     """The derivative table of ``liesym.detsys.solve_determining`` as it was
     before it enumerated only the monomials a derivative leaves: its setup

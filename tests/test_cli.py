@@ -326,6 +326,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: prolongation order -1 is negative\n"
 
+    @pytest.mark.parametrize("option,message", [
+        (["--xi-names", "a"], "1 xi name(s) given for 2 independent variable(s)"),
+        (["--phi-names", "a,b"], "2 phi name(s) given for 1 dependent variable(s)"),
+    ])
+    def test_wrong_number_of_names(self, capsys, heat_file, option, message):
+        assert main(["solve", "--file", heat_file, "--system", "heat",
+                     *option]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["determine", "--system", "heat"],
+        ["solve", "--system", "heat"],
+        ["check-symmetry", "--vf", "v1", "--system", "heat"],
+        ["check-claw", "--current", "notclaw", "--system", "heat"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_order_cap(self, capsys, heat_file, argv):
+        assert main([argv[0], "--file", heat_file, *argv[1:],
+                     "--order-cap", "-1"]) == 2
+        assert capsys.readouterr().err == "error: order cap -1 is negative\n"
+
+    def test_order_cap_zero(self, capsys, heat_file):
+        status, rep = run_json(capsys, [
+            "check-symmetry", "--file", heat_file, "--vf", "v1",
+            "--system", "heat", "--order-cap", "0"])
+        assert status == 0 and rep["result"]["symmetry"] is True
+
     def test_order_cap_names_the_jet(self, capsys):
         assert main(["check-symmetry", "--file", MINIMAL_PROB,
                      "--system", "minimal", "--vf", "rxy", "--order-cap", "1"]) == 2

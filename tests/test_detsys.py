@@ -113,6 +113,26 @@ class TestReduce:
         assert ls.reduce_mod_system(big, heat_system, order_cap=8) == \
             Jet(1, (1,) * 8)
 
+    @pytest.mark.parametrize("run", [
+        lambda s: ls.reduce_mod_system(ls.Const(0), s, -1),
+        lambda s: ls.check_symmetry(heat_basis(s.ctx)[0], s, -1),
+        lambda s: ls.determining_equations(s, None, None, -1),
+        lambda s: ls.is_conservation_law(
+            ls.ConservedCurrent(s.ctx, (ls.neg(ux), u)), s, -1),
+    ], ids=["reduce", "check_symmetry", "determining_equations", "claw"])
+    def test_negative_order_cap(self, heat_system, run):
+        # refused before any jet is reduced, even where none would be
+        with pytest.raises(ls.LiesymError) as exc:
+            run(heat_system)
+        assert type(exc.value) is ls.LiesymError
+        assert str(exc.value) == "order cap -1 is negative"
+
+    def test_order_cap_zero(self, heat_system):
+        assert ls.reduce_mod_system(u, heat_system, 0) == u
+        assert ls.check_symmetry(heat_basis(heat_system.ctx)[0], heat_system, 0)
+        with pytest.raises(ls.OrderCapExceeded):
+            ls.determining_equations(heat_system, None, None, 0)
+
 
 class TestCheckSymmetry:
     def test_heat_basis(self, heat_system):
@@ -184,6 +204,19 @@ class TestDeterminingEquations:
     def test_default_names(self, heat_system):
         ds = ls.determining_equations(heat_system)
         assert ds.xi_names == ("xi1", "xi2") and ds.phi_names == ("phi",)
+
+    @pytest.mark.parametrize("names,message", [
+        ((["a"], ["phi"]), "1 xi name(s) given for 2 independent variable(s)"),
+        ((["a", "b", "c"], ["phi"]), "3 xi name(s) given for 2 independent variable(s)"),
+        ((["a", "b"], ["c", "d"]), "2 phi name(s) given for 1 dependent variable(s)"),
+        ((["a", "b"], []), "0 phi name(s) given for 1 dependent variable(s)"),
+    ])
+    def test_wrong_number_of_names(self, heat_system, names, message):
+        for run in (lambda: ls.determining_equations(heat_system, *names),
+                    lambda: generic_vector_field(heat_system.ctx, *names)):
+            with pytest.raises(ls.ArityError) as exc:
+                run()
+            assert str(exc.value) == message
 
 
 class TestSolveDetermining:

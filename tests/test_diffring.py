@@ -15,12 +15,13 @@ import pytest
 
 import liesym as ls
 from liesym import Ansatz, Jet, UFunc, Var, detsys, ratla
-from liesym._diffring import _Ring, _RingEquations, ring_determining
+from liesym._diffring import _Ring, ring_determining
 from liesym._distributed import _Poly
+from liesym.detsys import _RingEquations
 from liesym.expr import _term_order, expand, partials
 from liesym.jet import total_derivative
 
-from conftest import rand_poly, ref_determining_equations
+from conftest import rand_poly, ref_determining_equations, ref_distinct
 from test_demand_driven import default_names, outcome, same
 from test_detsys import BENCH_PROBLEMS, ROADMAP_SYSTEMS, ref_matrix, same_rows, systems
 
@@ -238,19 +239,25 @@ def test_ring_dicts_and_trees_solve_alike(monkeypatch, name, sys_):
         assert not matrices or same_rows(*matrices), name
 
 
-@pytest.mark.parametrize("name,sys_", HANDOFF,
-                         ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("name,sys_", HANDOFF + [
+    (n, parsed(t)) for n, t in FALLBACK_SYSTEMS.items()] + MECHANICS,
+    ids=lambda x: x if isinstance(x, str) else "")
 def test_equations_are_the_trees_of_the_ring_dicts(name, sys_):
-    """``equations`` is ``k.tree`` of each ring dict, in order, built on the
-    first read and kept."""
+    """On either path, the system holds the coefficient dicts, and
+    ``equations`` is ``k.tree`` of each, in order, built on the first read
+    and kept: ``ref_determining_equations``' equations, node for node."""
     ds = ls.determining_equations(sys_)
     ring = vars(ds)["equations"]
-    assert ring.trees is None
+    assert type(ring) is _RingEquations and ring.trees is None, name
     eqs = ds.equations
     assert type(eqs) is tuple and ring.trees is eqs and ds.equations is eqs
     assert len(eqs) == len(ring.dicts)
     for e, c in zip(eqs, ring.dicts):
         assert e is ring.k.tree(c), name
+    ref = ref_determining_equations(sys_).equations
+    assert len(eqs) == len(ref), name
+    for e, want in zip(eqs, ref):
+        same(e, want)
 
 
 def trees_built(monkeypatch):
@@ -261,32 +268,35 @@ def trees_built(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name,sys_", HANDOFF,
-                         ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("name,sys_", HANDOFF + [
+    (n, parsed(FALLBACK_SYSTEMS[n])) for n in ("cancelled", "order0")],
+    ids=lambda x: x if isinstance(x, str) else "")
 def test_solving_a_ring_system_builds_no_equation_tree(monkeypatch, name, sys_):
-    """``determining_equations`` then ``solve_determining`` turns no
-    equation dict into a tree; the rounds of ``expand`` that read each
-    right-hand side build trees of their own."""
-    calls = trees_built(monkeypatch)
+    """``solve_determining`` builds no tree from a system that
+    ``determining_equations`` built, on either path.  Trees are recorded
+    only from the solve on: the rounds of ``expand`` that read each
+    right-hand side, and each tree-path coefficient, build trees of their
+    own."""
     ds = ls.determining_equations(sys_)
+    calls = trees_built(monkeypatch)
     for degree in (0, 2):
         outcome(ls.solve_determining, ds, Ansatz(degree))
-    ring = vars(ds)["equations"]
-    assert ring.trees is None, name
-    assert not [p for p in calls if p in ring.dicts], name
+    assert vars(ds)["equations"].trees is None, name
+    assert not calls, name
 
 
-def ring_equations(monkeypatch):
-    """Record the :class:`_RingEquations` of each ``ring_determining`` call."""
+def handoffs(monkeypatch):
+    """Record the :class:`_RingEquations` of each ``determining_equations``
+    call."""
     got = []
-    ring = detsys.ring_determining
+    determine = detsys.determining_equations
 
     def record(*args):
-        split, eqs = ring(*args)
-        got.append(eqs)
-        return split, eqs
+        ds = determine(*args)
+        got.append(vars(ds)["equations"])
+        return ds
 
-    monkeypatch.setattr(detsys, "ring_determining", record)
+    monkeypatch.setattr(detsys, "determining_equations", record)
     return got
 
 
@@ -295,7 +305,7 @@ def test_cli_solve_builds_no_tree(monkeypatch, capsys, eq):
     from liesym.cli import main
 
     calls = trees_built(monkeypatch)
-    rings = ring_equations(monkeypatch)
+    rings = handoffs(monkeypatch)
     assert main(["solve", "--file", str(BENCH_PROBLEMS / f"{eq}.prob"),
                  "--system", eq, "--degree", "3"]) == 0
     assert '"dimension"' in capsys.readouterr().out
@@ -361,26 +371,19 @@ def test_other_trees_take_the_rounds(monkeypatch):
 @pytest.mark.parametrize("name,sys_", HANDOFF,
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_dict_dedup_is_distinct(name, sys_):
-    """Deduplicating the ring's coefficient dicts keeps the trees, order and
-    signs included, that ``_distinct`` keeps of all the candidate trees.
-    Among the candidates, heat2d, KdV, heat3d and others repeat an equation,
-    and wave, Boussinesq, NLS, KP, coupled and chained repeat one negated."""
+    """Deduplicating the coefficient dicts that ``ring_determining`` returns
+    keeps the trees, order and signs included, that ``ref_distinct`` keeps
+    of all their trees.  Among the candidates, heat2d, KdV, heat3d and
+    others repeat an equation, and wave, Boussinesq, NLS, KP, coupled and
+    chained repeat one negated."""
     ext, v = detsys.generic_vector_field(sys_.ctx, *default_names(sys_.ctx))
     ext_sys = ls.DiffSystem(ext, sys_.equations)
-    cap = detsys._order_cap(sys_, None)
-
-    def reduction(j):
-        return detsys._reduction(j, ext_sys)
-
-    _, eqs = ring_determining(ext_sys, v.xi, v.phi, cap, reduction)
-    ring = _Ring(ext_sys.equations, ext.p, cap, reduction)
-    defects = ring.defects(ext_sys.equations, v.xi, v.phi)
-    gens = ring.k.gens
-    split = {g for d in defects for m in d for g, _ in m
-             if type(gens[g]) is Jet and gens[g].idx}
-    candidates = [ring.k.tree(c) for d in defects
-                  for c in ring.coefficients(d, split)]
-    same(tuple(map(eqs.k.tree, eqs.dicts)), detsys._distinct(candidates))
+    _, k, coeffs = ring_determining(ext_sys, v.xi, v.phi,
+                                    detsys._order_cap(sys_, None),
+                                    lambda j: detsys._reduction(j, ext_sys))
+    eqs = _RingEquations(k, coeffs)
+    assert eqs.k is k and eqs.trees is None
+    same(tuple(map(k.tree, eqs.dicts)), ref_distinct(map(k.tree, coeffs)))
 
 
 @pytest.mark.parametrize("name,sys_", HANDOFF + [("high6", parsed(high_order(6)))],
